@@ -24,15 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import (
-    FlopLedger,
-    LayoutError,
-    Mixer,
-    ShapeError,
-    Side,
-    apply_mixer,
-    hadamard,
-)
+from .block import cascade, features
+from .tensor import FlopLedger, LayoutError, Mixer, ShapeError, Side, apply_mixer
 
 L1_EPS = 1e-12
 
@@ -69,16 +62,8 @@ class PlanCascade:
     weight: float = 1.0
 
     def top_tap(self, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
-        z = None
-        for j in range(len(self.token)):
-            y = apply_mixer(self.token[j], apply_mixer(self.channel[j], x, ledger), ledger)
-            if z is None:
-                z = y
-            else:
-                t = apply_mixer(self.inter_channel[j - 1], z, ledger)
-                t = apply_mixer(self.inter_token[j - 1], t, ledger)
-                z = hadamard(t, y, ledger)
-        return z
+        ys = features(self.token, self.channel, x, ledger)
+        return cascade(ys, self.inter_token, self.inter_channel, ledger)[-1]
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .adapters import (
     conv2former_forward,
     sima_forward,
 )
-from .block import Grid, Seq1d, build_conv_instance, forward
+from .block import Grid, Seq1d, _uniform, build_conv_instance, forward
 from .tensor import FlopLedger, Mixer, Side
 
 DEFAULT_N_LIST = [256, 1024, 2304, 4096]
@@ -88,11 +88,6 @@ def _layout_for(n: int):
 def _input_for(n: int, d_ch: int, seed: int, scheme: str) -> np.ndarray:
     rng = np.random.default_rng([seed, n, sum(scheme.encode())])
     return rng.uniform(-1.0, 1.0, size=(n, d_ch))
-
-
-def _uniform(rng, shape, fan_in):
-    half = math.sqrt(3.0 / fan_in)
-    return rng.uniform(-half, half, size=shape)
 
 
 def _setup_padre(degree: int, n: int, d_ch: int, seed: int):
@@ -157,12 +152,10 @@ def _setup_conv2former(n: int, d_ch: int, seed: int):
     return (lambda: conv2former_forward(p, x)), ledger.flops, 2
 
 
-def setup_scheme(scheme: str, n: int, d_ch: int, seed: int, degree: int | None = None):
+def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
     """Build a runnable closure for one scheme; returns (run, flops, degree)."""
     if scheme.startswith("padre-"):
         return _setup_padre(int(scheme.split("-", 1)[1]), n, d_ch, seed)
-    if scheme == "padre":
-        return _setup_padre(degree or 2, n, d_ch, seed)
     table = {"softmax-attn": _setup_softmax_attn, "sima": _setup_sima,
              "castling": _setup_castling, "conv2former": _setup_conv2former}
     if scheme not in table:
@@ -172,8 +165,8 @@ def setup_scheme(scheme: str, n: int, d_ch: int, seed: int, degree: int | None =
 
 
 def run_bench(schemes: list[str], n_list: list[int] | None = None,
-              d_ch: int = DEFAULT_CHANNELS, degree: int | None = None,
-              reps: int = 20, warmup: int = 3, seed: int = 0) -> list[BenchRecord]:
+              d_ch: int = DEFAULT_CHANNELS, reps: int = 20, warmup: int = 3,
+              seed: int = 0) -> list[BenchRecord]:
     """Time every (scheme, N) pair single-threaded; FLOPs come from the ledger."""
     if reps < 5:
         raise ValueError(f"need at least 5 repetitions, got {reps}")
@@ -182,7 +175,7 @@ def run_bench(schemes: list[str], n_list: list[int] | None = None,
     with _single_thread():
         for scheme in schemes:
             for n in n_list:
-                run, flops, sch_degree = setup_scheme(scheme, n, d_ch, seed, degree)
+                run, flops, sch_degree = setup_scheme(scheme, n, d_ch, seed)
                 for _ in range(warmup):
                     run()
                 times = np.empty(reps)

@@ -37,13 +37,13 @@ from .tensor import (
     apply_mixer,
     hadamard,
     manifest_record,
+    manifest_values,
     mixer_from_record,
     mixer_to_record,
     raw_tensor_from_record,
     raw_tensor_record,
     read_records,
     write_records,
-    MANIFEST_TAG,
 )
 
 DEFAULT_KERNEL = 11
@@ -161,26 +161,37 @@ def combine_weight(block: PadreBlock, i: int):
     return block.weights[i - 1]
 
 
+def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
+             ledger: FlopLedger | None = None) -> list[np.ndarray]:
+    """The feature bank Y_i = A_i X B_i, channel map first."""
+    ys = []
+    for i, (a, b) in enumerate(zip(token_mixers, channel_mixers)):
+        y = apply_mixer(a, apply_mixer(b, x, ledger), ledger)
+        _require_finite(y, f"Y[{i + 1}]")
+        ys.append(y)
+    return ys
+
+
+def cascade(ys: list[np.ndarray], inter_token: list[Mixer], inter_channel: list[Mixer],
+            ledger: FlopLedger | None = None) -> list[np.ndarray]:
+    """The Hadamard cascade Z_1 = Y_1, Z_{i+1} = (C_i Z_i D_i) * Y_{i+1}."""
+    z = ys[:1]
+    for i, (c, dm) in enumerate(zip(inter_token, inter_channel)):
+        t = apply_mixer(c, apply_mixer(dm, z[i], ledger), ledger)
+        t = hadamard(t, ys[i + 1], ledger)
+        _require_finite(t, f"Z[{i + 2}]")
+        z.append(t)
+    return z
+
+
 def forward(block: PadreBlock, x: np.ndarray,
             ledger: FlopLedger | None = None) -> tuple[np.ndarray, PadreTrace]:
     """Run the block; returns the output and the full stage trace."""
     if x.shape != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} != ({block.n_tokens}, {block.n_channels})")
-    d = block.degree
-    y_raw, y = [], []
-    for i in range(d):
-        t = apply_mixer(block.channel_mixers[i], x, ledger)
-        t = apply_mixer(block.token_mixers[i], t, ledger)
-        _require_finite(t, f"Y[{i + 1}]")
-        y_raw.append(t)
-        y.append(rms_normalize_rows(t) if block.normalize_y else t)
-    z = [y[0]]
-    for i in range(d - 1):
-        t = apply_mixer(block.inter_channel[i], z[i], ledger)
-        t = apply_mixer(block.inter_token[i], t, ledger)
-        t = hadamard(t, y[i + 1], ledger)
-        _require_finite(t, f"Z[{i + 2}]")
-        z.append(t)
+    y_raw = features(block.token_mixers, block.channel_mixers, x, ledger)
+    y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
+    z = cascade(y, block.inter_token, block.inter_channel, ledger)
     p = np.zeros_like(x)
     for i in sorted(block.degree_mask):
         p += combine_weight(block, i) * z[i - 1]
@@ -258,8 +269,21 @@ def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Lay
     )
 
 
-def _random_mixer(rng: np.random.Generator, side: Side, dim: int, kind: MixerKind,
-                  grid: tuple[int, int] | None = None) -> Mixer:
+#: the structured-kind menu seeded blocks draw their mixers from
+MIXER_MENU = (MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
+              MixerKind.CONV1D, MixerKind.CONV2D, MixerKind.IDENTITY)
+
+
+def random_mixer(rng: np.random.Generator, side: Side, dim: int,
+                 menu=MIXER_MENU) -> Mixer:
+    """Draw a kind uniformly from ``menu``, then its seeded parameters.
+
+    CONV2D is legal only when ``dim > 1`` is a perfect square (a square grid).
+    """
+    g = math.isqrt(dim)
+    square = g * g == dim and dim > 1
+    legal = [k for k in menu if k != MixerKind.CONV2D or square]
+    kind = legal[int(rng.integers(len(legal)))]
     if kind == MixerKind.IDENTITY:
         return Mixer.identity(side, dim)
     if kind == MixerKind.DENSE:
@@ -273,19 +297,9 @@ def _random_mixer(rng: np.random.Generator, side: Side, dim: int, kind: MixerKin
     if kind == MixerKind.CONV1D:
         k = int(rng.integers(1, min(DEFAULT_KERNEL, dim) + 1))
         return Mixer.conv1d(side, _uniform(rng, (k,), k), dim, pad)
-    if kind == MixerKind.CONV2D:
-        if grid is None:
-            raise LayoutError("conv2d mixer needs a grid")
-        gh, gw = grid
-        kh = int(rng.integers(1, min(DEFAULT_KERNEL, gh) + 1))
-        kw = int(rng.integers(1, min(DEFAULT_KERNEL, gw) + 1))
-        return Mixer.conv2d(side, _uniform(rng, (kh, kw), kh * kw), gh, gw, pad)
-    raise ValueError(f"unknown kind {kind}")
-
-
-def _square_grid(dim: int) -> tuple[int, int] | None:
-    r = math.isqrt(dim)
-    return (r, dim // r) if r * r == dim and dim > 1 else None
+    kh = int(rng.integers(1, min(DEFAULT_KERNEL, g) + 1))
+    kw = int(rng.integers(1, min(DEFAULT_KERNEL, g) + 1))
+    return Mixer.conv2d(side, _uniform(rng, (kh, kw), kh * kw), g, g, pad)
 
 
 def random_block(n_tokens: int, n_channels: int, degree: int, seed: int,
@@ -295,25 +309,18 @@ def random_block(n_tokens: int, n_channels: int, degree: int, seed: int,
     """A seeded block drawing every mixer slot from the structured-kind menu.
 
     Used by verification suites; conv2d appears only when the acted dimension
-    factors as a square-ish grid.
+    is a square grid (see ``random_mixer``).
     """
     rng = np.random.default_rng(seed)
-    menu = kinds or [MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
-                     MixerKind.CONV1D, MixerKind.CONV2D, MixerKind.IDENTITY]
-
-    def pick(side: Side, dim: int) -> Mixer:
-        grid = _square_grid(dim)
-        legal = [k for k in menu if not (k == MixerKind.CONV2D and grid is None)]
-        kind = legal[int(rng.integers(len(legal)))]
-        return _random_mixer(rng, side, dim, kind, grid)
-
+    menu = kinds or MIXER_MENU
     d = degree
     return PadreBlock(
         degree=d, n_tokens=n_tokens, n_channels=n_channels,
-        token_mixers=[pick(Side.TOKEN, n_tokens) for _ in range(d)],
-        channel_mixers=[pick(Side.CHANNEL, n_channels) for _ in range(d)],
-        inter_token=[pick(Side.TOKEN, n_tokens) for _ in range(d - 1)],
-        inter_channel=[pick(Side.CHANNEL, n_channels) for _ in range(d - 1)],
+        token_mixers=[random_mixer(rng, Side.TOKEN, n_tokens, menu) for _ in range(d)],
+        channel_mixers=[random_mixer(rng, Side.CHANNEL, n_channels, menu) for _ in range(d)],
+        inter_token=[random_mixer(rng, Side.TOKEN, n_tokens, menu) for _ in range(d - 1)],
+        inter_channel=[random_mixer(rng, Side.CHANNEL, n_channels, menu)
+                       for _ in range(d - 1)],
         w_mode=w_mode,
         weights=_init_weights(rng, w_mode, n_tokens, n_channels, d),
         degree_mask=degree_mask or frozenset(range(1, d + 1)),
@@ -367,21 +374,6 @@ def iter_parameters(block: PadreBlock) -> list[tuple[str, np.ndarray]]:
         out.append(("U", block.resize_left))
         out.append(("V", block.resize_right))
     return out
-
-
-def clone_block(block: PadreBlock) -> PadreBlock:
-    cp = lambda a: None if a is None else a.copy()
-    return PadreBlock(
-        degree=block.degree, n_tokens=block.n_tokens, n_channels=block.n_channels,
-        token_mixers=[m.copy() for m in block.token_mixers],
-        channel_mixers=[m.copy() for m in block.channel_mixers],
-        inter_token=[m.copy() for m in block.inter_token],
-        inter_channel=[m.copy() for m in block.inter_channel],
-        w_mode=block.w_mode, weights=block.weights.copy(),
-        degree_mask=block.degree_mask, bias=cp(block.bias),
-        resize_left=cp(block.resize_left), resize_right=cp(block.resize_right),
-        normalize_y=block.normalize_y, layout=block.layout,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +459,7 @@ def block_to_records(block: PadreBlock) -> list[Record]:
 
 
 def block_from_records(records: list[Record]) -> PadreBlock:
-    if not records or records[0][0] != MANIFEST_TAG:
-        raise ShapeError("container does not start with a block manifest")
-    man = records[0][3]
+    man = manifest_values(records, 1.0)
     d, n, dc = int(man[1]), int(man[2]), int(man[3])
     w_mode = WMode(int(man[4]))
     normalize = bool(man[5])

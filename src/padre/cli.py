@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"subset of: {', '.join(ALL_SCHEMES)}")
     b.add_argument("--n-list", nargs="+", type=int, default=list(DEFAULT_N_LIST))
     b.add_argument("--channels", type=int, default=DEFAULT_CHANNELS)
-    b.add_argument("--degree", type=int, default=None)
     b.add_argument("--reps", type=int, default=20)
     b.add_argument("--warmup", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
@@ -89,9 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    records = run_bench(args.schemes, args.n_list, d_ch=args.channels,
-                        degree=args.degree, reps=args.reps, warmup=args.warmup,
-                        seed=args.seed)
+    records = run_bench(args.schemes, args.n_list, d_ch=args.channels, reps=args.reps,
+                        warmup=args.warmup, seed=args.seed)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     by_scheme = {r.scheme for r in records}

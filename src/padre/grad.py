@@ -7,6 +7,7 @@ structured mixers and the package needs no autodiff dependency.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +17,18 @@ from .block import (
     PadreTrace,
     RMS_EPS,
     WMode,
-    clone_block,
     combine_weight,
     forward,
     iter_parameters,
 )
-from .tensor import Mixer, MixerKind, PadMode, Side, apply_mixer, apply_mixer_transpose
+from .tensor import (
+    Mixer,
+    MixerKind,
+    Side,
+    apply_mixer,
+    apply_mixer_transpose,
+    conv_kernel_grad,
+)
 
 
 @dataclass
@@ -49,20 +56,6 @@ class GradBundle:
         return out
 
 
-def _pad_like(m: Mixer, x: np.ndarray, axes) -> np.ndarray:
-    circ = m.padding == PadMode.CIRCULAR
-    pad = [(0, 0)] * x.ndim
-    if m.kind == MixerKind.CONV1D:
-        k = m.kernel.shape[0]
-        a = k // 2
-        pad[axes] = (a, k - 1 - a)
-    else:
-        kh, kw = m.kernel.shape
-        pad[axes[0]] = (kh // 2, kh - 1 - kh // 2)
-        pad[axes[1]] = (kw // 2, kw - 1 - kw // 2)
-    return np.pad(x, pad, mode="wrap" if circ else "constant")
-
-
 def mixer_param_grad(m: Mixer, x_in: np.ndarray, g_out: np.ndarray) -> dict[str, np.ndarray]:
     """Gradient of sum(g_out * apply(m, x_in)) w.r.t. the mixer parameters."""
     k, token = m.kind, m.side == Side.TOKEN
@@ -78,36 +71,25 @@ def mixer_param_grad(m: Mixer, x_in: np.ndarray, g_out: np.ndarray) -> dict[str,
             return {"left": g_out @ rx.T, "right": (m.left.T @ g_out) @ x_in.T}
         xl = x_in @ m.left
         return {"left": x_in.T @ (g_out @ m.right.T), "right": xl.T @ g_out}
-    if k == MixerKind.CONV1D:
-        axis = 0 if token else 1
-        xp = _pad_like(m, x_in, axis)
-        n = x_in.shape[axis]
-        dk = np.empty(m.kernel.shape[0])
-        sl = [slice(None), slice(None)]
-        for j in range(dk.shape[0]):
-            sl[axis] = slice(j, j + n)
-            dk[j] = np.sum(g_out * xp[tuple(sl)])
-        return {"kernel": dk}
-    # CONV2D
-    n, dch = x_in.shape
-    if token:
-        xg = x_in.reshape(m.grid_h, m.grid_w, dch)
-        gg = g_out.reshape(m.grid_h, m.grid_w, dch)
-        axes = (0, 1)
-    else:
-        xg = x_in.reshape(n, m.grid_h, m.grid_w)
-        gg = g_out.reshape(n, m.grid_h, m.grid_w)
-        axes = (1, 2)
-    xp = _pad_like(m, xg, axes)
-    kh, kw = m.kernel.shape
-    dk = np.empty((kh, kw))
-    sl = [slice(None)] * 3
-    for r in range(kh):
-        sl[axes[0]] = slice(r, r + m.grid_h)
-        for c in range(kw):
-            sl[axes[1]] = slice(c, c + m.grid_w)
-            dk[r, c] = np.sum(gg * xp[tuple(sl)])
-    return {"kernel": dk}
+    return {"kernel": conv_kernel_grad(m, x_in, g_out)}
+
+
+def features_backward(token_mixers: list[Mixer], channel_mixers: list[Mixer],
+                      x: np.ndarray, d_y: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+    """Backward through the feature bank Y_i = A_i X B_i.
+
+    Returns d_x and the A_i / B_i parameter gradients keyed "A{i}" / "B{i}",
+    each a dict like ``mixer_param_grad``'s.
+    """
+    d_x = np.zeros_like(x)
+    grads: dict[str, dict[str, np.ndarray]] = {}
+    for i, (a, b, g_y) in enumerate(zip(token_mixers, channel_mixers, d_y)):
+        xb = apply_mixer(b, x)
+        grads[f"A{i + 1}"] = mixer_param_grad(a, xb, g_y)
+        g_xb = apply_mixer_transpose(a, g_y)
+        grads[f"B{i + 1}"] = mixer_param_grad(b, x, g_xb)
+        d_x += apply_mixer_transpose(b, g_xb)
+    return d_x, grads
 
 
 def _rms_backward(m_pre: np.ndarray, g: np.ndarray, eps: float = RMS_EPS) -> np.ndarray:
@@ -123,11 +105,6 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     if upstream.shape != trace.output.shape:
         raise ValueError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
     mixer_grads: dict[str, dict[str, np.ndarray]] = {}
-
-    def acc(name: str, grads: dict[str, np.ndarray]) -> None:
-        slot = mixer_grads.setdefault(name, {})
-        for pname, arr in grads.items():
-            slot[pname] = slot[pname] + arr if pname in slot else arr
 
     d_u = d_v = None
     if block.resize_left is not None:
@@ -158,22 +135,17 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
         t = apply_mixer(block.inter_token[i - 1], zd)
         d_t = g_z * trace.y[i]
         d_y[i] += g_z * t
-        acc(f"C{i}", mixer_param_grad(block.inter_token[i - 1], zd, d_t))
+        mixer_grads[f"C{i}"] = mixer_param_grad(block.inter_token[i - 1], zd, d_t)
         d_zd = apply_mixer_transpose(block.inter_token[i - 1], d_t)
-        acc(f"D{i}", mixer_param_grad(block.inter_channel[i - 1], trace.z[i - 1], d_zd))
+        mixer_grads[f"D{i}"] = mixer_param_grad(block.inter_channel[i - 1], trace.z[i - 1], d_zd)
         d_z[i - 1] += apply_mixer_transpose(block.inter_channel[i - 1], d_zd)
     d_y[0] += d_z[0]
 
-    d_x = np.zeros_like(trace.x)
-    for i in range(d):
-        g_y = d_y[i]
-        g_m = _rms_backward(trace.y_raw[i], g_y) if block.normalize_y else g_y
-        xb = apply_mixer(block.channel_mixers[i], trace.x)
-        acc(f"A{i + 1}", mixer_param_grad(block.token_mixers[i], xb, g_m))
-        g_xb = apply_mixer_transpose(block.token_mixers[i], g_m)
-        acc(f"B{i + 1}", mixer_param_grad(block.channel_mixers[i], trace.x, g_xb))
-        d_x += apply_mixer_transpose(block.channel_mixers[i], g_xb)
-
+    if block.normalize_y:
+        d_y = [_rms_backward(m_pre, g) for m_pre, g in zip(trace.y_raw, d_y)]
+    d_x, feature_grads = features_backward(block.token_mixers, block.channel_mixers,
+                                           trace.x, d_y)
+    mixer_grads.update(feature_grads)
     return GradBundle(d_x=d_x, mixers=mixer_grads, d_w=d_w, d_l=d_l, d_u=d_u, d_v=d_v)
 
 
@@ -246,7 +218,7 @@ def gradcheck(block: PadreBlock, x: np.ndarray, probes: int = 200, step: float =
               seed: int = 0, fail_tol: float = 1e-5) -> GradReport:
     """Compare ``backward`` against central differences on random scalars."""
     rng = np.random.default_rng(seed)
-    work = clone_block(block)
+    work = copy.deepcopy(block)
     xw = np.array(x, dtype=np.float64, copy=True)
     out, trace = forward(work, xw)
     g_up = upstream_probe(rng, out.shape)

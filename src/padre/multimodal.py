@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _random_mixer, _square_grid, _uniform
-from .tensor import (
-    FlopLedger,
-    Mixer,
-    MixerKind,
-    ShapeError,
-    Side,
-    apply_mixer,
-    hadamard,
-)
+from .block import _uniform, cascade, features, random_mixer
+from .tensor import FlopLedger, Mixer, MixerKind, ShapeError, Side
 
 
 class TrivialSequenceError(ValueError):
@@ -120,24 +112,13 @@ def multimodal_forward(block: MultimodalBlock, inputs: dict[str, np.ndarray],
                              f"({block.n_out}, {block.d_out})")
         projected[mode] = x
 
-    features: dict[str, list[np.ndarray]] = {}
-    for mode, (tok, ch) in block.banks.items():
-        ys = []
-        for i in range(block.degree):
-            t = apply_mixer(ch[i], projected[mode], ledger)
-            ys.append(apply_mixer(tok[i], t, ledger))
-        features[mode] = ys
-
+    banks = {mode: features(tok, ch, projected[mode], ledger)
+             for mode, (tok, ch) in block.banks.items()}
     out = np.zeros((block.n_out, block.d_out))
     taps: list[list[np.ndarray]] = []
     for s_idx, seq in enumerate(block.sequences):
-        z = features[seq.labels[0]][0]
-        chain = [z]
-        for i in range(1, block.degree):
-            t = apply_mixer(block.inter_channel[i - 1], z, ledger)
-            t = apply_mixer(block.inter_token[i - 1], t, ledger)
-            z = hadamard(t, features[seq.labels[i]][i], ledger)
-            chain.append(z)
+        ys = [banks[label][i] for i, label in enumerate(seq.labels)]
+        chain = cascade(ys, block.inter_token, block.inter_channel, ledger)
         taps.append(chain)
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):
@@ -146,8 +127,7 @@ def multimodal_forward(block: MultimodalBlock, inputs: dict[str, np.ndarray],
             ledger.add("combine", block.degree * out.size)
     if block.bias is not None:
         out = out + block.bias
-    return out, MultimodalTrace(projected=projected, features=features, taps=taps,
-                                output=out)
+    return out, MultimodalTrace(projected=projected, features=banks, taps=taps, output=out)
 
 
 def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out: int,
@@ -155,15 +135,9 @@ def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out:
     """Seeded block: dense projections where shapes differ, mixed-kind banks."""
     rng = np.random.default_rng(seed)
     modes, banks = {}, {}
-    kinds = [MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
-             MixerKind.CONV1D, MixerKind.IDENTITY]
-
-    def pick(side: Side, dim: int) -> Mixer:
-        grid = _square_grid(dim)
-        menu = kinds + ([MixerKind.CONV2D] if grid else [])
-        kind = menu[int(rng.integers(len(menu)))]
-        return _random_mixer(rng, side, dim, kind, grid)
-
+    # this block's own menu order (CONV2D last) fixes its seeded draws
+    menu = (MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
+            MixerKind.CONV1D, MixerKind.IDENTITY, MixerKind.CONV2D)
     for mode, (n_in, d_in) in mode_shapes.items():
         modes[mode] = ModeSpec(
             n_in=n_in, d_in=d_in,
@@ -171,13 +145,14 @@ def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out:
             proj_right=None if d_in == d_out else _uniform(rng, (d_in, d_out), d_in),
         )
         banks[mode] = (
-            [pick(Side.TOKEN, n_out) for _ in range(degree)],
-            [pick(Side.CHANNEL, d_out) for _ in range(degree)],
+            [random_mixer(rng, Side.TOKEN, n_out, menu) for _ in range(degree)],
+            [random_mixer(rng, Side.CHANNEL, d_out, menu) for _ in range(degree)],
         )
     return MultimodalBlock(
         degree=degree, n_out=n_out, d_out=d_out, modes=modes, banks=banks,
-        inter_token=[pick(Side.TOKEN, n_out) for _ in range(degree - 1)],
-        inter_channel=[pick(Side.CHANNEL, d_out) for _ in range(degree - 1)],
+        inter_token=[random_mixer(rng, Side.TOKEN, n_out, menu) for _ in range(degree - 1)],
+        inter_channel=[random_mixer(rng, Side.CHANNEL, d_out, menu)
+                       for _ in range(degree - 1)],
         sequences=[ModeSequence.parse(s) for s in sequences],
         weights={i: _uniform(rng, (d_out, degree), 1) for i in range(len(sequences))},
     )

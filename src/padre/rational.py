@@ -14,30 +14,27 @@ polynomial form.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _random_mixer, _square_grid, _uniform
+from .block import _uniform, cascade, features, random_mixer
 from .grad import (
     GradReport,
+    features_backward,
     finite_difference_report,
-    mixer_param_grad,
     upstream_probe,
 )
 from .tensor import (
     FlopLedger,
-    MANIFEST_TAG,
     Mixer,
-    MixerKind,
     NumericError,
     Record,
     ShapeError,
     Side,
-    apply_mixer,
-    apply_mixer_transpose,
-    hadamard,
     manifest_record,
+    manifest_values,
     mixer_from_record,
     mixer_to_record,
     raw_tensor_from_record,
@@ -99,25 +96,17 @@ class RationalTrace:
     output: np.ndarray
 
 
-def _hadamard_chain(ys: list[np.ndarray], ledger: FlopLedger | None) -> list[np.ndarray]:
-    chain: list[np.ndarray] = []
-    for y in ys:
-        chain.append(y if not chain else hadamard(chain[-1], y, ledger))
-    return chain
-
-
 def rational_forward(block: RationalPadreBlock, x: np.ndarray,
                      ledger: FlopLedger | None = None) -> tuple[np.ndarray, RationalTrace]:
     if x.shape != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} != ({block.n_tokens}, {block.n_channels})")
     d, e = block.num_degree, block.den_degree
-    y = []
-    for i in range(d + e):
-        t = apply_mixer(block.channel_mixers[i], x, ledger)
-        t = apply_mixer(block.token_mixers[i], t, ledger)
-        y.append(t)
-    k_chain = _hadamard_chain(y[:d], ledger)
-    l_chain = _hadamard_chain(y[d:], ledger)
+    y = features(block.token_mixers, block.channel_mixers, x, ledger)
+    # plain chains: identity inter-degree mixers, which add no MACs
+    ident_t = Mixer.identity(Side.TOKEN, block.n_tokens)
+    ident_c = Mixer.identity(Side.CHANNEL, block.n_channels)
+    k_chain = cascade(y[:d], [ident_t] * (d - 1), [ident_c] * (d - 1), ledger)
+    l_chain = cascade(y[d:], [ident_t] * (e - 1), [ident_c] * (e - 1), ledger)
     num = np.zeros_like(x)
     for j in range(d):
         num += block.w_num[:, :, j] * k_chain[j]
@@ -177,16 +166,10 @@ def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
     if e:
         chain_backward(trace.l_chain, trace.y[d:], block.w_den, d_den, d, "Qd")
 
-    d_x = np.zeros_like(trace.x)
-    for i in range(d + e):
-        g_y = d_y[i]
-        xb = apply_mixer(block.channel_mixers[i], trace.x)
-        for pname, arr in mixer_param_grad(block.token_mixers[i], xb, g_y).items():
-            grads[f"A{i + 1}.{pname}"] = arr
-        g_xb = apply_mixer_transpose(block.token_mixers[i], g_y)
-        for pname, arr in mixer_param_grad(block.channel_mixers[i], trace.x, g_xb).items():
-            grads[f"B{i + 1}.{pname}"] = arr
-        d_x += apply_mixer_transpose(block.channel_mixers[i], g_xb)
+    d_x, feature_grads = features_backward(block.token_mixers, block.channel_mixers,
+                                           trace.x, d_y)
+    grads.update({f"{name}.{pname}": arr for name, parts in feature_grads.items()
+                  for pname, arr in parts.items()})
     grads["x"] = d_x
     return grads
 
@@ -204,23 +187,11 @@ def iter_rational_parameters(block: RationalPadreBlock) -> list[tuple[str, np.nd
     return out
 
 
-def clone_rational(block: RationalPadreBlock) -> RationalPadreBlock:
-    return RationalPadreBlock(
-        num_degree=block.num_degree, den_degree=block.den_degree,
-        n_tokens=block.n_tokens, n_channels=block.n_channels,
-        token_mixers=[m.copy() for m in block.token_mixers],
-        channel_mixers=[m.copy() for m in block.channel_mixers],
-        w_num=block.w_num.copy(), bias_num=block.bias_num.copy(),
-        w_den=block.w_den.copy(), bias_den=block.bias_den.copy(),
-        epsilon=block.epsilon, square_denominator=block.square_denominator,
-    )
-
-
 def rational_gradcheck(block: RationalPadreBlock, x: np.ndarray, probes: int = 200,
                        step: float = 1e-4, seed: int = 0,
                        fail_tol: float = 1e-5) -> GradReport:
     rng = np.random.default_rng(seed)
-    work = clone_rational(block)
+    work = copy.deepcopy(block)
     xw = np.array(x, dtype=np.float64, copy=True)
     out, trace = rational_forward(work, xw)
     g_up = upstream_probe(rng, out.shape)
@@ -263,9 +234,7 @@ def rational_to_records(block: RationalPadreBlock) -> list[Record]:
 
 
 def rational_from_records(records: list[Record]) -> RationalPadreBlock:
-    if not records or records[0][0] != MANIFEST_TAG or records[0][3][0] != 2.0:
-        raise ShapeError("container does not start with a rational-block manifest")
-    man = records[0][3]
+    man = manifest_values(records, 2.0)
     d, e, n, dc = (int(v) for v in man[1:5])
     mixers = [mixer_from_record(r) for r in records[1:1 + 2 * (d + e)]]
     raws = [raw_tensor_from_record(r) for r in records[1 + 2 * (d + e):]]
@@ -293,20 +262,11 @@ def random_rational_block(n_tokens: int, n_channels: int, num_degree: int,
     """Seeded instance; the denominator bias is lifted away from zero so the
     unstabilized division is well posed on inputs in [-1, 1]."""
     rng = np.random.default_rng(seed)
-    kinds = [MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
-             MixerKind.CONV1D, MixerKind.CONV2D, MixerKind.IDENTITY]
-
-    def pick(side: Side, dim: int) -> Mixer:
-        grid = _square_grid(dim)
-        legal = [k for k in kinds if not (k == MixerKind.CONV2D and grid is None)]
-        kind = legal[int(rng.integers(len(legal)))]
-        return _random_mixer(rng, side, dim, kind, grid)
-
     d, e = num_degree, den_degree
     return RationalPadreBlock(
         num_degree=d, den_degree=e, n_tokens=n_tokens, n_channels=n_channels,
-        token_mixers=[pick(Side.TOKEN, n_tokens) for _ in range(d + e)],
-        channel_mixers=[pick(Side.CHANNEL, n_channels) for _ in range(d + e)],
+        token_mixers=[random_mixer(rng, Side.TOKEN, n_tokens) for _ in range(d + e)],
+        channel_mixers=[random_mixer(rng, Side.CHANNEL, n_channels) for _ in range(d + e)],
         w_num=_uniform(rng, (n_tokens, n_channels, d), 1),
         bias_num=_uniform(rng, (n_tokens, n_channels), 1),
         w_den=_uniform(rng, (n_tokens, n_channels, e), 1) * 0.1,

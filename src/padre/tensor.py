@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -242,13 +243,6 @@ class Mixer:
             return [("kernel", self.kernel)]
         return []
 
-    def copy(self) -> "Mixer":
-        cp = lambda a: None if a is None else a.copy()
-        return Mixer(side=self.side, kind=self.kind, dim=self.dim, padding=self.padding,
-                     matrix=cp(self.matrix), diag=cp(self.diag), left=cp(self.left),
-                     right=cp(self.right), kernel=cp(self.kernel),
-                     grid_h=self.grid_h, grid_w=self.grid_w)
-
 
 def _conv_taps(n: int, k: int, anchor: int) -> int:
     """Total non-padding taps of a same-size zero-padded correlation."""
@@ -258,76 +252,71 @@ def _conv_taps(n: int, k: int, anchor: int) -> int:
     return int(np.sum(hi - lo + 1))
 
 
-def _correlate_axis(x: np.ndarray, kernel: np.ndarray, axis: int, anchor: int,
-                    circular: bool) -> np.ndarray:
-    """Same-size correlation along one axis: out[i] = sum_j kernel[j] * x[i+j-anchor]."""
-    k = kernel.shape[0]
-    n = x.shape[axis]
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (anchor, k - 1 - anchor)
-    xp = np.pad(x, pad, mode="wrap" if circular else "constant")
-    out = np.zeros_like(x)
-    sl = [slice(None)] * x.ndim
-    for j in range(k):
-        sl[axis] = slice(j, j + n)
-        out += kernel[j] * xp[tuple(sl)]
-    return out
+def _conv_padded(m: Mixer, x: np.ndarray,
+                 transpose: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """View ``x`` with the convolution axes split out, and pad it.
 
-
-def _correlate_grid(x: np.ndarray, kernel: np.ndarray, axes: tuple[int, int],
-                    anchors: tuple[int, int], circular: bool) -> np.ndarray:
-    """Same-size 2-D correlation over two axes of a 3-D array."""
-    kh, kw = kernel.shape
-    ah, aw = anchors
-    pad = [(0, 0)] * x.ndim
-    pad[axes[0]] = (ah, kh - 1 - ah)
-    pad[axes[1]] = (aw, kw - 1 - aw)
-    xp = np.pad(x, pad, mode="wrap" if circular else "constant")
-    out = np.zeros_like(x)
-    nh, nw = x.shape[axes[0]], x.shape[axes[1]]
-    sl = [slice(None)] * x.ndim
-    for r in range(kh):
-        sl[axes[0]] = slice(r, r + nh)
-        for c in range(kw):
-            sl[axes[1]] = slice(c, c + nw)
-            out += kernel[r, c] * xp[tuple(sl)]
-    return out
-
-
-def _conv_anchors(m: Mixer, transpose: bool) -> tuple[int, ...]:
+    Returns the view (token grid ``(H, W, D)``, channel grid ``(N, H, W)``,
+    or ``x`` itself for conv1d), its padded copy and the convolution axes.
+    The copy is built directly: zeros with the view copied into the
+    interior, or a modular ``take`` per axis for circular padding.  With
+    ``transpose`` the anchor is mirrored.
+    """
+    n, d = x.shape
     if m.kind == MixerKind.CONV1D:
-        k = m.kernel.shape[0]
-        a = k // 2
-        return (k - 1 - a,) if transpose else (a,)
-    kh, kw = m.kernel.shape
-    ah, aw = kh // 2, kw // 2
-    if transpose:
-        return (kh - 1 - ah, kw - 1 - aw)
-    return (ah, aw)
+        xv, axes = x, (0 if m.side == Side.TOKEN else 1,)
+    elif m.side == Side.TOKEN:
+        xv, axes = x.reshape(m.grid_h, m.grid_w, d), (0, 1)
+    else:
+        xv, axes = x.reshape(n, m.grid_h, m.grid_w), (1, 2)
+    pads = [(ax, k, k - 1 - k // 2 if transpose else k // 2)
+            for ax, k in zip(axes, m.kernel.shape)]
+    if m.padding == PadMode.CIRCULAR:
+        xp = xv
+        for ax, k, before in pads:
+            size = xv.shape[ax]
+            xp = xp.take(np.arange(-before, size + k - 1 - before) % size, axis=ax)
+        return xv, xp, axes
+    shape, interior = list(xv.shape), [slice(None)] * xv.ndim
+    for ax, k, before in pads:
+        shape[ax] += k - 1
+        interior[ax] = slice(before, before + xv.shape[ax])
+    xp = np.zeros(shape, dtype=xv.dtype)
+    xp[tuple(interior)] = xv
+    return xv, xp, axes
+
+
+def _windows(xp: np.ndarray, axes: tuple[int, ...], kshape: tuple[int, ...]):
+    """Yield ``(tap, view)`` in row-major tap order: ``xp`` shifted by each tap."""
+    sl = [slice(None)] * xp.ndim
+    for tap in itertools.product(*map(range, kshape)):
+        for ax, t, k in zip(axes, tap, kshape):
+            sl[ax] = slice(t, t + xp.shape[ax] - k + 1)
+        yield tap, xp[tuple(sl)]
 
 
 def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
-    """Apply a convolution mixer (or its transpose) along the proper axes.
+    """Same-size correlation out[i] = sum_j kernel[j] * x[i + j - anchor].
 
     The transpose of a same-size correlation is correlation with the flipped
     kernel at the mirrored anchor, under both padding modes.
     """
-    circ = m.padding == PadMode.CIRCULAR
-    kern = m.kernel[::-1] if (transpose and m.kind == MixerKind.CONV1D) else m.kernel
-    if m.kind == MixerKind.CONV1D:
-        axis = 0 if m.side == Side.TOKEN else 1
-        (a,) = _conv_anchors(m, transpose)
-        return _correlate_axis(x, kern, axis, a, circ)
-    kern = m.kernel[::-1, ::-1] if transpose else m.kernel
-    anchors = _conv_anchors(m, transpose)
-    n, d = x.shape
-    if m.side == Side.TOKEN:
-        g = x.reshape(m.grid_h, m.grid_w, d)
-        out = _correlate_grid(g, kern, (0, 1), anchors, circ)
-        return out.reshape(n, d)
-    g = x.reshape(n, m.grid_h, m.grid_w)
-    out = _correlate_grid(g, kern, (1, 2), anchors, circ)
-    return out.reshape(n, d)
+    xv, xp, axes = _conv_padded(m, x, transpose)
+    kern = np.flip(m.kernel) if transpose else m.kernel
+    out = np.zeros_like(xv)
+    for tap, win in _windows(xp, axes, kern.shape):
+        out += kern[tap] * win
+    return out.reshape(x.shape)
+
+
+def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum(g * apply_mixer(m, x)) w.r.t. the convolution kernel."""
+    xv, xp, axes = _conv_padded(m, x, transpose=False)
+    gv = g.reshape(xv.shape)
+    dk = np.empty(m.kernel.shape)
+    for tap, win in _windows(xp, axes, dk.shape):
+        dk[tap] = np.sum(gv * win)
+    return dk
 
 
 def _check_side_dim(m: Mixer, x: np.ndarray) -> None:
@@ -440,7 +429,10 @@ def mixer_to_record(m: Mixer) -> Record:
 
 def mixer_from_record(rec: Record) -> Mixer:
     kind, side, dim, params = rec
-    kind, side = MixerKind(kind), Side(side)
+    try:
+        kind, side = MixerKind(kind), Side(side)
+    except ValueError as exc:
+        raise SerializationError(f"bad mixer record: {exc}") from None
     if kind == MixerKind.DENSE:
         return Mixer.dense(side, params.reshape(dim, dim))
     if kind == MixerKind.DIAGONAL:
@@ -457,9 +449,7 @@ def mixer_from_record(rec: Record) -> Mixer:
         pad = PadMode(int(params[0]))
         kh, kw, gh, gw = (int(v) for v in params[1:5])
         return Mixer.conv2d(side, params[5:5 + kh * kw].reshape(kh, kw), gh, gw, pad)
-    if kind == MixerKind.IDENTITY:
-        return Mixer.identity(side, dim)
-    raise SerializationError(f"unknown mixer kind tag {int(kind)}")
+    return Mixer.identity(side, dim)         # the one kind left: IDENTITY
 
 
 def raw_tensor_record(a: np.ndarray) -> Record:
@@ -476,6 +466,13 @@ def raw_tensor_from_record(rec: Record) -> np.ndarray:
 
 def manifest_record(values: list[float]) -> Record:
     return (MANIFEST_TAG, 0, 0, _as_f64(values))
+
+
+def manifest_values(records: list[Record], version: float) -> np.ndarray:
+    """The leading manifest's values; its first value must be ``version``."""
+    if not records or records[0][0] != MANIFEST_TAG or records[0][3][:1].tolist() != [version]:
+        raise SerializationError(f"container does not start with a version-{version} manifest")
+    return records[0][3]
 
 
 def write_records(f: BinaryIO | str, records: list[Record]) -> None:
@@ -497,7 +494,10 @@ def read_records(f: BinaryIO | str) -> list[Record]:
             return read_records(fh)
     if f.read(8) != MAGIC:
         raise SerializationError("bad magic; not a weight container")
-    (count,) = struct.unpack("<I", f.read(4))
+    head = f.read(4)
+    if len(head) != 4:
+        raise SerializationError("truncated record count")
+    (count,) = struct.unpack("<I", head)
     records = []
     for _ in range(count):
         head = f.read(10)

@@ -7,7 +7,7 @@ import pytest
 
 from padre import adapters as A
 from padre.oracle import assert_homogeneous, extract_coeffs, max_effective_degree
-from padre.tensor import Mixer, Side
+from padre.tensor import Mixer, NumericError, Side
 
 from conftest import rel_dev
 from test_tensor import naive_conv2d_matrix
@@ -90,6 +90,12 @@ class TestConv2Former:
         dev = A.verify_plan(lambda x: A.conv2former_forward(params, x), plan,
                             trials=100, seed=4)
         assert dev <= 1e-10
+
+    def test_plan_overflow_raises_instead_of_returning_inf(self, params):
+        plan = A.conv2former_as_padre(params, verify_trials=5, seed=3)
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+            plan.evaluate(np.full((9, 4), 1e200))
+        assert exc.value.stage == "Z[2]"
 
 
 class TestHyena:

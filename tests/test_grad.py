@@ -11,8 +11,8 @@ from padre.block import (
     forward,
     random_block,
 )
-from padre.grad import backward, gradcheck
-from padre.tensor import MixerKind
+from padre.grad import backward, gradcheck, mixer_param_grad
+from padre.tensor import Mixer, MixerKind, PadMode, Side, apply_mixer
 from padre.verify import conditioned_norm_block
 
 from test_block import identity_block
@@ -56,6 +56,36 @@ class TestBackwardExamples:
             other = a.by_label()[label] + b.by_label()[label]
             assert np.max(np.abs(arr - other)) <= 1e-12 * max(1, np.max(np.abs(arr)))
         assert np.max(np.abs(joint.d_x - a.d_x - b.d_x)) <= 1e-12
+
+
+class TestConvKernelGrad:
+    # tokens form a 4 x 5 grid, channels a 3 x 3 grid
+    N, D = 20, 9
+    KERNELS = {("conv1d", "odd"): (5,), ("conv1d", "even"): (4,),
+               ("conv2d", "odd"): (3, 3), ("conv2d", "even"): (2, 2)}
+
+    def make(self, kind, side, padding, kernel):
+        if kind == "conv1d":
+            return Mixer.conv1d(side, kernel, self.N if side == Side.TOKEN else self.D, padding)
+        grid = (4, 5) if side == Side.TOKEN else (3, 3)
+        return Mixer.conv2d(side, kernel, *grid, padding)
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("padding", list(PadMode))
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("kind", ["conv1d", "conv2d"])
+    def test_each_tap_is_the_unit_kernel_response(self, kind, side, padding, parity, rng):
+        shape = self.KERNELS[kind, parity]
+        m = self.make(kind, side, padding, rng.uniform(-1, 1, shape))
+        x = rng.uniform(-1, 1, (self.N, self.D))
+        g = rng.uniform(-1, 1, (self.N, self.D))
+        got = mixer_param_grad(m, x, g)["kernel"]
+        assert got.shape == shape
+        for tap in np.ndindex(*shape):
+            unit = np.zeros(shape)
+            unit[tap] = 1.0
+            want = float(np.sum(g * apply_mixer(self.make(kind, side, padding, unit), x)))
+            assert abs(got[tap] - want) <= 1e-12 * abs(want), tap
 
 
 class TestGradcheck:

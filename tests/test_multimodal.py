@@ -12,7 +12,7 @@ from padre.multimodal import (
     multimodal_forward,
     multimodal_from_config,
 )
-from padre.tensor import ShapeError
+from padre.tensor import NumericError, ShapeError
 
 from conftest import rel_dev
 
@@ -52,6 +52,12 @@ class TestForward:
         with pytest.raises(ShapeError):
             multimodal_forward(two_mode_block,
                                {"a": inputs["a"].T, "b": inputs["b"]})
+
+    def test_overflow_raises_instead_of_returning_inf(self, two_mode_block):
+        huge = {"a": np.full((6, 3), 1e120), "b": np.full((4, 5), 1e120)}
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+            multimodal_forward(two_mode_block, huge)
+        assert exc.value.stage == "Z[3]"
 
     def test_single_mode_reduces_to_plain_block(self, rng):
         mm = build_multimodal({"a": (5, 3)}, 5, 3, 3, ["aaa"], seed=3)

@@ -23,6 +23,7 @@ from padre.rational import (
 from padre.tensor import (
     MAGIC,
     SerializationError,
+    mixer_from_record,
     read_records,
     write_records,
     raw_tensor_record,
@@ -114,3 +115,23 @@ class TestContainerFormat:
         back = raw_tensor_from_record(read_records(buf)[0])
         assert np.array_equal(back, a)
         assert back.dtype == np.float64
+
+    def test_truncated_record_count_rejected(self):
+        with pytest.raises(SerializationError):
+            read_records(io.BytesIO(MAGIC + b"\x01\x00"))
+
+    def test_unknown_mixer_kind_tag_rejected(self):
+        with pytest.raises(SerializationError):
+            mixer_from_record((99, 0, 2, np.zeros(0)))
+
+    def test_block_loader_rejects_rational_container(self, tmp_path):
+        path = str(tmp_path / "r.bin")
+        save_rational(random_rational_block(6, 3, 2, 1, seed=0), path)
+        with pytest.raises(SerializationError):
+            load_block(path)
+
+    def test_rational_loader_rejects_block_container(self, tmp_path):
+        path = str(tmp_path / "b.bin")
+        save_block(random_block(4, 3, 2, seed=0), path)
+        with pytest.raises(SerializationError):
+            load_rational(path)

@@ -1,0 +1,78 @@
+"""Every mixer and Hadamard call of the block-level passes goes through the
+module attributes that stage tracing rebinds.
+
+``perfbench`` records per-stage time by rebinding ``padre.block.apply_mixer``,
+``padre.block.hadamard``, ``padre.grad.apply_mixer_transpose`` and
+``padre.grad.mixer_param_grad``.  A pass that reached the tensor functions by
+another name would silently drop out of the stage table.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from padre import adapters, block, grad, multimodal, rational
+
+ROUTES = ((block, "apply_mixer"), (block, "hadamard"),
+          (grad, "apply_mixer_transpose"), (grad, "mixer_param_grad"))
+
+
+def counts(**expected) -> collections.Counter:
+    return collections.Counter(expected)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    seen = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ROUTES:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return seen
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_forward_and_backward(calls, degree, rng):
+    blk = block.random_block(9, 4, degree, seed=degree, normalize_y=True)
+    out, trace = block.forward(blk, rng.uniform(-1, 1, (9, 4)))
+    assert calls == counts(apply_mixer=4 * degree - 2, hadamard=degree - 1)
+    calls.clear()
+    grad.backward(blk, trace, rng.uniform(-1, 1, out.shape))
+    assert calls == counts(mixer_param_grad=4 * degree - 2,
+                           apply_mixer_transpose=4 * degree - 2)
+
+
+@pytest.mark.parametrize("d,e", [(1, 0), (2, 1), (3, 2)])
+def test_rational_forward_and_backward(calls, d, e, rng):
+    blk = rational.random_rational_block(6, 3, d, e, seed=d + e)
+    out, trace = rational.rational_forward(blk, rng.uniform(-1, 1, (6, 3)))
+    chains = (d - 1) + max(e - 1, 0)
+    assert calls == counts(apply_mixer=2 * (d + e) + 2 * chains, hadamard=chains)
+    calls.clear()
+    rational.rational_backward(blk, trace, rng.uniform(-1, 1, out.shape))
+    assert calls == counts(mixer_param_grad=2 * (d + e), apply_mixer_transpose=2 * (d + e))
+
+
+def test_multimodal_forward(calls, rng):
+    blk = multimodal.build_multimodal({"a": (4, 3), "b": (6, 2)}, 4, 3, 3,
+                                      ["aab", "bba"], seed=0)
+    multimodal.multimodal_forward(blk, {"a": rng.uniform(-1, 1, (4, 3)),
+                                        "b": rng.uniform(-1, 1, (6, 2))})
+    # two modes' feature banks, then two sequences' cascades
+    assert calls == counts(apply_mixer=2 * 3 * 2 + 2 * 2 * 2, hadamard=2 * 2)
+
+
+def test_plan_evaluate(calls, rng):
+    p = adapters.SimaParams(*(rng.uniform(-1, 1, (3, 3)) for _ in range(3)))
+    plan = adapters.sima_as_padre(p, n_tokens=5, verify_trials=2)
+    calls.clear()
+    plan.evaluate(rng.uniform(-1, 1, (5, 3)))
+    lengths = [len(c.token) for c in plan.cascades]
+    assert calls == counts(apply_mixer=sum(4 * n - 2 for n in lengths),
+                           hadamard=sum(n - 1 for n in lengths))
