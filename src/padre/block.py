@@ -35,7 +35,9 @@ from .tensor import (
     ShapeError,
     Side,
     apply_mixer,
+    check_record_count,
     hadamard,
+    manifest_int,
     manifest_record,
     manifest_values,
     mixer_from_record,
@@ -459,12 +461,14 @@ def block_to_records(block: PadreBlock) -> list[Record]:
 
 
 def block_from_records(records: list[Record]) -> PadreBlock:
-    man = manifest_values(records, 1.0)
-    d, n, dc = int(man[1]), int(man[2]), int(man[3])
+    man = manifest_values(records, 1.0, 12)
+    d = manifest_int(man[1], "degree", 1)
+    has_bias, has_resize = bool(man[7]), bool(man[8])
+    check_record_count(records, 1 + (4 * d - 2) + 1 + has_bias + 2 * has_resize)
+    n, dc = int(man[2]), int(man[3])
     w_mode = WMode(int(man[4]))
     normalize = bool(man[5])
     mask = frozenset(i + 1 for i in range(d) if int(man[6]) >> i & 1)
-    has_bias, has_resize = bool(man[7]), bool(man[8])
     layout = Grid(int(man[10]), int(man[11])) if bool(man[9]) else Seq1d()
     mixers = [mixer_from_record(r) for r in records[1:1 + 4 * d - 2]]
     raws = [raw_tensor_from_record(r) for r in records[1 + 4 * d - 2:]]

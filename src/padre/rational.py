@@ -33,6 +33,8 @@ from .tensor import (
     Record,
     ShapeError,
     Side,
+    check_record_count,
+    manifest_int,
     manifest_record,
     manifest_values,
     mixer_from_record,
@@ -234,8 +236,10 @@ def rational_to_records(block: RationalPadreBlock) -> list[Record]:
 
 
 def rational_from_records(records: list[Record]) -> RationalPadreBlock:
-    man = manifest_values(records, 2.0)
-    d, e, n, dc = (int(v) for v in man[1:5])
+    man = manifest_values(records, 2.0, 7)
+    d, e = manifest_int(man[1], "num degree", 1), manifest_int(man[2], "den degree", 0)
+    check_record_count(records, 1 + 2 * (d + e) + 4)
+    n, dc = int(man[3]), int(man[4])
     mixers = [mixer_from_record(r) for r in records[1:1 + 2 * (d + e)]]
     raws = [raw_tensor_from_record(r) for r in records[1 + 2 * (d + e):]]
     return RationalPadreBlock(

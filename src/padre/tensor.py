@@ -27,6 +27,10 @@ MAGIC = b"PADREW01"
 RAW_TENSOR_TAG = 200
 MANIFEST_TAG = 201
 
+#: output bytes per band of the convolution tap loop; a band's output and
+#: padded input should fit in a core's L2 cache
+BAND_BYTES = 256 * 1024
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
@@ -300,12 +304,22 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
 
     The transpose of a same-size correlation is correlation with the flipped
     kernel at the mirrored anchor, under both padding modes.
+
+    The tap loop runs band by band over the view's leading axis, so one
+    band's output and padded input stay in cache across all taps.  Each
+    output element still receives the same updates in the same tap order,
+    so the result is bit-identical to a single pass over the whole view.
     """
     xv, xp, axes = _conv_padded(m, x, transpose)
     kern = np.flip(m.kernel) if transpose else m.kernel
+    # when the leading axis is convolved, a band's taps read k0 - 1 more padded rows
+    halo = kern.shape[0] - 1 if axes[0] == 0 else 0
     out = np.zeros_like(xv)
-    for tap, win in _windows(xp, axes, kern.shape):
-        out += kern[tap] * win
+    rows = max(1, BAND_BYTES * len(out) // max(1, out.nbytes))
+    for r0 in range(0, out.shape[0], rows):
+        band = out[r0:r0 + rows]
+        for tap, win in _windows(xp[r0:r0 + band.shape[0] + halo], axes, kern.shape):
+            band += kern[tap] * win
     return out.reshape(x.shape)
 
 
@@ -468,11 +482,27 @@ def manifest_record(values: list[float]) -> Record:
     return (MANIFEST_TAG, 0, 0, _as_f64(values))
 
 
-def manifest_values(records: list[Record], version: float) -> np.ndarray:
-    """The leading manifest's values; its first value must be ``version``."""
-    if not records or records[0][0] != MANIFEST_TAG or records[0][3][:1].tolist() != [version]:
-        raise SerializationError(f"container does not start with a version-{version} manifest")
+def manifest_values(records: list[Record], version: float, size: int) -> np.ndarray:
+    """The leading manifest's ``size`` values; the first must be ``version``."""
+    if (not records or records[0][0] != MANIFEST_TAG or records[0][3].size != size
+            or records[0][3][0] != version):
+        raise SerializationError(
+            f"container does not start with a {size}-value version-{version} manifest")
     return records[0][3]
+
+
+def manifest_int(value: float, name: str, least: int) -> int:
+    """An integral manifest field; it must be an integer >= ``least``."""
+    if not (float(value).is_integer() and value >= least):
+        raise SerializationError(f"manifest {name} {value!r} is not an integer >= {least}")
+    return int(value)
+
+
+def check_record_count(records: list[Record], expected: int) -> None:
+    """Raise unless the container holds the ``expected`` number of records."""
+    if len(records) != expected:
+        raise SerializationError(
+            f"container holds {len(records)} records; its manifest implies {expected}")
 
 
 def write_records(f: BinaryIO | str, records: list[Record]) -> None:

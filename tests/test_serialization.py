@@ -8,6 +8,8 @@ import pytest
 from padre.block import (
     Grid,
     Seq1d,
+    block_from_records,
+    block_to_records,
     build_conv_instance,
     iter_parameters,
     load_block,
@@ -18,6 +20,8 @@ from padre.rational import (
     iter_rational_parameters,
     load_rational,
     random_rational_block,
+    rational_from_records,
+    rational_to_records,
     save_rational,
 )
 from padre.tensor import (
@@ -135,3 +139,30 @@ class TestContainerFormat:
         save_block(random_block(4, 3, 2, seed=0), path)
         with pytest.raises(SerializationError):
             load_rational(path)
+
+    @pytest.mark.parametrize("drop", [1, 3])
+    def test_block_with_missing_records_rejected(self, drop):
+        records = block_to_records(random_block(4, 3, 2, seed=0))
+        with pytest.raises(SerializationError):
+            block_from_records(records[:-drop])
+
+    def test_rational_with_missing_record_rejected(self):
+        records = rational_to_records(random_rational_block(4, 3, 2, 1, seed=0))
+        with pytest.raises(SerializationError):
+            rational_from_records(records[:-1])
+
+    @pytest.mark.parametrize("degree", [2.0 ** 40, 0.0, -1.0, 2.5, np.nan, np.inf])
+    def test_block_with_corrupt_degree_rejected(self, degree):
+        # 2**40 used to spin in the degree-mask decode instead of failing
+        records = block_to_records(random_block(4, 3, 2, seed=0))
+        kind, side, dim, man = records[0]
+        man = man.copy()
+        man[1] = degree
+        with pytest.raises(SerializationError):
+            block_from_records([(kind, side, dim, man)] + records[1:])
+
+    def test_truncated_manifest_rejected(self):
+        records = block_to_records(random_block(4, 3, 2, seed=0))
+        kind, side, dim, man = records[0]
+        with pytest.raises(SerializationError):
+            block_from_records([(kind, side, dim, man[:-1])] + records[1:])

@@ -1,12 +1,14 @@
 """Structured mixers against dense-matrix oracles, plus MAC accounting."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padre import tensor
 from padre.tensor import (
     FlopLedger,
     LayoutError,
@@ -156,6 +158,69 @@ class TestApplyMixer:
         with pytest.raises(LayoutError):
             Mixer(side=Side.TOKEN, kind=MixerKind.CONV2D, dim=5,
                   kernel=np.ones((2, 2)), grid_h=2, grid_w=2)
+
+
+def padded_correlation(xv, kern, axes, circular, transpose):
+    """Same-size correlation of the view ``xv``: ``np.pad``, then one pass per tap.
+
+    The transpose is correlation with the flipped kernel at the mirrored anchor.
+    """
+    if transpose:
+        kern = np.flip(kern)
+    pad = [(0, 0)] * xv.ndim
+    for ax, k in zip(axes, kern.shape):
+        before = k - 1 - k // 2 if transpose else k // 2
+        pad[ax] = (before, k - 1 - before)
+    xp = np.pad(xv, pad, mode="wrap" if circular else "constant")
+    out = np.zeros_like(xv)
+    for tap in itertools.product(*map(range, kern.shape)):
+        sl = [slice(None)] * xv.ndim
+        for ax, t in zip(axes, tap):
+            sl[ax] = slice(t, t + xv.shape[ax])
+        out += kern[tap] * xp[tuple(sl)]
+    return out
+
+
+class TestBandedConv:
+    """Inputs span three full bands of the tap loop plus a partial one."""
+
+    LEAD, GRID_H = 14, 10     # leading axis of the conv view; 4 rows per band
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
+    @pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
+    @pytest.mark.parametrize("padding", list(PadMode), ids=lambda p: p.name.lower())
+    @pytest.mark.parametrize("kind,side", [
+        (MixerKind.CONV1D, Side.TOKEN), (MixerKind.CONV1D, Side.CHANNEL),
+        (MixerKind.CONV2D, Side.TOKEN), (MixerKind.CONV2D, Side.CHANNEL),
+    ], ids=["conv1d-token", "conv1d-channel", "conv2d-token", "conv2d-channel"])
+    def test_bit_identical_to_unbanded_reference(self, rng, kind, side, padding, even,
+                                                 transpose):
+        lead, h = self.LEAD, self.GRID_H
+        w = tensor.BAND_BYTES // (8 * 4 * h)
+        rows = tensor.BAND_BYTES // (8 * h * w)
+        assert lead > 3 * rows and lead % rows, "inputs must end in a partial band"
+        xv = rng.uniform(-1, 1, (lead, h, w))
+        # odd kernels reach past a whole band; even ones exercise the anchor
+        kshape = (4, 2) if even else (9, 3)
+        if kind == MixerKind.CONV1D:
+            xv = xv.reshape(lead, h * w)
+            kern = rng.uniform(-1, 1, kshape[0])
+            if side == Side.TOKEN:
+                m, axes = Mixer.conv1d(side, kern, lead, padding), (0,)
+            else:
+                m, axes = Mixer.conv1d(side, kern, h * w, padding), (1,)
+            x = xv
+        else:
+            kern = rng.uniform(-1, 1, kshape)
+            if side == Side.TOKEN:
+                m, axes = Mixer.conv2d(side, kern, lead, h, padding), (0, 1)
+                x = xv.reshape(lead * h, w)
+            else:
+                m, axes = Mixer.conv2d(side, kern, h, w, padding), (1, 2)
+                x = xv.reshape(lead, h * w)
+        got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
+        ref = padded_correlation(xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
+        assert np.array_equal(got, ref.reshape(x.shape))
 
 
 class TestFlops:
