@@ -35,16 +35,10 @@ from .tensor import (
     ShapeError,
     Side,
     apply_mixer,
-    check_record_count,
     hadamard,
-    manifest_int,
-    manifest_record,
-    manifest_values,
-    mixer_from_record,
-    mixer_to_record,
-    raw_tensor_from_record,
-    raw_tensor_record,
+    pack_records,
     read_records,
+    unpack_records,
     write_records,
 )
 
@@ -65,6 +59,12 @@ class WMode(enum.IntEnum):
     SCALAR_PER_DEGREE = 2
 
 
+def weight_shape(w_mode: WMode, n: int, dc: int, d: int) -> tuple[int, ...]:
+    """The shape of the combine weights W of an N x D degree-d block."""
+    return {WMode.FULL: (n, dc, d), WMode.CHANNEL_BROADCAST: (dc, d),
+            WMode.SCALAR_PER_DEGREE: (d,)}[w_mode]
+
+
 @dataclass(frozen=True)
 class Seq1d:
     """Tokens form a plain sequence; token convolutions are 1-D."""
@@ -76,6 +76,10 @@ class Grid:
 
     h: int
     w: int
+
+    def __post_init__(self):
+        if self.h < 1 or self.w < 1:
+            raise LayoutError(f"grid extents must be positive, got {self.h}x{self.w}")
 
 
 Layout = Seq1d | Grid
@@ -103,6 +107,8 @@ class PadreBlock:
         d, n, dc = self.degree, self.n_tokens, self.n_channels
         if d < 1:
             raise ShapeError(f"degree must be >= 1, got {d}")
+        if isinstance(self.layout, Grid) and self.layout.h * self.layout.w != n:
+            raise LayoutError(f"grid {self.layout.h}x{self.layout.w} does not cover N={n}")
         if len(self.token_mixers) != d or len(self.channel_mixers) != d:
             raise ShapeError("need one token and one channel mixer per degree")
         if len(self.inter_token) != d - 1 or len(self.inter_channel) != d - 1:
@@ -113,11 +119,7 @@ class PadreBlock:
         for m in self.channel_mixers + self.inter_channel:
             if m.side != Side.CHANNEL or m.dim != dc:
                 raise ShapeError("channel mixers must act on the channel side with dim D")
-        expected = {
-            WMode.FULL: (n, dc, d),
-            WMode.CHANNEL_BROADCAST: (dc, d),
-            WMode.SCALAR_PER_DEGREE: (d,),
-        }[self.w_mode]
+        expected = weight_shape(self.w_mode, n, dc, d)
         if self.weights.shape != expected:
             raise ShapeError(f"weights shape {self.weights.shape} != {expected} for {self.w_mode.name}")
         if not self.degree_mask or not self.degree_mask <= set(range(1, d + 1)):
@@ -223,12 +225,6 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-half, half, size=shape)
 
 
-def _init_weights(rng: np.random.Generator, w_mode: WMode, n: int, dc: int, d: int) -> np.ndarray:
-    shape = {WMode.FULL: (n, dc, d), WMode.CHANNEL_BROADCAST: (dc, d),
-             WMode.SCALAR_PER_DEGREE: (d,)}[w_mode]
-    return _uniform(rng, shape, 1)
-
-
 def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Layout,
                         seed: int = 0, w_mode: WMode = WMode.CHANNEL_BROADCAST) -> PadreBlock:
     """The concrete single-head instance used for scaling studies.
@@ -241,8 +237,6 @@ def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Lay
     """
     if degree < 2:
         raise ShapeError(f"this instance needs degree >= 2 (mask 2..d), got {degree}")
-    if isinstance(layout, Grid) and layout.h * layout.w != n_tokens:
-        raise LayoutError(f"grid {layout.h}x{layout.w} does not cover N={n_tokens}")
     rng = np.random.default_rng(seed)
 
     def token_mixer() -> Mixer:
@@ -264,7 +258,7 @@ def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Lay
         inter_token=[token_mixer() for _ in range(degree - 1)],
         inter_channel=[channel_mixer() for _ in range(degree - 1)],
         w_mode=w_mode,
-        weights=_init_weights(rng, w_mode, n_tokens, n_channels, degree),
+        weights=_uniform(rng, weight_shape(w_mode, n_tokens, n_channels, degree), 1),
         degree_mask=frozenset(range(2, degree + 1)),
         bias=None,
         layout=layout,
@@ -324,7 +318,7 @@ def random_block(n_tokens: int, n_channels: int, degree: int, seed: int,
         inter_channel=[random_mixer(rng, Side.CHANNEL, n_channels, menu)
                        for _ in range(d - 1)],
         w_mode=w_mode,
-        weights=_init_weights(rng, w_mode, n_tokens, n_channels, d),
+        weights=_uniform(rng, weight_shape(w_mode, n_tokens, n_channels, d), 1),
         degree_mask=degree_mask or frozenset(range(1, d + 1)),
         bias=_uniform(rng, (n_tokens, n_channels), 1) if with_bias else None,
         normalize_y=normalize_y,
@@ -336,13 +330,7 @@ def random_block(n_tokens: int, n_channels: int, degree: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def param_count(block: PadreBlock) -> int:
-    total = sum(m.param_count for m in _all_mixers(block))
-    total += block.weights.size
-    if block.bias is not None:
-        total += block.bias.size
-    if block.resize_left is not None:
-        total += block.resize_left.size + block.resize_right.size
-    return total
+    return sum(a.size for _, a in iter_parameters(block))
 
 
 def _all_mixers(block: PadreBlock) -> list[Mixer]:
@@ -433,64 +421,49 @@ def block_from_config(cfg: dict) -> PadreBlock:
     return block
 
 
-def block_to_records(block: PadreBlock) -> list[Record]:
-    d = block.degree
-    manifest = [
-        1.0,                   # container version
-        float(d), float(block.n_tokens), float(block.n_channels),
-        float(block.w_mode),
-        1.0 if block.normalize_y else 0.0,
-        float(sum(1 << (i - 1) for i in block.degree_mask)),
-        1.0 if block.bias is not None else 0.0,
-        1.0 if block.resize_left is not None else 0.0,
-        1.0 if isinstance(block.layout, Grid) else 0.0,
-        float(block.layout.h) if isinstance(block.layout, Grid) else 0.0,
-        float(block.layout.w) if isinstance(block.layout, Grid) else 0.0,
-    ]
-    records = [manifest_record(manifest)]
-    records += [mixer_to_record(m) for m in _all_mixers(block)]
+#: the manifest fields of a polynomial block container (version 1.0)
+BLOCK_FIELDS = (("degree", int), ("n_tokens", int), ("n_channels", int), ("w_mode", int),
+                ("normalize_y", bool), ("degree_mask", int), ("has_bias", bool),
+                ("has_resize", bool), ("grid", bool), ("grid_h", int), ("grid_w", int))
+
+
+def _block_parts(block: PadreBlock):
+    """Manifest values, mixers A, B, C, D and 2-D tensors W[, L][, U, V] of a block."""
+    grid = isinstance(block.layout, Grid)
+    values = dict(
+        degree=block.degree, n_tokens=block.n_tokens, n_channels=block.n_channels,
+        w_mode=block.w_mode, normalize_y=block.normalize_y,
+        degree_mask=sum(1 << (i - 1) for i in block.degree_mask),
+        has_bias=block.bias is not None, has_resize=block.resize_left is not None,
+        grid=grid, grid_h=block.layout.h if grid else 0, grid_w=block.layout.w if grid else 0)
     w = block.weights
-    records.append(raw_tensor_record(w.reshape(-1, w.shape[-1]) if w.ndim == 3
-                                     else np.atleast_2d(w)))
-    if block.bias is not None:
-        records.append(raw_tensor_record(block.bias))
-    if block.resize_left is not None:
-        records.append(raw_tensor_record(block.resize_left))
-        records.append(raw_tensor_record(block.resize_right))
-    return records
+    extra = [a for a in (block.bias, block.resize_left, block.resize_right) if a is not None]
+    return values, _all_mixers(block), [w.reshape(-1, w.shape[-1])] + extra
 
 
-def block_from_records(records: list[Record]) -> PadreBlock:
-    man = manifest_values(records, 1.0, 12)
-    d = manifest_int(man[1], "degree", 1)
-    has_bias, has_resize = bool(man[7]), bool(man[8])
-    check_record_count(records, 1 + (4 * d - 2) + 1 + has_bias + 2 * has_resize)
-    n, dc = int(man[2]), int(man[3])
-    w_mode = WMode(int(man[4]))
-    normalize = bool(man[5])
-    mask = frozenset(i + 1 for i in range(d) if int(man[6]) >> i & 1)
-    layout = Grid(int(man[10]), int(man[11])) if bool(man[9]) else Seq1d()
-    mixers = [mixer_from_record(r) for r in records[1:1 + 4 * d - 2]]
-    raws = [raw_tensor_from_record(r) for r in records[1 + 4 * d - 2:]]
-    w = raws[0]
-    if w_mode == WMode.FULL:
-        w = w.reshape(n, dc, d)
-    elif w_mode == WMode.SCALAR_PER_DEGREE:
-        w = w.reshape(d)
-    else:
-        w = w.reshape(dc, d)
-    idx = 1
-    bias = raws[idx] if has_bias else None
-    idx += has_bias
-    u = raws[idx] if has_resize else None
-    v = raws[idx + 1] if has_resize else None
+def _block_from_parts(f: dict, mixers: list[Mixer], tensors: list[np.ndarray]) -> PadreBlock:
+    d, n, dc, w_mode, mask = (f["degree"], f["n_tokens"], f["n_channels"],
+                              WMode(f["w_mode"]), f["degree_mask"])
+    w, *rest = tensors      # too few tensors for the flags fail these unpackings
+    bias, *rest = rest if f["has_bias"] else [None, *rest]
+    u, v = rest if f["has_resize"] else (None, None)
     return PadreBlock(
         degree=d, n_tokens=n, n_channels=dc,
         token_mixers=mixers[:d], channel_mixers=mixers[d:2 * d],
         inter_token=mixers[2 * d:3 * d - 1], inter_channel=mixers[3 * d - 1:],
-        w_mode=w_mode, weights=w, degree_mask=mask, bias=bias,
-        resize_left=u, resize_right=v, normalize_y=normalize, layout=layout,
+        w_mode=w_mode, weights=w.reshape(weight_shape(w_mode, n, dc, d)),
+        degree_mask=frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1),
+        bias=bias, resize_left=u, resize_right=v, normalize_y=f["normalize_y"],
+        layout=Grid(f["grid_h"], f["grid_w"]) if f["grid"] else Seq1d(),
     )
+
+
+def block_to_records(block: PadreBlock) -> list[Record]:
+    return pack_records(1.0, BLOCK_FIELDS, _block_parts(block))
+
+
+def block_from_records(records: list[Record]) -> PadreBlock:
+    return unpack_records(records, 1.0, BLOCK_FIELDS, _block_from_parts, _block_parts)
 
 
 def save_block(block: PadreBlock, path: str) -> None:

@@ -33,15 +33,9 @@ from .tensor import (
     Record,
     ShapeError,
     Side,
-    check_record_count,
-    manifest_int,
-    manifest_record,
-    manifest_values,
-    mixer_from_record,
-    mixer_to_record,
-    raw_tensor_from_record,
-    raw_tensor_record,
+    pack_records,
     read_records,
+    unpack_records,
     write_records,
 )
 
@@ -79,12 +73,16 @@ class RationalPadreBlock:
             raise ShapeError(f"need num degree >= 1 and den degree >= 0, got {d}/{e}")
         if len(self.token_mixers) != d + e or len(self.channel_mixers) != d + e:
             raise ShapeError("need d+e token and channel mixers")
+        for mixers, side, dim in ((self.token_mixers, Side.TOKEN, n),
+                                  (self.channel_mixers, Side.CHANNEL, dc)):
+            if any(m.side != side or m.dim != dim for m in mixers):
+                raise ShapeError(f"{side.name.lower()} mixers must act on that side with dim {dim}")
         if self.w_num.shape != (n, dc, d) or self.w_den.shape != (n, dc, e):
             raise ShapeError("combine weights must be N x D x d and N x D x e")
         if self.bias_num.shape != (n, dc) or self.bias_den.shape != (n, dc):
             raise ShapeError("combine biases must be N x D")
-        if self.epsilon < 0:
-            raise ShapeError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ShapeError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
 @dataclass
@@ -208,47 +206,37 @@ def rational_gradcheck(block: RationalPadreBlock, x: np.ndarray, probes: int = 2
                                     seed + 1, fail_tol)
 
 
-def rational_config(block: RationalPadreBlock, seed: int | None = None) -> dict:
-    cfg = {
-        "num_degree": block.num_degree,
-        "den_degree": block.den_degree,
-        "N": block.n_tokens,
-        "D": block.n_channels,
-        "epsilon": block.epsilon,
-        "square_denominator": block.square_denominator,
-    }
-    if seed is not None:
-        cfg["seed"] = seed
-    return cfg
+#: the manifest fields of a rational block container (version 2.0)
+RATIONAL_FIELDS = (("num_degree", int), ("den_degree", int), ("n_tokens", int),
+                   ("n_channels", int), ("epsilon", float), ("square_denominator", bool))
+
+
+def _rational_parts(block: RationalPadreBlock):
+    """Manifest values, mixers A, B and 2-D tensors Wn, Vn, Qd, Pd of a block."""
+    flat = block.n_tokens * block.n_channels
+    return ({name: getattr(block, name) for name, _ in RATIONAL_FIELDS},
+            block.token_mixers + block.channel_mixers,
+            [block.w_num.reshape(flat, block.num_degree), block.bias_num,
+             block.w_den.reshape(flat, block.den_degree), block.bias_den])
+
+
+def _rational_from_parts(f: dict, mixers: list[Mixer],
+                         tensors: list[np.ndarray]) -> RationalPadreBlock:
+    d, e, n, dc = f["num_degree"], f["den_degree"], f["n_tokens"], f["n_channels"]
+    w_num, bias_num, w_den, bias_den = tensors
+    return RationalPadreBlock(
+        **f, token_mixers=mixers[:d + e], channel_mixers=mixers[d + e:],
+        w_num=w_num.reshape(n, dc, d), bias_num=bias_num,
+        w_den=w_den.reshape(n, dc, e), bias_den=bias_den,
+    )
 
 
 def rational_to_records(block: RationalPadreBlock) -> list[Record]:
-    manifest = [2.0, float(block.num_degree), float(block.den_degree),
-                float(block.n_tokens), float(block.n_channels),
-                block.epsilon, 1.0 if block.square_denominator else 0.0]
-    records = [manifest_record(manifest)]
-    records += [mixer_to_record(m) for m in block.token_mixers + block.channel_mixers]
-    flat = block.n_tokens * block.n_channels
-    for arr in (block.w_num.reshape(flat, block.num_degree), block.bias_num,
-                block.w_den.reshape(flat, block.den_degree), block.bias_den):
-        records.append(raw_tensor_record(arr))
-    return records
+    return pack_records(2.0, RATIONAL_FIELDS, _rational_parts(block))
 
 
 def rational_from_records(records: list[Record]) -> RationalPadreBlock:
-    man = manifest_values(records, 2.0, 7)
-    d, e = manifest_int(man[1], "num degree", 1), manifest_int(man[2], "den degree", 0)
-    check_record_count(records, 1 + 2 * (d + e) + 4)
-    n, dc = int(man[3]), int(man[4])
-    mixers = [mixer_from_record(r) for r in records[1:1 + 2 * (d + e)]]
-    raws = [raw_tensor_from_record(r) for r in records[1 + 2 * (d + e):]]
-    return RationalPadreBlock(
-        num_degree=d, den_degree=e, n_tokens=n, n_channels=dc,
-        token_mixers=mixers[:d + e], channel_mixers=mixers[d + e:],
-        w_num=raws[0].reshape(n, dc, d), bias_num=raws[1],
-        w_den=raws[2].reshape(n, dc, e), bias_den=raws[3],
-        epsilon=float(man[5]), square_denominator=bool(man[6]),
-    )
+    return unpack_records(records, 2.0, RATIONAL_FIELDS, _rational_from_parts, _rational_parts)
 
 
 def save_rational(block: RationalPadreBlock, path: str) -> None:

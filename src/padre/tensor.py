@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Callable, TypeVar
 
 import numpy as np
 
@@ -201,26 +202,13 @@ class Mixer:
 
     @property
     def param_count(self) -> int:
-        k = self.kind
-        if k == MixerKind.DENSE:
-            return self.dim * self.dim
-        if k == MixerKind.DIAGONAL:
-            return self.dim
-        if k == MixerKind.LOW_RANK:
-            return self.left.size + self.right.size
-        if k in (MixerKind.CONV1D, MixerKind.CONV2D):
-            return self.kernel.size
-        return 0
+        return sum(a.size for _, a in self.param_arrays())
 
     def macs_per_vector(self) -> int:
         """MACs for one matrix-vector product with the implicit operator."""
         k = self.kind
-        if k == MixerKind.DENSE:
-            return self.dim * self.dim
-        if k == MixerKind.DIAGONAL:
-            return self.dim
-        if k == MixerKind.LOW_RANK:
-            return self.left.size + self.right.size
+        if k in (MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK):
+            return self.param_count          # one MAC per parameter
         if k == MixerKind.CONV1D:
             if self.padding == PadMode.CIRCULAR:
                 return self.dim * self.kernel.shape[0]
@@ -413,57 +401,83 @@ def hadamard(a: np.ndarray, b: np.ndarray, ledger: FlopLedger | None = None) -> 
 #
 # Flat binary layout: 8-byte magic "PADREW01", little-endian u32 record
 # count, then per record: u8 kind tag, u8 side tag, u32 dim, u32 param
-# count, followed by that many raw little-endian float64 values.  Integral
-# structure fields (ranks, kernel sizes, grid extents) ride along as exact
-# f64 values at the head of the parameter payload.
+# count, followed by that many raw little-endian float64 values.  A
+# container holds one manifest record, then one record per mixer, then one
+# per raw 2-D tensor.  Integral structure fields (ranks, kernel sizes, grid
+# extents) ride along as exact f64 values at the head of a payload.
 # ---------------------------------------------------------------------------
 
 Record = tuple[int, int, int, np.ndarray]
+#: manifest fields as (name, type) pairs: ``int`` and ``bool`` fields hold
+#: exact nonnegative integers (``bool`` ones 0 or 1), ``float`` ones any value
+Fields = tuple[tuple[str, type], ...]
+#: what a container holds: manifest values by field name, mixers, 2-D tensors
+Parts = tuple[dict, list[Mixer], list[np.ndarray]]
+T = TypeVar("T")
+
+
+def _is_count(v: float) -> bool:
+    """Whether ``v`` is an integer in [0, 2**53], where f64 holds every integer."""
+    return v.is_integer() and math.copysign(1.0, v) > 0 and v <= 2 ** 53
+
+
+def _ints(params: np.ndarray, count: int, what: str) -> list[int]:
+    """The first ``count`` payload values, each a nonnegative integer."""
+    head = params[:count].tolist()
+    if len(head) != count or not all(map(_is_count, head)):
+        raise SerializationError(f"{what} {head} is not {count} nonnegative integers")
+    return [int(v) for v in head]
+
+
+#: how many integral fields head each mixer kind's payload
+_HEAD_SIZE = {MixerKind.LOW_RANK: 1, MixerKind.CONV1D: 2, MixerKind.CONV2D: 5}
+
+
+def _mixer_head(m: Mixer) -> list[int]:
+    """The integral fields at the head of a mixer's payload."""
+    if m.kind == MixerKind.LOW_RANK:
+        return [m.left.shape[1]]
+    if m.kind == MixerKind.CONV1D:
+        return [int(m.padding), m.kernel.shape[0]]
+    if m.kind == MixerKind.CONV2D:
+        return [int(m.padding), *m.kernel.shape, m.grid_h, m.grid_w]
+    return []
 
 
 def mixer_to_record(m: Mixer) -> Record:
-    k = m.kind
-    if k == MixerKind.DENSE:
-        params = m.matrix.ravel()
-    elif k == MixerKind.DIAGONAL:
-        params = m.diag
-    elif k == MixerKind.LOW_RANK:
-        r = m.left.shape[1]
-        params = np.concatenate([[float(r)], m.left.ravel(), m.right.ravel()])
-    elif k == MixerKind.CONV1D:
-        params = np.concatenate([[float(m.padding), float(m.kernel.shape[0])], m.kernel])
-    elif k == MixerKind.CONV2D:
-        kh, kw = m.kernel.shape
-        head = [float(m.padding), float(kh), float(kw), float(m.grid_h), float(m.grid_w)]
-        params = np.concatenate([head, m.kernel.ravel()])
-    else:
-        params = np.empty(0)
-    return (int(k), int(m.side), m.dim, _as_f64(params))
+    arrays = [a.ravel() for _, a in m.param_arrays()]
+    if m.kind in _HEAD_SIZE:
+        arrays.insert(0, _mixer_head(m))
+    params = arrays[0] if len(arrays) == 1 else np.concatenate(arrays or [np.empty(0)])
+    return (int(m.kind), int(m.side), m.dim, params)
 
 
 def mixer_from_record(rec: Record) -> Mixer:
-    kind, side, dim, params = rec
+    """Decode a mixer record; the reshapes check the payload size exactly."""
+    tag, side, dim, params = rec
+    n_head = _HEAD_SIZE.get(tag, 0)
+    head, body = (_ints(params, n_head, "mixer header") if n_head else []), params[n_head:]
     try:
-        kind, side = MixerKind(kind), Side(side)
-    except ValueError as exc:
-        raise SerializationError(f"bad mixer record: {exc}") from None
-    if kind == MixerKind.DENSE:
-        return Mixer.dense(side, params.reshape(dim, dim))
-    if kind == MixerKind.DIAGONAL:
-        return Mixer.diagonal(side, params)
-    if kind == MixerKind.LOW_RANK:
-        r = int(params[0])
-        left = params[1:1 + dim * r].reshape(dim, r)
-        right = params[1 + dim * r:].reshape(r, dim)
-        return Mixer.low_rank(side, left, right)
-    if kind == MixerKind.CONV1D:
-        pad, k = PadMode(int(params[0])), int(params[1])
-        return Mixer.conv1d(side, params[2:2 + k], dim, pad)
-    if kind == MixerKind.CONV2D:
-        pad = PadMode(int(params[0]))
-        kh, kw, gh, gw = (int(v) for v in params[1:5])
-        return Mixer.conv2d(side, params[5:5 + kh * kw].reshape(kh, kw), gh, gw, pad)
-    return Mixer.identity(side, dim)         # the one kind left: IDENTITY
+        kind, side = MixerKind(tag), Side(side)
+        if kind == MixerKind.DENSE:
+            fields = {"matrix": body.reshape(dim, dim)}
+        elif kind == MixerKind.DIAGONAL:
+            fields = {"diag": body.reshape(dim)}
+        elif kind == MixerKind.LOW_RANK:
+            r = head[0]
+            fields = {"left": body[:dim * r].reshape(dim, r), "right": body[dim * r:].reshape(r, dim)}
+        elif kind == MixerKind.IDENTITY:
+            if body.size:
+                raise ShapeError("an identity mixer has no parameters")
+            fields = {}
+        elif kind == MixerKind.CONV1D:
+            fields = {"padding": PadMode(head[0]), "kernel": body.reshape(head[1])}
+        else:
+            fields = {"padding": PadMode(head[0]), "kernel": body.reshape(head[1], head[2]),
+                      "grid_h": head[3], "grid_w": head[4]}
+        return Mixer(side=side, kind=kind, dim=dim, **fields)
+    except (ValueError, NumericError) as exc:
+        raise SerializationError(f"bad mixer record (kind tag {tag}): {exc}") from exc
 
 
 def raw_tensor_record(a: np.ndarray) -> Record:
@@ -473,36 +487,59 @@ def raw_tensor_record(a: np.ndarray) -> Record:
 
 
 def raw_tensor_from_record(rec: Record) -> np.ndarray:
-    _, _, rows, params = rec
-    cols = int(params[0])
-    return params[1:1 + rows * cols].reshape(rows, cols).copy()
+    _, side, rows, params = rec
+    if side != 0:
+        raise SerializationError(f"raw tensor record has side tag {side}, not 0")
+    (cols,) = _ints(params, 1, "raw tensor column count")
+    if len(params) != 1 + rows * cols:
+        raise SerializationError(f"raw {rows} x {cols} tensor record holds {len(params) - 1} values")
+    return params[1:].reshape(rows, cols).copy()
 
 
-def manifest_record(values: list[float]) -> Record:
-    return (MANIFEST_TAG, 0, 0, _as_f64(values))
+def pack_records(version: float, fields: Fields, parts: Parts) -> list[Record]:
+    """The records of a container: its manifest, then its mixers, then its tensors."""
+    values, mixers, tensors = parts
+    manifest = _as_f64([version] + [values[name] for name, _ in fields])
+    return ([(MANIFEST_TAG, 0, 0, manifest)]
+            + [mixer_to_record(m) for m in mixers] + [raw_tensor_record(a) for a in tensors])
 
 
-def manifest_values(records: list[Record], version: float, size: int) -> np.ndarray:
-    """The leading manifest's ``size`` values; the first must be ``version``."""
-    if (not records or records[0][0] != MANIFEST_TAG or records[0][3].size != size
-            or records[0][3][0] != version):
-        raise SerializationError(
-            f"container does not start with a {size}-value version-{version} manifest")
-    return records[0][3]
+def unpack_records(records: list[Record], version: float, fields: Fields,
+                   build: Callable[[dict, list[Mixer], list[np.ndarray]], T],
+                   parts: Callable[[T], Parts]) -> T:
+    """Decode what ``pack_records`` wrote and ``build(values, mixers, tensors)``.
 
-
-def manifest_int(value: float, name: str, least: int) -> int:
-    """An integral manifest field; it must be an integer >= ``least``."""
-    if not (float(value).is_integer() and value >= least):
-        raise SerializationError(f"manifest {name} {value!r} is not an integer >= {least}")
-    return int(value)
-
-
-def check_record_count(records: list[Record], expected: int) -> None:
-    """Raise unless the container holds the ``expected`` number of records."""
-    if len(records) != expected:
-        raise SerializationError(
-            f"container holds {len(records)} records; its manifest implies {expected}")
+    The records must be a manifest holding ``version`` and a valid value for
+    each of ``fields``, then mixer records, then raw tensors.  A rejection
+    raised while building is reported as ``SerializationError``.  ``parts``
+    of the result must give back the decoded manifest values and tensor
+    shapes, so every container that loads saves again to the same bytes.
+    """
+    if not records or records[0][:3] != (MANIFEST_TAG, 0, 0):
+        raise SerializationError("container does not start with a manifest record")
+    man = records[0][3]
+    if man.size != 1 + len(fields) or man[0] != version:
+        raise SerializationError(f"manifest is not {1 + len(fields)} values "
+                                 f"starting with version {version}")
+    values = {}
+    for (name, kind), v in zip(fields, man[1:].tolist()):
+        if kind is not float and not (_is_count(v) and (kind is int or v <= 1)):
+            raise SerializationError(f"manifest {name} {v!r} is not a valid {kind.__name__}")
+        values[name] = kind(v)
+    tags = [r[0] for r in records[1:]]
+    n_mixers = sum(t < RAW_TENSOR_TAG for t in tags)
+    if any(t != RAW_TENSOR_TAG for t in tags[n_mixers:]):
+        raise SerializationError("records are not the manifest, then mixers, then tensors")
+    mixers = [mixer_from_record(r) for r in records[1:1 + n_mixers]]
+    tensors = [raw_tensor_from_record(r) for r in records[1 + n_mixers:]]
+    try:
+        obj = build(values, mixers, tensors)
+    except (ValueError, NumericError) as exc:
+        raise SerializationError(f"container rejected: {exc}") from exc
+    again, _, again_tensors = parts(obj)
+    if again != values or [a.shape for a in again_tensors] != [a.shape for a in tensors]:
+        raise SerializationError("manifest or tensor shapes disagree with what they decode to")
+    return obj
 
 
 def write_records(f: BinaryIO | str, records: list[Record]) -> None:
@@ -538,4 +575,6 @@ def read_records(f: BinaryIO | str) -> list[Record]:
         if len(payload) != 8 * n:
             raise SerializationError("truncated record payload")
         records.append((kind, side, dim, np.frombuffer(payload, dtype="<f8").copy()))
+    if f.read(1):
+        raise SerializationError("trailing bytes after the last record")
     return records

@@ -25,6 +25,7 @@ from .block import (
     config_from_json,
     config_to_json,
     forward,
+    iter_parameters,
     load_block,
     random_block,
     save_block,
@@ -302,7 +303,7 @@ def suite_serialization(seed: int = 0) -> SuiteResult:
         path = os.path.join(tmp, "weights.bin")
         save_block(block, path)
         loaded = load_block(path)
-    for (la, a), (lb, b) in zip(_params(block), _params(loaded)):
+    for (la, a), (lb, b) in zip(iter_parameters(block), iter_parameters(loaded)):
         if la != lb or a.shape != b.shape or not np.array_equal(a, b):
             return SuiteResult("serialization", False, f"mismatch at {la}")
     cfg = block_config(block, seed=seed)
@@ -313,11 +314,6 @@ def suite_serialization(seed: int = 0) -> SuiteResult:
     if [r.flops for r in a] != [r.flops for r in b]:
         return SuiteResult("serialization", False, "FLOP columns not reproducible")
     return SuiteResult("serialization", True, "weights bit-exact, FLOPs reproducible")
-
-
-def _params(block):
-    from .block import iter_parameters
-    return iter_parameters(block)
 
 
 def run_all_suites(seed: int = 0) -> list[SuiteResult]:

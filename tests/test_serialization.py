@@ -1,13 +1,18 @@
 """Weight-container round-trips must be bit-exact."""
 
+import hashlib
 import io
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padre.block import (
     Grid,
     Seq1d,
+    WMode,
     block_from_records,
     block_to_records,
     build_conv_instance,
@@ -26,6 +31,8 @@ from padre.rational import (
 )
 from padre.tensor import (
     MAGIC,
+    MANIFEST_TAG,
+    RAW_TENSOR_TAG,
     SerializationError,
     mixer_from_record,
     read_records,
@@ -33,6 +40,51 @@ from padre.tensor import (
     raw_tensor_record,
     raw_tensor_from_record,
 )
+
+BLOCK_FIELD_INDEX = {name: i + 1 for i, name in enumerate(
+    ["degree", "n_tokens", "n_channels", "w_mode", "normalize_y", "degree_mask", "has_bias",
+     "has_resize", "grid", "grid_h", "grid_w"])}
+RATIONAL_FIELD_INDEX = {name: i + 1 for i, name in enumerate(
+    ["num_degree", "den_degree", "n_tokens", "n_channels", "epsilon", "square_denominator"])}
+
+
+def container_bytes(records) -> bytes:
+    buf = io.BytesIO()
+    write_records(buf, records)
+    return buf.getvalue()
+
+
+def with_manifest_value(records, index, value):
+    kind, side, dim, man = records[0]
+    man = man.copy()
+    man[index] = value
+    return [(kind, side, dim, man)] + records[1:]
+
+
+def pinned_records():
+    """A seeded set of containers covering every manifest field value."""
+    out = []
+    for w_mode in WMode:
+        for d in (1, 2, 3, 4):
+            for bias in (False, True):
+                block = random_block(9, 4, d, seed=10 * d + int(w_mode), w_mode=w_mode,
+                                     with_bias=bias, normalize_y=(d + bias) % 2 == 1,
+                                     degree_mask=frozenset({1, d}) if d > 2 else None)
+                if d == 2:
+                    rng = np.random.default_rng(d)
+                    block.resize_left = rng.uniform(-1, 1, (3, 9))
+                    block.resize_right = rng.uniform(-1, 1, (4, 5))
+                out.append(block_to_records(block))
+            if d > 1:
+                out.append(block_to_records(build_conv_instance(
+                    16, 3, d, Grid(4, 4), seed=d, w_mode=w_mode)))
+                out.append(block_to_records(build_conv_instance(
+                    12, 3, d, Seq1d(), seed=d, w_mode=w_mode)))
+    for e in range(4):
+        for square in (False, True):
+            out.append(rational_to_records(random_rational_block(
+                6, 3, 2, e, seed=e, square_denominator=square)))
+    return out
 
 
 def assert_params_identical(a_params, b_params):
@@ -151,18 +203,114 @@ class TestContainerFormat:
         with pytest.raises(SerializationError):
             rational_from_records(records[:-1])
 
-    @pytest.mark.parametrize("degree", [2.0 ** 40, 0.0, -1.0, 2.5, np.nan, np.inf])
-    def test_block_with_corrupt_degree_rejected(self, degree):
-        # 2**40 used to spin in the degree-mask decode instead of failing
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 2.0 ** 40), ("degree", 0.0), ("degree", -1.0), ("degree", 2.5),
+        ("degree", np.nan), ("degree", np.inf),
+        ("n_tokens", np.inf), ("n_tokens", np.nan), ("n_tokens", 0.0), ("n_tokens", 5.0),
+        ("n_channels", np.inf), ("n_channels", np.nan), ("n_channels", 0.0),
+        ("n_channels", 1e6),
+        ("w_mode", 7.0), ("normalize_y", 2.0), ("has_bias", -0.0),
+        ("degree_mask", 0.0), ("degree_mask", 4.0),
+        ("grid", 2.0), ("grid", 1.0), ("grid_h", 2.0),
+    ])
+    def test_block_with_corrupt_degree_rejected(self, field, value):
+        # a degree of 2**40 used to spin in the degree-mask decode instead of failing;
+        # the block is a 4-token sequence, so grid 1 (extents 0x0) and extent 2 without
+        # the grid flag are both corrupt
         records = block_to_records(random_block(4, 3, 2, seed=0))
-        kind, side, dim, man = records[0]
-        man = man.copy()
-        man[1] = degree
         with pytest.raises(SerializationError):
-            block_from_records([(kind, side, dim, man)] + records[1:])
+            block_from_records(with_manifest_value(records, BLOCK_FIELD_INDEX[field], value))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_tokens", np.nan), ("n_tokens", np.inf), ("n_tokens", 0.0),
+        ("n_channels", 1e6), ("epsilon", np.nan), ("epsilon", -1.0),
+        ("square_denominator", 2.0),
+    ])
+    def test_rational_with_corrupt_manifest_rejected(self, field, value):
+        records = rational_to_records(random_rational_block(4, 3, 2, 1, seed=0))
+        with pytest.raises(SerializationError):
+            rational_from_records(with_manifest_value(records, RATIONAL_FIELD_INDEX[field], value))
+
+    @pytest.mark.parametrize("index, record", [
+        pytest.param(1, (1, 0, 4, [1.0, 2.0]), id="diagonal-2-of-4-values"),
+        pytest.param(1, (5, 0, 4, [0.0]), id="identity-with-payload"),
+        pytest.param(1, (3, 0, 4, [0.0, 2.0, 1.0, 1.0, 9.0]), id="conv1d-trailing-value"),
+        pytest.param(1, (3, 0, 4, [5.0, 2.0, 1.0, 1.0]), id="conv1d-pad-tag-5"),
+        pytest.param(1, (2, 0, 4, [np.nan] + [1.0] * 8), id="low-rank-rank-nan"),
+        pytest.param(1, (3, 0, 4, [0.0, np.nan, 1.0]), id="conv1d-kernel-size-nan"),
+        pytest.param(-1, (RAW_TENSOR_TAG, 0, 12, [2.0, 1.0]), id="weights-1-of-24-values"),
+        pytest.param(-1, (RAW_TENSOR_TAG, 1, 12, None), id="weights-side-1"),
+        pytest.param(-1, (MANIFEST_TAG, 0, 12, None), id="weights-tagged-manifest"),
+        pytest.param(0, (MANIFEST_TAG, 1, 0, None), id="manifest-side-1"),
+        pytest.param(0, (MANIFEST_TAG, 0, 1, None), id="manifest-dim-1"),
+    ])
+    def test_malformed_record_rejected(self, index, record):
+        # a 4-token, 3-channel degree-2 block: record 1 is the first token mixer,
+        # the last one the 12 x 2 combine weights; a None payload keeps the saved one
+        records = block_to_records(random_block(4, 3, 2, seed=0))
+        kind, side, dim, params = record
+        params = records[index][3] if params is None else np.array(params)
+        records[index] = (kind, side, dim, params)
+        with pytest.raises(SerializationError):
+            block_from_records(records)
+
+    def test_trailing_bytes_rejected(self):
+        blob = container_bytes(block_to_records(random_block(4, 3, 2, seed=0)))
+        with pytest.raises(SerializationError):
+            read_records(io.BytesIO(blob + b"\x00"))
 
     def test_truncated_manifest_rejected(self):
         records = block_to_records(random_block(4, 3, 2, seed=0))
         kind, side, dim, man = records[0]
         with pytest.raises(SerializationError):
             block_from_records([(kind, side, dim, man[:-1])] + records[1:])
+
+
+#: sha256 of every ``pinned_records`` container written back to back, as the
+#: format wrote them before the codec moved into ``padre.tensor``
+PINNED_SHA256 = "48bb8c3aa88b614fdeefccdfe9711368563bc635b5c699afdcefccbc09a8cdf0"
+
+
+class TestPinnedBytes:
+    def test_bytes_unchanged(self):
+        digest = hashlib.sha256(b"".join(map(container_bytes, pinned_records())))
+        assert digest.hexdigest() == PINNED_SHA256
+
+    def test_pinned_containers_load_and_save_back(self):
+        for records in pinned_records():
+            blob = container_bytes(records)
+            loaded = read_records(io.BytesIO(blob))
+            if loaded[0][3][0] == 1.0:
+                again = block_to_records(block_from_records(loaded))
+            else:
+                again = rational_to_records(rational_from_records(loaded))
+            assert container_bytes(again) == blob
+
+
+FUZZ_CONTAINERS = [
+    (block_from_records, block_to_records,
+     container_bytes(block_to_records(random_block(4, 3, 3, seed=5, with_bias=True)))),
+    (block_from_records, block_to_records,
+     container_bytes(block_to_records(build_conv_instance(16, 3, 2, Grid(4, 4), seed=0)))),
+    (rational_from_records, rational_to_records,
+     container_bytes(rational_to_records(random_rational_block(4, 3, 2, 1, seed=0)))),
+]
+
+
+class TestContainerFuzz:
+    @settings(max_examples=1500, deadline=timedelta(milliseconds=500), derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_bit_flip_or_truncation_round_trips_or_raises(self, data):
+        decode, encode, blob = data.draw(st.sampled_from(FUZZ_CONTAINERS))
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            corrupt = bytearray(blob)
+            corrupt[bit // 8] ^= 1 << bit % 8
+        else:
+            corrupt = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        try:
+            loaded = decode(read_records(io.BytesIO(bytes(corrupt))))
+        except SerializationError:
+            return
+        assert container_bytes(encode(loaded)) == bytes(corrupt)
