@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,6 +131,10 @@ class PadreBlock:
         if self.resize_left is not None:
             if self.resize_left.shape[1] != n or self.resize_right.shape[0] != dc:
                 raise ShapeError("resize operators must be F x N and D x G")
+        for a in (self.weights, self.bias, self.resize_left, self.resize_right):
+            if a is not None and not np.isfinite(a).all():
+                raise NumericError("block-params", "combine weights, bias and resize "
+                                   "matrices must be finite")
 
 
 @dataclass
@@ -397,28 +401,37 @@ def config_from_json(text: str) -> dict:
 
 
 def layout_from_config(value) -> Layout:
-    if value[0] == "grid":
-        return Grid(int(value[1]), int(value[2]))
-    return Seq1d()
+    """``["seq1d"]`` or ``["grid", h, w]``; anything else raises ``LayoutError``."""
+    if isinstance(value, (list, tuple)):
+        if list(value) == ["seq1d"]:
+            return Seq1d()
+        if len(value) == 3 and value[0] == "grid":
+            return Grid(int(value[1]), int(value[2]))
+    raise LayoutError(f"layout {value!r} is not ['seq1d'] or ['grid', h, w]")
 
 
 def block_from_config(cfg: dict) -> PadreBlock:
     """Rebuild a block from its config document.
 
     A mask of {2..d} selects the concrete convolution/dense instance; any
-    other mask builds a seeded generic block over the full mixer menu.
+    other mask builds a seeded generic block over the full mixer menu.  Either
+    block takes the configured layout, which must cover N (``LayoutError``);
+    an unknown ``w_mode`` name raises ``ShapeError``.
     """
     d, n, dc = int(cfg["degree"]), int(cfg["N"]), int(cfg["D"])
     layout = layout_from_config(cfg.get("layout", ("seq1d",)))
     seed = int(cfg.get("seed", 0))
-    w_mode = WMode[cfg.get("w_mode", "CHANNEL_BROADCAST")]
+    w_name = cfg.get("w_mode", "CHANNEL_BROADCAST")
+    if not isinstance(w_name, str) or w_name not in WMode.__members__:
+        raise ShapeError(f"unknown w_mode {w_name!r}; valid modes: {', '.join(WMode.__members__)}")
+    w_mode = WMode[w_name]
     mask = frozenset(int(i) for i in cfg.get("degree_mask", range(1, d + 1)))
     if d >= 2 and mask == frozenset(range(2, d + 1)):
         block = build_conv_instance(n, dc, d, layout, seed=seed, w_mode=w_mode)
     else:
         block = random_block(n, dc, d, seed=seed, w_mode=w_mode, degree_mask=mask)
-    block.normalize_y = bool(cfg.get("normalize_y", False))
-    return block
+    # rebuilding runs the block's checks, so a layout that misses N raises LayoutError
+    return replace(block, layout=layout, normalize_y=bool(cfg.get("normalize_y", False)))
 
 
 #: the manifest fields of a polynomial block container (version 1.0)

@@ -83,6 +83,9 @@ class RationalPadreBlock:
             raise ShapeError("combine biases must be N x D")
         if not self.epsilon >= 0:
             raise ShapeError(f"epsilon must be nonnegative, got {self.epsilon}")
+        for a in (self.w_num, self.bias_num, self.w_den, self.bias_den):
+            if not np.isfinite(a).all():
+                raise NumericError("block-params", "combine weights and biases must be finite")
 
 
 @dataclass

@@ -9,6 +9,7 @@ from padre.block import (
     Seq1d,
     WMode,
     block_config,
+    block_from_config,
     build_conv_instance,
     config_from_json,
     config_to_json,
@@ -17,7 +18,9 @@ from padre.block import (
     random_block,
     rms_normalize_rows,
 )
-from padre.tensor import FlopLedger, Mixer, MixerKind, NumericError, ShapeError, Side
+from padre.tensor import (
+    FlopLedger, LayoutError, Mixer, MixerKind, NumericError, ShapeError, Side,
+)
 
 from conftest import rel_dev
 
@@ -224,3 +227,24 @@ class TestConfig:
         assert tuple(back["layout"]) == ("grid", 4, 4)
         assert back["seed"] == 7
         assert config_to_json(cfg) == config_to_json(config_from_json(config_to_json(cfg)))
+
+    @pytest.mark.parametrize("mask", [[1, 2], [1], [2]], ids=["mask-1-2", "mask-1", "mask-2"])
+    def test_layout_must_cover_n_for_every_mask(self, mask):
+        cfg = {"degree": 2, "N": 16, "D": 3, "layout": ["grid", 2, 3], "degree_mask": mask}
+        with pytest.raises(LayoutError):
+            block_from_config(cfg)
+
+    @pytest.mark.parametrize("layout", [["grdi", 4, 4], ["grid", 4], "grid", []],
+                             ids=["misspelt", "one-extent", "bare-string", "empty"])
+    def test_malformed_layout_rejected(self, layout):
+        with pytest.raises(LayoutError):
+            block_from_config({"degree": 2, "N": 16, "D": 3, "layout": layout})
+
+    def test_generic_mask_keeps_grid_layout(self):
+        cfg = {"degree": 2, "N": 16, "D": 3, "layout": ["grid", 4, 4], "degree_mask": [1, 2]}
+        assert block_from_config(cfg).layout == Grid(4, 4)
+
+    @pytest.mark.parametrize("name", ["NOPE", 1, ["FULL"]], ids=["NOPE", "int", "list"])
+    def test_unknown_w_mode_names_valid_modes(self, name):
+        with pytest.raises(ShapeError, match="CHANNEL_BROADCAST"):
+            block_from_config({"degree": 2, "N": 16, "D": 3, "w_mode": name})

@@ -254,6 +254,27 @@ class TestContainerFormat:
         with pytest.raises(SerializationError):
             block_from_records(records)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["weights", "bias", "resize_left", "resize_right"])
+    def test_block_with_non_finite_tensor_rejected(self, field, value, tmp_path):
+        block = random_block(4, 3, 2, seed=0, with_bias=True)
+        block.resize_left, block.resize_right = np.eye(2, 4), np.eye(3, 2)
+        getattr(block, field).flat[0] = value
+        path = str(tmp_path / "b.bin")
+        save_block(block, path)
+        with pytest.raises(SerializationError):
+            load_block(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("field", ["w_num", "bias_num", "w_den", "bias_den"])
+    def test_rational_with_non_finite_tensor_rejected(self, field, value, tmp_path):
+        block = random_rational_block(4, 3, 2, 1, seed=0)
+        getattr(block, field).flat[0] = value
+        path = str(tmp_path / "r.bin")
+        save_rational(block, path)
+        with pytest.raises(SerializationError):
+            load_rational(path)
+
     def test_trailing_bytes_rejected(self):
         blob = container_bytes(block_to_records(random_block(4, 3, 2, seed=0)))
         with pytest.raises(SerializationError):

@@ -160,6 +160,24 @@ class TestApplyMixer:
                   kernel=np.ones((2, 2)), grid_h=2, grid_w=2)
 
 
+def pad_view(xv, kshape, axes, circular, transpose=False):
+    """``np.pad`` of the view ``xv`` for a same-size correlation with kernel ``kshape``."""
+    pad = [(0, 0)] * xv.ndim
+    for ax, k in zip(axes, kshape):
+        before = k - 1 - k // 2 if transpose else k // 2
+        pad[ax] = (before, k - 1 - before)
+    return np.pad(xv, pad, mode="wrap" if circular else "constant")
+
+
+def shifted_windows(xp, axes, kshape, size):
+    """Yield ``(tap, window)``: the whole padded array ``xp`` shifted by each tap."""
+    for tap in itertools.product(*map(range, kshape)):
+        sl = [slice(None)] * xp.ndim
+        for ax, t in zip(axes, tap):
+            sl[ax] = slice(t, t + size[ax])
+        yield tap, xp[tuple(sl)]
+
+
 def padded_correlation(xv, kern, axes, circular, transpose):
     """Same-size correlation of the view ``xv``: ``np.pad``, then one pass per tap.
 
@@ -167,18 +185,25 @@ def padded_correlation(xv, kern, axes, circular, transpose):
     """
     if transpose:
         kern = np.flip(kern)
-    pad = [(0, 0)] * xv.ndim
-    for ax, k in zip(axes, kern.shape):
-        before = k - 1 - k // 2 if transpose else k // 2
-        pad[ax] = (before, k - 1 - before)
-    xp = np.pad(xv, pad, mode="wrap" if circular else "constant")
+    xp = pad_view(xv, kern.shape, axes, circular, transpose)
     out = np.zeros_like(xv)
-    for tap in itertools.product(*map(range, kern.shape)):
-        sl = [slice(None)] * xv.ndim
-        for ax, t in zip(axes, tap):
-            sl[ax] = slice(t, t + xv.shape[ax])
-        out += kern[tap] * xp[tuple(sl)]
+    for tap, win in shifted_windows(xp, axes, kern.shape, xv.shape):
+        out += kern[tap] * win
     return out
+
+
+def banded_cases(test):
+    """Parametrize ``test`` over conv kind and side, padding and kernel parity."""
+    for mark in (
+        pytest.mark.parametrize("kind,side", [
+            (MixerKind.CONV1D, Side.TOKEN), (MixerKind.CONV1D, Side.CHANNEL),
+            (MixerKind.CONV2D, Side.TOKEN), (MixerKind.CONV2D, Side.CHANNEL),
+        ], ids=["conv1d-token", "conv1d-channel", "conv2d-token", "conv2d-channel"]),
+        pytest.mark.parametrize("padding", list(PadMode), ids=lambda p: p.name.lower()),
+        pytest.mark.parametrize("even", [False, True], ids=["odd", "even"]),
+    ):
+        test = mark(test)
+    return test
 
 
 class TestBandedConv:
@@ -186,15 +211,8 @@ class TestBandedConv:
 
     LEAD, GRID_H = 14, 10     # leading axis of the conv view; 4 rows per band
 
-    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
-    @pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
-    @pytest.mark.parametrize("padding", list(PadMode), ids=lambda p: p.name.lower())
-    @pytest.mark.parametrize("kind,side", [
-        (MixerKind.CONV1D, Side.TOKEN), (MixerKind.CONV1D, Side.CHANNEL),
-        (MixerKind.CONV2D, Side.TOKEN), (MixerKind.CONV2D, Side.CHANNEL),
-    ], ids=["conv1d-token", "conv1d-channel", "conv2d-token", "conv2d-channel"])
-    def test_bit_identical_to_unbanded_reference(self, rng, kind, side, padding, even,
-                                                 transpose):
+    def case(self, rng, kind, side, padding, even):
+        """A conv mixer, its input ``x``, the conv view ``xv`` of ``x``, kernel and axes."""
         lead, h = self.LEAD, self.GRID_H
         w = tensor.BAND_BYTES // (8 * 4 * h)
         rows = tensor.BAND_BYTES // (8 * h * w)
@@ -218,9 +236,27 @@ class TestBandedConv:
             else:
                 m, axes = Mixer.conv2d(side, kern, h, w, padding), (1, 2)
                 x = xv.reshape(lead, h * w)
+        return m, x, xv, kern, axes
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
+    @banded_cases
+    def test_bit_identical_to_unbanded_reference(self, rng, kind, side, padding, even,
+                                                 transpose):
+        m, x, xv, kern, axes = self.case(rng, kind, side, padding, even)
         got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
         ref = padded_correlation(xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
         assert np.array_equal(got, ref.reshape(x.shape))
+
+    @banded_cases
+    def test_kernel_grad_matches_whole_tensor_sums(self, rng, kind, side, padding, even):
+        # banding splits each tap's sum, so only the rounding may differ:
+        # |banded - whole| <= 1e-13 * sum(|g * window|) for every tap
+        m, x, xv, kern, axes = self.case(rng, kind, side, padding, even)
+        gv = rng.uniform(-1, 1, xv.shape)
+        got = tensor.conv_kernel_grad(m, x, gv.reshape(x.shape))
+        xp = pad_view(xv, kern.shape, axes, padding == PadMode.CIRCULAR)
+        for tap, win in shifted_windows(xp, axes, kern.shape, xv.shape):
+            assert abs(got[tap] - np.sum(gv * win)) <= 1e-13 * np.sum(np.abs(gv * win))
 
 
 class TestFlops:
