@@ -34,6 +34,7 @@ from .tensor import (
     Record,
     ShapeError,
     Side,
+    SizeCapError,
     apply_mixer,
     hadamard,
     pack_records,
@@ -151,7 +152,7 @@ class PadreTrace:
 
 def rms_normalize_rows(y: np.ndarray, eps: float = RMS_EPS) -> np.ndarray:
     """Divide each row by sqrt(mean of squares + eps); zero rows stay zero."""
-    scale = np.sqrt(np.mean(y * y, axis=1, keepdims=True) + eps)
+    scale = np.sqrt(np.mean(y * y, axis=-1, keepdims=True) + eps)
     return y / scale
 
 
@@ -194,9 +195,14 @@ def cascade(ys: list[np.ndarray], inter_token: list[Mixer], inter_channel: list[
 
 def forward(block: PadreBlock, x: np.ndarray,
             ledger: FlopLedger | None = None) -> tuple[np.ndarray, PadreTrace]:
-    """Run the block; returns the output and the full stage trace."""
-    if x.shape != (block.n_tokens, block.n_channels):
-        raise ShapeError(f"input shape {x.shape} != ({block.n_tokens}, {block.n_channels})")
+    """Run the block; returns the output and the full stage trace.
+
+    ``x`` is ``(..., N, D)``: each sample along the leading batch axes gives
+    bit for bit what it gives alone, and the ledger counts every sample.
+    """
+    if x.shape[-2:] != (block.n_tokens, block.n_channels):
+        raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "
+                         f"{block.n_channels})")
     y_raw = features(block.token_mixers, block.channel_mixers, x, ledger)
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
     z = cascade(y, block.inter_token, block.inter_channel, ledger)
@@ -212,10 +218,8 @@ def forward(block: PadreBlock, x: np.ndarray,
     if block.resize_left is not None:
         out = block.resize_left @ p @ block.resize_right
         if ledger is not None:
-            f = block.resize_left.shape[0]
-            g = block.resize_right.shape[1]
-            ledger.add("resize", f * block.n_tokens * block.n_channels
-                       + f * block.n_channels * g)
+            f, g = block.resize_left.shape[0], block.resize_right.shape[1]
+            ledger.add("resize", f * p.size + f * (p.size // block.n_tokens) * g)
         _require_finite(out, "O")
     return out, PadreTrace(x=x, y_raw=y_raw, y=y, z=z, pre_resize=p, output=out)
 
@@ -395,9 +399,38 @@ def config_to_json(cfg: dict) -> str:
 
 
 def config_from_json(text: str) -> dict:
-    cfg = json.loads(text)
-    cfg["degree_mask"] = sorted(int(i) for i in cfg.get("degree_mask", []))
-    return cfg
+    return json.loads(text)
+
+
+#: what a config may ask the builders for: the degree, and float64 values
+#: allocated (``_config_values``), both checked before anything is built
+MAX_CONFIG_DEGREE = 64
+MAX_CONFIG_VALUES = 2 ** 28
+
+
+def _is_int(v) -> bool:
+    """An exact integer; JSON's ``true``/``false`` are not integers here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _config_int(cfg: dict, key: str, low: int, default: int | None = None) -> int:
+    """``cfg[key]``, or ``default`` when absent: an exact integer >= ``low``."""
+    v = cfg.get(key, default)
+    if not _is_int(v) or v < low:
+        raise ShapeError(f"config field {key!r} is {v!r}, not an integer >= {low}")
+    return int(v)
+
+
+def _config_values(d: int, n: int, dc: int, conv: bool) -> int:
+    """An upper bound on the float64 values a builder allocates for a config.
+
+    A generic mixer holds at most two dim x dim factors (low rank at full
+    rank); the convolution instance's token kernels hold at most
+    ``DEFAULT_KERNEL ** 2`` values and its channel maps are dense.  Weights
+    and bias hold at most ``(d + 1) * N * D``.
+    """
+    per_slot = DEFAULT_KERNEL ** 2 + dc * dc if conv else 2 * (n * n + dc * dc)
+    return (2 * d - 1) * per_slot + (d + 1) * n * dc
 
 
 def layout_from_config(value) -> Layout:
@@ -405,7 +438,7 @@ def layout_from_config(value) -> Layout:
     if isinstance(value, (list, tuple)):
         if list(value) == ["seq1d"]:
             return Seq1d()
-        if len(value) == 3 and value[0] == "grid":
+        if len(value) == 3 and value[0] == "grid" and all(map(_is_int, value[1:])):
             return Grid(int(value[1]), int(value[2]))
     raise LayoutError(f"layout {value!r} is not ['seq1d'] or ['grid', h, w]")
 
@@ -414,24 +447,40 @@ def block_from_config(cfg: dict) -> PadreBlock:
     """Rebuild a block from its config document.
 
     A mask of {2..d} selects the concrete convolution/dense instance; any
-    other mask builds a seeded generic block over the full mixer menu.  Either
-    block takes the configured layout, which must cover N (``LayoutError``);
-    an unknown ``w_mode`` name raises ``ShapeError``.
+    other mask builds a seeded generic block over the full mixer menu (an
+    absent or empty mask means every degree).  Either block takes the
+    configured layout, which must cover N (``LayoutError``).  ``degree``,
+    ``N`` and ``D`` are required integers >= 1, ``seed`` an integer >= 0,
+    ``normalize_y`` a bool and ``w_mode`` a ``WMode`` name; a missing or
+    malformed field raises ``ShapeError``.  A degree above
+    ``MAX_CONFIG_DEGREE`` or a block of more than ``MAX_CONFIG_VALUES``
+    values raises ``SizeCapError`` before anything is allocated.
     """
-    d, n, dc = int(cfg["degree"]), int(cfg["N"]), int(cfg["D"])
+    d, n, dc = (_config_int(cfg, key, 1) for key in ("degree", "N", "D"))
+    seed = _config_int(cfg, "seed", 0, default=0)
     layout = layout_from_config(cfg.get("layout", ("seq1d",)))
-    seed = int(cfg.get("seed", 0))
     w_name = cfg.get("w_mode", "CHANNEL_BROADCAST")
     if not isinstance(w_name, str) or w_name not in WMode.__members__:
         raise ShapeError(f"unknown w_mode {w_name!r}; valid modes: {', '.join(WMode.__members__)}")
-    w_mode = WMode[w_name]
-    mask = frozenset(int(i) for i in cfg.get("degree_mask", range(1, d + 1)))
-    if d >= 2 and mask == frozenset(range(2, d + 1)):
-        block = build_conv_instance(n, dc, d, layout, seed=seed, w_mode=w_mode)
+    normalize_y = cfg.get("normalize_y", False)
+    if not isinstance(normalize_y, bool):
+        raise ShapeError(f"config normalize_y {normalize_y!r} is not a bool")
+    given = cfg.get("degree_mask", [])
+    if not isinstance(given, (list, tuple)) or not all(map(_is_int, given)):
+        raise ShapeError(f"config degree_mask {given!r} is not a list of integers")
+    mask = frozenset(int(i) for i in given)
+    # d - 1 distinct degrees in 2..d are exactly {2..d}
+    conv = len(mask) == d - 1 >= 1 and all(2 <= i <= d for i in mask)
+    if d > MAX_CONFIG_DEGREE or _config_values(d, n, dc, conv) > MAX_CONFIG_VALUES:
+        raise SizeCapError(f"a degree-{d} {n} x {dc} block is beyond the config caps "
+                           f"(degree {MAX_CONFIG_DEGREE}, {MAX_CONFIG_VALUES} values)")
+    if conv:
+        block = build_conv_instance(n, dc, d, layout, seed=seed, w_mode=WMode[w_name])
     else:
-        block = random_block(n, dc, d, seed=seed, w_mode=w_mode, degree_mask=mask)
+        block = random_block(n, dc, d, seed=seed, w_mode=WMode[w_name],
+                             degree_mask=mask or frozenset(range(1, d + 1)))
     # rebuilding runs the block's checks, so a layout that misses N raises LayoutError
-    return replace(block, layout=layout, normalize_y=bool(cfg.get("normalize_y", False)))
+    return replace(block, layout=layout, normalize_y=normalize_y)
 
 
 #: the manifest fields of a polynomial block container (version 1.0)

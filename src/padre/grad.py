@@ -24,6 +24,7 @@ from .block import (
 from .tensor import (
     Mixer,
     MixerKind,
+    ShapeError,
     Side,
     apply_mixer,
     apply_mixer_transpose,
@@ -100,8 +101,14 @@ def _rms_backward(m_pre: np.ndarray, g: np.ndarray, eps: float = RMS_EPS) -> np.
 
 
 def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> GradBundle:
-    """Vector-Jacobian products of the block output against x and all parameters."""
+    """Vector-Jacobian products of the block output against x and all parameters.
+
+    Only an unbatched trace (a 2-D ``x``) is supported; a batched one raises
+    ShapeError.
+    """
     d = block.degree
+    if trace.x.ndim != 2:
+        raise ShapeError(f"backward needs an unbatched trace, got input shape {trace.x.shape}")
     if upstream.shape != trace.output.shape:
         raise ValueError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
     mixer_grads: dict[str, dict[str, np.ndarray]] = {}

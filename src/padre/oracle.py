@@ -3,9 +3,10 @@
 Any black-box map f: R^{N x D} -> R^{N x D} that is entrywise polynomial of
 total degree <= d can be identified exactly on tiny instances: enumerate all
 monomials up to the bound, evaluate f on a deterministic low-discrepancy
-probe set, and solve the resulting linear system.  The recovered coefficient
-table doubles as an independent evaluator, a degree certificate, and a
-detector for maps (like softmax attention) that are not polynomial at all.
+probe set (one call on the whole ``(P, N, D)`` stack of probes), and solve
+the resulting linear system.  The recovered coefficient table doubles as an
+independent evaluator, a degree certificate, and a detector for maps (like
+softmax attention) that are not polynomial at all.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import SizeCapError
+from .tensor import ShapeError, SizeCapError
 
 MAX_VARS = 8
 MAX_DEGREE = 4
@@ -161,15 +162,33 @@ def probe_points(n_points: int, n_dims: int) -> np.ndarray:
     return np.cos(np.pi * halton(n_points, n_dims))
 
 
+def probe_vandermonde(pts: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """``V[p, m] = prod_j pts[p, j] ** exps[m, j]``, from a table of powers.
+
+    The table holds ``pts ** e`` for every e up to the top exponent, filled by
+    repeated multiplication; one gather picks each monomial's factors.
+    """
+    n_probes, n_vars = pts.shape
+    top = int(exps.max(initial=0))
+    table = np.empty((n_probes, n_vars, top + 1))
+    table[:, :, 0] = 1.0
+    for e in range(1, top + 1):
+        table[:, :, e] = table[:, :, e - 1] * pts
+    flat = table.reshape(n_probes, -1)
+    return np.prod(flat[:, np.arange(n_vars) * (top + 1) + exps], axis=2)
+
+
 def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
                    n_channels: int, degree_bound: int, *, oversample: float = 2.0,
                    prune_tol: float = PRUNE_TOL, residual_tol: float = RESIDUAL_TOL,
                    cond_cap: float = COND_CAP) -> PolyCoeffs:
     """Identify the polynomial coefficients of ``f`` by least squares.
 
-    Raises NotPolynomialError when the fit residual shows the map cannot be
-    a polynomial of the given degree, and IllConditionedError when the probe
-    system is numerically untrustworthy.
+    ``f`` maps a ``(P, N, D)`` stack of probe inputs to the ``(P, N, D)``
+    stack of their outputs in one call; any other output shape raises
+    ShapeError.  Raises NotPolynomialError when the fit residual shows the
+    map cannot be a polynomial of the given degree, and IllConditionedError
+    when the probe system is numerically untrustworthy.
     """
     n_vars = n_tokens * n_channels
     if n_vars > MAX_VARS:
@@ -180,24 +199,23 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     n_mono = exps.shape[0]
     n_probes = int(math.ceil(oversample * n_mono))
     pts = probe_points(n_probes, n_vars)
-    vand = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+    vand = probe_vandermonde(pts, exps)
     cond = np.linalg.cond(vand)
     if cond > cond_cap:
         raise IllConditionedError(f"probe system condition {cond:.3e} > {cond_cap:.0e}")
-    values = np.empty((n_probes, n_vars))
-    for i in range(n_probes):
-        values[i] = f(pts[i].reshape(n_tokens, n_channels)).ravel()
+    stack = (n_probes, n_tokens, n_channels)
+    values = np.asarray(f(pts.reshape(stack)))
+    if values.shape != stack:
+        raise ShapeError(f"probe map returned shape {values.shape}, not {stack}")
+    values = values.reshape(n_probes, n_vars)
     coeffs, *_ = np.linalg.lstsq(vand, values, rcond=None)
     residual = float(np.max(np.abs(vand @ coeffs - values))) if n_probes else 0.0
     if residual > residual_tol:
         raise NotPolynomialError(residual, degree_bound)
+    keys = [MultiIndex.from_exponents(e, n_channels) for e in exps]
     terms: dict[tuple[int, int], dict[MultiIndex, float]] = {}
     for out_idx in range(n_vars):
-        entry: dict[MultiIndex, float] = {}
-        for mono_idx in range(n_mono):
-            c = coeffs[mono_idx, out_idx]
-            if abs(c) > prune_tol:
-                entry[MultiIndex.from_exponents(exps[mono_idx], n_channels)] = float(c)
+        entry = {k: float(c) for k, c in zip(keys, coeffs[:, out_idx]) if abs(c) > prune_tol}
         if entry:
             terms[(out_idx // n_channels, out_idx % n_channels)] = entry
     return PolyCoeffs(

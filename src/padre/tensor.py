@@ -2,13 +2,15 @@
 
 Conventions used throughout the package:
 
-* Activations are plain 2-D ``float64`` numpy arrays of shape ``(N, D)``
-  (N tokens by D channels).
+* Activations are ``float64`` numpy arrays of shape ``(..., N, D)``: N tokens
+  by D channels, behind optional leading batch axes.  Each sample of a batch
+  is mixed exactly as it would be alone, bit for bit.
 * A token-side mixer is a linear operator acting on the left (an implicit
   N x N matrix); a channel-side mixer acts on the right (D x D).
-* Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs.  Convolution
-  counts exclude taps that fall on zero padding, so boundary outputs are
-  cheaper than interior ones; circular padding always uses the full kernel.
+* Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
+  sample and multiplied by the batch size.  Convolution counts exclude taps
+  that fall on zero padding, so boundary outputs are cheaper than interior
+  ones; circular padding always uses the full kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class LayoutError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """An oracle-only operation was asked to run beyond its size cap."""
+    """An operation was asked to run beyond its size cap."""
 
 
 class SerializationError(ValueError):
@@ -248,19 +250,21 @@ def _conv_padded(m: Mixer, x: np.ndarray,
                  transpose: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """View ``x`` with the convolution axes split out, and pad it.
 
-    Returns the view (token grid ``(H, W, D)``, channel grid ``(N, H, W)``,
-    or ``x`` itself for conv1d), its padded copy and the convolution axes.
-    The copy is built directly: zeros with the view copied into the
-    interior, or a modular ``take`` per axis for circular padding.  With
-    ``transpose`` the anchor is mirrored.
+    Returns the view (token grid ``(..., H, W, D)``, channel grid
+    ``(..., N, H, W)``, or ``x`` itself for conv1d), its padded copy and the
+    convolution axes, which sit behind any batch axes.  The copy is built
+    directly: zeros with the view copied into the interior, or a modular
+    ``take`` per axis for circular padding.  With ``transpose`` the anchor
+    is mirrored.
     """
-    n, d = x.shape
+    *batch, n, d = x.shape
+    nb = len(batch)
     if m.kind == MixerKind.CONV1D:
-        xv, axes = x, (0 if m.side == Side.TOKEN else 1,)
+        xv, axes = x, (nb if m.side == Side.TOKEN else nb + 1,)
     elif m.side == Side.TOKEN:
-        xv, axes = x.reshape(m.grid_h, m.grid_w, d), (0, 1)
+        xv, axes = x.reshape(*batch, m.grid_h, m.grid_w, d), (nb, nb + 1)
     else:
-        xv, axes = x.reshape(n, m.grid_h, m.grid_w), (1, 2)
+        xv, axes = x.reshape(*batch, n, m.grid_h, m.grid_w), (nb + 1, nb + 2)
     pads = [(ax, k, k - 1 - k // 2 if transpose else k // 2)
             for ax, k in zip(axes, m.kernel.shape)]
     if m.padding == PadMode.CIRCULAR:
@@ -292,8 +296,9 @@ def _bands(xv: np.ndarray, xp: np.ndarray, axes: tuple[int, ...], k0: int):
 
     A band is ``BAND_BYTES`` of view rows (at least one); ``xp_rows`` is the
     slice of the padded copy its taps read, which carries ``k0 - 1`` more
-    halo rows when the leading axis is convolved.  Plain integer arithmetic
-    only: tiny inputs run one band and pay this on every call.
+    halo rows when the leading axis is convolved (a batched view leads with
+    a batch axis, which never is).  Plain integer arithmetic only: tiny
+    inputs run one band and pay this on every call.
     """
     halo = k0 - 1 if axes[0] == 0 else 0
     n = len(xv)
@@ -341,9 +346,9 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _check_side_dim(m: Mixer, x: np.ndarray) -> None:
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2-D tensor, got ndim={x.ndim}")
-    need = x.shape[0] if m.side == Side.TOKEN else x.shape[1]
+    if x.ndim < 2:
+        raise ShapeError(f"expected a (..., N, D) tensor, got ndim={x.ndim}")
+    need = x.shape[-2] if m.side == Side.TOKEN else x.shape[-1]
     if m.dim != need:
         if m.kind == MixerKind.CONV2D:
             raise LayoutError(
@@ -354,9 +359,11 @@ def _check_side_dim(m: Mixer, x: np.ndarray) -> None:
 
 
 def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
-    """Apply ``m`` to ``x``: token side computes M @ x, channel side x @ M."""
+    """Apply ``m`` to ``x``: token side computes M @ x, channel side x @ M.
+
+    Leading batch axes of ``x`` broadcast; the ledger counts every sample.
+    """
     _check_side_dim(m, x)
-    other = x.shape[1] if m.side == Side.TOKEN else x.shape[0]
     k = m.kind
     if k == MixerKind.IDENTITY:
         out = x.copy()
@@ -373,7 +380,7 @@ def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np
         out = _apply_conv(m, x, transpose=False)
     if ledger is not None:
         cat = "token_mix" if m.side == Side.TOKEN else "channel_mix"
-        ledger.add(cat, m.macs_per_vector() * other)
+        ledger.add(cat, m.macs_per_vector() * (x.size // m.dim))   # vectors mixed
     return out
 
 

@@ -18,3 +18,8 @@ def rel_dev(got, ref):
     """Matrix-level relative deviation: max |got - ref| / max(|ref|)."""
     scale = max(float(np.max(np.abs(ref))), 1e-12)
     return float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))) / scale
+
+
+def stacked(f):
+    """``f`` of one (N, D) input, lifted to the (P, N, D) stacks extract_coeffs passes."""
+    return lambda xs: np.stack([f(x) for x in xs])

@@ -37,7 +37,7 @@ from padre.rational import (
 from padre.tensor import Mixer, MixerKind, Side
 from padre.verify import conditioned_norm_block, mamba_poly_reference
 
-from conftest import rel_dev
+from conftest import rel_dev, stacked
 from test_adapters import mamba_params
 from test_serialization import assert_params_identical
 
@@ -174,7 +174,7 @@ def test_criterion_4_scheme_equivalences_and_degree_certificates(rng):
                                 (n, d_ch)) == 3
     small_castle = A.CastlingParams(u(2, 2), u(2, 2), u(2, 2),
                                     dw=Mixer.conv1d(Side.TOKEN, u(3), 4))
-    degs = extract_coeffs(lambda x: A.castling_forward(small_castle, x),
+    degs = extract_coeffs(stacked(lambda x: A.castling_forward(small_castle, x)),
                           4, 2, 3).support_degrees()
     assert 1 in degs and 3 in degs
 

@@ -9,7 +9,7 @@ from padre import adapters as A
 from padre.oracle import assert_homogeneous, extract_coeffs, max_effective_degree
 from padre.tensor import Mixer, NumericError, Side
 
-from conftest import rel_dev
+from conftest import rel_dev, stacked
 from test_tensor import naive_conv2d_matrix
 
 
@@ -76,7 +76,7 @@ class TestConv2Former:
 
     def test_coefficient_support_is_degree_two(self, rng):
         small = A.Conv2FormerParams(u(rng, 2, 2), u(rng, 2, 2), u(rng, 2, 2), 2, 2)
-        coeffs = extract_coeffs(lambda x: A.conv2former_forward(small, x), 4, 2, 3)
+        coeffs = extract_coeffs(stacked(lambda x: A.conv2former_forward(small, x)), 4, 2, 3)
         assert coeffs.support_degrees() == {2}
 
     def test_against_dense_conv_matrix(self, params, rng):
@@ -227,7 +227,7 @@ class TestCastling:
                              dw=Mixer.conv1d(Side.TOKEN, u(rng, 3), 4))
         f = lambda x: A.castling_forward(p, x)
         assert max_effective_degree(f, 4, (4, 2)) == 3
-        coeffs = extract_coeffs(f, 4, 2, 3)
+        coeffs = extract_coeffs(stacked(f), 4, 2, 3)
         degs = coeffs.support_degrees()
         assert 1 in degs and 3 in degs and 2 not in degs
 

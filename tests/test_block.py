@@ -1,9 +1,13 @@
 """Block forward semantics, the concrete instance builder, and homogeneity."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from padre.block import (
+    MIXER_MENU,
     Grid,
     PadreBlock,
     Seq1d,
@@ -19,7 +23,7 @@ from padre.block import (
     rms_normalize_rows,
 )
 from padre.tensor import (
-    FlopLedger, LayoutError, Mixer, MixerKind, NumericError, ShapeError, Side,
+    FlopLedger, LayoutError, Mixer, MixerKind, NumericError, ShapeError, Side, SizeCapError,
 )
 
 from conftest import rel_dev
@@ -100,6 +104,39 @@ class TestForward:
         np.testing.assert_allclose(
             out, block.resize_left @ trace.pre_resize @ block.resize_right)
         assert led.resize == 2 * 4 * 3 + 2 * 3 * 5
+
+
+class TestBatchedForward:
+    """A (2, 3) stack of inputs gives the stacked single-input outputs, bit for bit."""
+
+    @pytest.mark.parametrize("w_mode", list(WMode), ids=lambda m: m.name)
+    @pytest.mark.parametrize("kind", [*MIXER_MENU, None],
+                             ids=[*(k.name for k in MIXER_MENU), "menu"])
+    def test_seeded_blocks_stack(self, kind, w_mode):
+        # square sides on both ends, so conv2d draws on the token and channel side
+        for seed, (n, dc) in enumerate([(4, 9), (9, 4), (16, 9), (9, 16)]):
+            rng = np.random.default_rng(seed)
+            block = random_block(n, dc, 3, seed=seed, w_mode=w_mode,
+                                 degree_mask=[None, frozenset({3}), frozenset({1, 3}),
+                                              frozenset({2, 3})][seed],
+                                 with_bias=seed % 2 == 0, normalize_y=seed >= 2,
+                                 kinds=None if kind is None else [kind])
+            if seed == 3:
+                block = replace(block, resize_left=rng.uniform(-1, 1, (5, n)),
+                                resize_right=rng.uniform(-1, 1, (dc, 2)))
+            x = rng.uniform(-1, 1, (2, 3, n, dc))
+            batched, one = FlopLedger(), FlopLedger()
+            out, _ = forward(block, x, batched)
+            want = np.stack([[forward(block, s)[0] for s in row] for row in x])
+            assert np.array_equal(out, want)
+            forward(block, x[0, 0], one)
+            for field in ("token_mix", "channel_mix", "hadamard", "combine", "resize"):
+                assert getattr(batched, field) == 6 * getattr(one, field)
+
+    def test_conv_instance_stacks(self, rng):
+        block = build_conv_instance(16, 4, 3, Grid(4, 4), seed=2)
+        x = rng.uniform(-1, 1, (3, 16, 4))
+        assert np.array_equal(forward(block, x)[0], np.stack([forward(block, s)[0] for s in x]))
 
 
 class TestHomogeneity:
@@ -248,3 +285,36 @@ class TestConfig:
     def test_unknown_w_mode_names_valid_modes(self, name):
         with pytest.raises(ShapeError, match="CHANNEL_BROADCAST"):
             block_from_config({"degree": 2, "N": 16, "D": 3, "w_mode": name})
+
+    @pytest.mark.parametrize("cfg", [
+        {"N": 16, "D": 3},
+        {"degree": "x", "N": 16, "D": 3},
+        {"degree": 2, "N": 16, "D": 3, "seed": "abc"},
+        {"degree": 2, "N": 16, "D": 3, "normalize_y": "no"},
+        {"degree": 2, "N": 16, "D": 2.7},
+        {"degree": 2, "N": "4", "D": 3},
+        {"degree": True, "N": 16, "D": 3},
+        {"degree": 2, "N": 16, "D": 3, "degree_mask": [2.0]},
+    ], ids=["missing-degree", "degree-str", "seed-str", "normalize-str", "D-float", "N-str",
+            "degree-bool", "mask-float"])
+    def test_malformed_field_raises_shape_error(self, cfg):
+        with pytest.raises(ShapeError):
+            block_from_config(cfg)
+
+    def test_grid_extent_must_be_int(self):
+        with pytest.raises(LayoutError):
+            block_from_config({"degree": 2, "N": 16, "D": 3, "layout": ["grid", 4.0, 4]})
+
+    @pytest.mark.parametrize("cfg", [
+        {"degree": 2 ** 40, "N": 16, "D": 3},
+        {"degree": 2, "N": 10 ** 6, "D": 3},
+    ], ids=["degree-2**40", "dense-N-1e6"])
+    def test_oversized_config_fails_fast(self, cfg):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError):
+            block_from_config(cfg)
+        assert time.perf_counter() - start < 0.1
+
+    def test_empty_mask_means_every_degree(self):
+        cfg = {"degree": 2, "N": 4, "D": 3, "degree_mask": []}
+        assert block_from_config(cfg).degree_mask == frozenset({1, 2})

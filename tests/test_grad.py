@@ -12,7 +12,7 @@ from padre.block import (
     random_block,
 )
 from padre.grad import backward, gradcheck, mixer_param_grad
-from padre.tensor import Mixer, MixerKind, PadMode, Side, apply_mixer
+from padre.tensor import Mixer, MixerKind, PadMode, ShapeError, Side, apply_mixer
 from padre.verify import conditioned_norm_block
 
 from test_block import identity_block
@@ -42,6 +42,13 @@ class TestBackwardExamples:
         _, trace = forward(block, np.zeros((5, 3)))
         bundle = backward(block, trace, rng.uniform(-1, 1, (5, 3)))
         np.testing.assert_array_equal(bundle.d_w, np.zeros_like(bundle.d_w))
+
+    def test_batched_trace_rejected(self, rng):
+        block = random_block(4, 3, 2, seed=2)
+        x = rng.uniform(-1, 1, (2, 4, 3))
+        out, trace = forward(block, x)
+        with pytest.raises(ShapeError):
+            backward(block, trace, np.ones_like(out))
 
     def test_vjp_linear_in_upstream(self, rng):
         block = random_block(6, 4, 3, seed=1, with_bias=True)

@@ -14,11 +14,14 @@ from padre.oracle import (
     halton,
     max_effective_degree,
     monomial_exponents,
+    probe_points,
+    probe_vandermonde,
 )
 from padre.adapters import AttnParams, softmax_attention
+from padre.tensor import ShapeError
 
 from test_block import identity_block
-from conftest import rel_dev
+from conftest import rel_dev, stacked
 
 
 class TestExtractCoeffs:
@@ -45,7 +48,14 @@ class TestExtractCoeffs:
         p = AttnParams(np.eye(1), np.eye(1), np.eye(1), d_k=1)
         for deg in (1, 2, 3, 4):
             with pytest.raises(NotPolynomialError):
-                extract_coeffs(lambda x: softmax_attention(p, x), 2, 1, deg)
+                extract_coeffs(stacked(lambda x: softmax_attention(p, x)), 2, 1, deg)
+
+    @pytest.mark.parametrize("f", [lambda xs: xs[0], lambda xs: xs.reshape(len(xs), -1),
+                                   lambda xs: xs[:-1], lambda xs: xs.sum()],
+                             ids=["one-probe", "flattened", "one-short", "scalar"])
+    def test_wrong_output_shape_rejected(self, f):
+        with pytest.raises(ShapeError):
+            extract_coeffs(f, 2, 2, 2)
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError):
@@ -139,3 +149,12 @@ class TestProbeInfrastructure:
         exps = monomial_exponents(3, 2)
         totals = exps.sum(axis=1)
         assert (np.diff(totals) >= 0).all()
+
+    @pytest.mark.parametrize("n_vars,degree", [(1, 4), (3, 2), (8, 3), (8, 4)])
+    def test_vandermonde_matches_direct_powers(self, n_vars, degree):
+        # powers by repeated multiplication round up to degree - 1 more times than pow
+        exps = monomial_exponents(n_vars, degree)
+        pts = probe_points(2 * len(exps), n_vars)
+        ref = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+        np.testing.assert_allclose(probe_vandermonde(pts, exps), ref,
+                                   rtol=2 * degree * np.finfo(float).eps, atol=0)

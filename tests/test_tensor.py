@@ -259,6 +259,32 @@ class TestBandedConv:
             assert abs(got[tap] - np.sum(gv * win)) <= 1e-13 * np.sum(np.abs(gv * win))
 
 
+class TestBatch:
+    """Leading batch axes: each sample is mixed exactly as it is alone."""
+
+    @pytest.mark.parametrize("batch", [(6,), (2, 3)], ids=["batch-6", "batch-2x3"])
+    @pytest.mark.parametrize("band_bytes", [tensor.BAND_BYTES, 512], ids=["one-band", "banded"])
+    @pytest.mark.parametrize("side", [Side.TOKEN, Side.CHANNEL], ids=["token", "channel"])
+    def test_every_kind_and_padding_stacks(self, rng, monkeypatch, side, band_bytes, batch):
+        # 512-byte bands split the batch's leading axis across bands
+        monkeypatch.setattr(tensor, "BAND_BYTES", band_bytes)
+        x = rng.uniform(-1, 1, batch + ((9, 4) if side == Side.TOKEN else (4, 9)))
+        samples = x.reshape(6, *x.shape[-2:])
+        for m in random_mixers(rng, 9, side):
+            batched, one = FlopLedger(), FlopLedger()
+            got = apply_mixer(m, x, batched)
+            want = np.stack([apply_mixer(m, s) for s in samples]).reshape(x.shape)
+            assert np.array_equal(got, want)
+            want_t = np.stack([apply_mixer_transpose(m, s) for s in samples]).reshape(x.shape)
+            assert np.array_equal(apply_mixer_transpose(m, x), want_t)
+            apply_mixer(m, samples[0], one)
+            assert batched.macs == 6 * one.macs
+
+    def test_vectors_rejected(self):
+        with pytest.raises(ShapeError):
+            apply_mixer(Mixer.diagonal(Side.CHANNEL, np.ones(3)), np.ones(3))
+
+
 class TestFlops:
     def test_diagonal_ratio_exactly_two(self):
         counts = []
