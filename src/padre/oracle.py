@@ -11,13 +11,14 @@ softmax attention) that are not polynomial at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import ShapeError, SizeCapError
+from .tensor import NumericError, ShapeError, SizeCapError
 
 MAX_VARS = 8
 MAX_DEGREE = 4
@@ -47,7 +48,7 @@ class DegreeCapError(ValueError):
     """The map has effective degree beyond the requested cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Exponent assignment over the N*D input entries; zero exponents dropped."""
 
@@ -166,7 +167,8 @@ def probe_vandermonde(pts: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """``V[p, m] = prod_j pts[p, j] ** exps[m, j]``, from a table of powers.
 
     The table holds ``pts ** e`` for every e up to the top exponent, filled by
-    repeated multiplication; one gather picks each monomial's factors.
+    repeated multiplication.  The factors are gathered and multiplied one
+    variable at a time, so no ``(P, M, N*D)`` temporary is built.
     """
     n_probes, n_vars = pts.shape
     top = int(exps.max(initial=0))
@@ -174,8 +176,54 @@ def probe_vandermonde(pts: np.ndarray, exps: np.ndarray) -> np.ndarray:
     table[:, :, 0] = 1.0
     for e in range(1, top + 1):
         table[:, :, e] = table[:, :, e - 1] * pts
-    flat = table.reshape(n_probes, -1)
-    return np.prod(flat[:, np.arange(n_vars) * (top + 1) + exps], axis=2)
+    vand = np.ones((n_probes, exps.shape[0]))
+    for j in range(n_vars):
+        vand *= table[:, j, exps[:, j]]
+    return vand
+
+
+class _ProbeSystem(NamedTuple):
+    """The read-only probe system of one (N*D, degree, probe count) shape.
+
+    ``coeffs = w @ (u.T @ values)`` is lstsq's minimum-norm solution: ``u`` and
+    ``w = Vh.T / s`` keep the ``r`` singular triplets above lstsq's default
+    cutoff ``eps * max(P, M) * s[0]``.
+    """
+
+    pts: np.ndarray      # (P, N*D) probe points
+    exps: np.ndarray     # (M, N*D) monomial exponents, graded order
+    u: np.ndarray        # (P, r)
+    w: np.ndarray        # (M, r)
+    cond: float          # s[0] / s[-1] of the P x M Vandermonde
+
+
+@functools.lru_cache(maxsize=4)
+def _probe_system(n_vars: int, degree: int, n_probes: int) -> _ProbeSystem:
+    exps = monomial_exponents(n_vars, degree)
+    pts = probe_points(n_probes, n_vars)
+    vand = probe_vandermonde(pts, exps)
+    n_mono = exps.shape[0]
+    k = min(n_probes, n_mono)
+    # the retained arrays share one buffer, allocated before the SVD's temporaries
+    # so that it does not sit above the heap space they free (a lower peak RSS)
+    buf = np.empty(k * (n_probes + n_mono))
+    u_full, s, vh = np.linalg.svd(vand, full_matrices=False)
+    cond = float(s[0] / s[-1])
+    r = int(np.count_nonzero(s > np.finfo(float).eps * max(n_probes, n_mono) * s[0]))
+    u = buf[:n_probes * r].reshape(n_probes, r)
+    w = buf[n_probes * r:(n_probes + n_mono) * r].reshape(n_mono, r)
+    u[...] = u_full[:, :r]
+    np.divide(vh[:r].T, s[:r], out=w)
+    for a in (buf, u, w, pts, exps):
+        a.flags.writeable = False
+    return _ProbeSystem(pts, exps, u, w, cond)
+
+
+@functools.lru_cache(maxsize=4)
+def _monomial_keys(n_vars: int, n_channels: int, degree: int) -> tuple[MultiIndex, ...]:
+    """The ``MultiIndex`` of each monomial, in the order of ``monomial_exponents``."""
+    return tuple(MultiIndex.from_exponents(e, n_channels)
+                 for e in monomial_exponents(n_vars, degree))
 
 
 def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
@@ -186,42 +234,52 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
 
     ``f`` maps a ``(P, N, D)`` stack of probe inputs to the ``(P, N, D)``
     stack of their outputs in one call; any other output shape raises
-    ShapeError.  Raises NotPolynomialError when the fit residual shows the
-    map cannot be a polynomial of the given degree, and IllConditionedError
-    when the probe system is numerically untrustworthy.
+    ShapeError.  ``f`` gets a fresh copy of the probes, which it may write
+    into.  The probe points and the factorized probe system are computed
+    once per (N*D, degree, probe count) and cached; the condition cap, the
+    output shape and the residual are checked on every call.  Raises
+    NotPolynomialError when the fit residual shows the map cannot be a
+    polynomial of the given degree, NumericError when ``f`` returns a
+    non-finite value, and IllConditionedError when the probe system is
+    numerically untrustworthy.
     """
     n_vars = n_tokens * n_channels
     if n_vars > MAX_VARS:
         raise SizeCapError(f"coefficient extraction capped at N*D <= {MAX_VARS}")
     if degree_bound > MAX_DEGREE:
         raise SizeCapError(f"coefficient extraction capped at degree <= {MAX_DEGREE}")
-    exps = monomial_exponents(n_vars, degree_bound)
-    n_mono = exps.shape[0]
+    n_mono = math.comb(n_vars + degree_bound, degree_bound)
     n_probes = int(math.ceil(oversample * n_mono))
-    pts = probe_points(n_probes, n_vars)
-    vand = probe_vandermonde(pts, exps)
-    cond = np.linalg.cond(vand)
-    if cond > cond_cap:
-        raise IllConditionedError(f"probe system condition {cond:.3e} > {cond_cap:.0e}")
+    if n_probes < 1:
+        raise ShapeError(f"oversample {oversample!r} leaves no probe points")
+    system = _probe_system(n_vars, degree_bound, n_probes)
+    if system.cond > cond_cap:
+        raise IllConditionedError(
+            f"probe system condition {system.cond:.3e} > {cond_cap:.0e}")
     stack = (n_probes, n_tokens, n_channels)
-    values = np.asarray(f(pts.reshape(stack)))
+    values = np.asarray(f(system.pts.reshape(stack).copy()))
     if values.shape != stack:
         raise ShapeError(f"probe map returned shape {values.shape}, not {stack}")
+    if not np.isfinite(values).all():
+        raise NumericError("probe-values", "probe map returned non-finite values")
     values = values.reshape(n_probes, n_vars)
-    coeffs, *_ = np.linalg.lstsq(vand, values, rcond=None)
-    residual = float(np.max(np.abs(vand @ coeffs - values))) if n_probes else 0.0
+    proj = system.u.T @ values
+    residual = float(np.max(np.abs(values - system.u @ proj)))
     if residual > residual_tol:
         raise NotPolynomialError(residual, degree_bound)
-    keys = [MultiIndex.from_exponents(e, n_channels) for e in exps]
+    coeffs = (system.w @ proj).T
+    keys = _monomial_keys(n_vars, n_channels, degree_bound)
     terms: dict[tuple[int, int], dict[MultiIndex, float]] = {}
-    for out_idx in range(n_vars):
-        entry = {k: float(c) for k, c in zip(keys, coeffs[:, out_idx]) if abs(c) > prune_tol}
-        if entry:
-            terms[(out_idx // n_channels, out_idx % n_channels)] = entry
+    for out_idx, col in enumerate(coeffs):
+        kept = np.flatnonzero(np.abs(col) > prune_tol)
+        if kept.size:
+            vals = col.tolist()
+            terms[(out_idx // n_channels, out_idx % n_channels)] = {
+                keys[i]: vals[i] for i in kept.tolist()}
     return PolyCoeffs(
         n_tokens=n_tokens, n_channels=n_channels, degree_bound=degree_bound,
         terms=terms,
-        diagnostics=FitDiagnostics(residual, float(cond), n_mono, n_probes),
+        diagnostics=FitDiagnostics(residual, system.cond, n_mono, n_probes),
     )
 
 

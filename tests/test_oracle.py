@@ -1,11 +1,17 @@
 """Coefficient extraction, degree certificates, and their failure modes."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from padre import oracle
 from padre.block import forward, random_block
 from padre.oracle import (
+    PRUNE_TOL,
     DegreeCapError,
+    IllConditionedError,
     MultiIndex,
     NotPolynomialError,
     SizeCapError,
@@ -18,7 +24,7 @@ from padre.oracle import (
     probe_vandermonde,
 )
 from padre.adapters import AttnParams, softmax_attention
-from padre.tensor import ShapeError
+from padre.tensor import NumericError, ShapeError
 
 from test_block import identity_block
 from conftest import rel_dev, stacked
@@ -100,6 +106,110 @@ class TestExtractCoeffs:
             per_entry.setdefault(entry, []).append(total(k_field.removeprefix("k=")))
         for degs in per_entry.values():
             assert degs == sorted(degs)
+
+
+def lstsq_fit(f, n, d_ch, degree, oversample=2.0):
+    """The fit by ``np.linalg.lstsq`` on a Vandermonde of direct powers.
+
+    Returns the (M, N*D) coefficient matrix, the exponents, the condition
+    number and the probe count.
+    """
+    exps = monomial_exponents(n * d_ch, degree)
+    n_probes = math.ceil(oversample * len(exps))
+    pts = probe_points(n_probes, n * d_ch)
+    vand = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+    values = f(pts.reshape(n_probes, n, d_ch)).reshape(n_probes, -1)
+    coeffs, *_ = np.linalg.lstsq(vand, values, rcond=None)
+    return coeffs, exps, np.linalg.cond(vand), n_probes
+
+
+def dense_coeffs(fit, exps):
+    """``fit.terms`` as an (M, N*D) matrix in the order of ``exps``; pruned entries 0.
+
+    Also checks that each entry lists its monomials in the order of ``exps``,
+    the order ``evaluate`` sums them in.
+    """
+    row = {MultiIndex.from_exponents(e, fit.n_channels): i for i, e in enumerate(exps)}
+    out = np.zeros((len(exps), fit.n_tokens * fit.n_channels))
+    for (m, n), entry in fit.terms.items():
+        rows = [row[k] for k in entry]
+        assert rows == sorted(rows)
+        for k, c in entry.items():
+            out[row[k], m * fit.n_channels + n] = c
+    return out
+
+
+class TestCachedProbeSystem:
+    """Each fit reuses one cached factorization per shape; it must match lstsq."""
+
+    @pytest.mark.parametrize("n,d_ch,deg", [(1, 1, 2), (2, 2, 3), (1, 3, 4), (3, 2, 4),
+                                            (2, 4, 3), (8, 1, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lstsq_reference(self, n, d_ch, deg, seed):
+        # coefficients within 1e-12 absolute, the same pruned support, and the
+        # condition number within 1e-12 relative of lstsq / np.linalg.cond
+        block = random_block(n, d_ch, deg, seed=seed, with_bias=seed % 2 == 1)
+        f = lambda x: forward(block, x)[0]
+        ref, exps, cond, n_probes = lstsq_fit(f, n, d_ch, deg)
+        fit = extract_coeffs(f, n, d_ch, deg)
+        got = dense_coeffs(fit, exps)
+        np.testing.assert_array_equal(got != 0, np.abs(ref) > PRUNE_TOL)
+        np.testing.assert_allclose(got, np.where(np.abs(ref) > PRUNE_TOL, ref, 0.0),
+                                   rtol=0, atol=1e-12)
+        assert fit.diagnostics.n_monomials == len(exps)
+        assert fit.diagnostics.n_probes == n_probes
+        assert fit.diagnostics.condition == pytest.approx(cond, rel=1e-12)
+
+    def test_map_writing_into_its_input_leaves_next_fit_unchanged(self):
+        block = random_block(2, 2, 3, seed=11)
+        f = lambda x: forward(block, x)[0]
+        before = extract_coeffs(f, 2, 2, 3)
+
+        def scribbler(xs):
+            out = f(xs)
+            xs[...] = 7.0
+            return out
+
+        assert extract_coeffs(scribbler, 2, 2, 3).terms == before.terms
+        after = extract_coeffs(f, 2, 2, 3)
+        assert after.terms == before.terms
+        assert after.diagnostics == before.diagnostics
+
+    def test_cached_arrays_are_read_only(self):
+        extract_coeffs(lambda x: x.copy(), 2, 2, 2)
+        system = oracle._probe_system(4, 2, 30)
+        for a in (system.pts, system.exps, system.u, system.w, system.u.base):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_condition_cap_checked_on_warm_shape(self):
+        extract_coeffs(lambda x: x.copy(), 2, 2, 2)
+        with pytest.raises(IllConditionedError):
+            extract_coeffs(lambda x: x.copy(), 2, 2, 2, cond_cap=1.0)
+
+    def test_undersampled_fit_is_lstsq_min_norm(self):
+        block = random_block(1, 3, 2, seed=5)
+        f = lambda x: forward(block, x)[0]
+        ref, exps, cond, n_probes = lstsq_fit(f, 1, 3, 2, oversample=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = extract_coeffs(f, 1, 3, 2, oversample=0.5)
+        assert fit.diagnostics.n_probes == n_probes < len(exps)
+        assert fit.diagnostics.condition == pytest.approx(cond, rel=1e-12)
+        np.testing.assert_allclose(dense_coeffs(fit, exps),
+                                   np.where(np.abs(ref) > PRUNE_TOL, ref, 0.0),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_output_rejected(self, bad):
+        with pytest.raises(NumericError):
+            extract_coeffs(lambda x: np.full_like(x, bad), 1, 2, 2)
+
+    @pytest.mark.parametrize("oversample", [0.0, -1.0])
+    def test_no_probe_points_rejected(self, oversample):
+        with pytest.raises(ShapeError):
+            extract_coeffs(lambda x: x.copy(), 1, 2, 2, oversample=oversample)
 
 
 class TestHomogeneity:
