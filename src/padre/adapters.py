@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .block import cascade, features
+from .oracle import rel_dev
 from .tensor import FlopLedger, LayoutError, Mixer, ShapeError, Side, apply_mixer
 
 L1_EPS = 1e-12
@@ -43,6 +44,7 @@ class EquivalenceError(ValueError):
 
     def __init__(self, max_deviation: float, tol: float):
         self.max_deviation = max_deviation
+        self.tol = tol
         super().__init__(f"plan deviates from direct forward by {max_deviation:.3e} "
                          f"(tolerance {tol:.0e})")
 
@@ -98,10 +100,7 @@ def verify_plan(direct_fn, plan: PadrePlan, trials: int = 100, seed: int = 0,
     worst = 0.0
     for _ in range(trials):
         x = rng.uniform(-1.0, 1.0, size=(plan.n_tokens, plan.n_channels))
-        ref = direct_fn(x)
-        got = plan.evaluate(x)
-        scale = max(float(np.max(np.abs(ref))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(ref - got))) / scale)
+        worst = max(worst, rel_dev(plan.evaluate(x), direct_fn(x)))
     if worst > tol:
         raise EquivalenceError(worst, tol)
     return worst
@@ -349,10 +348,6 @@ def mamba_delta(p: MambaParams, x: np.ndarray, delta_scale: float) -> float:
     return delta_scale * float(np.logaddexp(0.0, z)) / p.beta
 
 
-def _mamba_bc(p: MambaParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return p.w_b @ x, x @ p.w_c
-
-
 def mamba_forward(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0) -> np.ndarray:
     """Exact scan with exponential discretization and input-dependent B, C, delta.
 
@@ -361,7 +356,7 @@ def mamba_forward(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0) -> np
     the scan.
     """
     delta = mamba_delta(p, x, delta_scale)
-    b, c = _mamba_bc(p, x)
+    b, c = p.w_b @ x, x @ p.w_c
     a_bar = np.exp(delta * p.a_diag)
     b_bar = (np.expm1(delta * p.a_diag) / p.a_diag) * b
     return _scan(a_bar, b_bar, c, x)
@@ -375,7 +370,7 @@ def mamba_padre_approx(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0,
     the map is a homogeneous degree-3 polynomial of the input sequence.
     """
     delta = mamba_delta(p, x, delta_scale) if frozen_delta is None else frozen_delta
-    b, c = _mamba_bc(p, x)
+    b, c = p.w_b @ x, x @ p.w_c
     a_bar = 1.0 + delta * p.a_diag
     b_bar = delta * b
     return _scan(a_bar, b_bar, c, x)
@@ -425,16 +420,9 @@ def castling_as_padre(p: CastlingParams, verify_trials: int = 100, seed: int = 0
     n = p.dw.dim
     d_ch = p.w_q.shape[0]
     cascades = _qkv_cascades(p.w_q, p.w_k, p.w_v, n, 1.0 / math.pi)
-    cascades.append(PlanCascade(
-        token=[Mixer.identity(Side.TOKEN, n)],
-        channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
-        inter_token=[], inter_channel=[], weight=0.5,
-    ))
-    cascades.append(PlanCascade(
-        token=[p.dw],
-        channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
-        inter_token=[], inter_channel=[], weight=1.0,
-    ))
+    cascades += [PlanCascade(token=[token], channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
+                             inter_token=[], inter_channel=[], weight=weight)
+                 for token, weight in ((Mixer.identity(Side.TOKEN, n), 0.5), (p.dw, 1.0))]
     plan = PadrePlan(n_tokens=n, n_channels=d_ch, cascades=cascades)
     verify_plan(lambda x: castling_forward(p, x), plan, verify_trials, seed, tol)
     return plan

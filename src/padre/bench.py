@@ -90,12 +90,17 @@ def _input_for(n: int, d_ch: int, seed: int, scheme: str) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(n, d_ch))
 
 
+def _ledgered(fn, params, x: np.ndarray, degree: int):
+    """``(run, flops, degree)`` for ``fn(params, x[, ledger])``; one ledger
+    pass counts the FLOPs."""
+    ledger = FlopLedger()
+    fn(params, x, ledger)
+    return (lambda: fn(params, x)), ledger.flops, degree
+
+
 def _setup_padre(degree: int, n: int, d_ch: int, seed: int):
     block = build_conv_instance(n, d_ch, degree, _layout_for(n), seed=seed)
-    x = _input_for(n, d_ch, seed, f"padre-{degree}")
-    ledger = FlopLedger()
-    forward(block, x, ledger)
-    return (lambda: forward(block, x)), ledger.flops, degree
+    return _ledgered(forward, block, _input_for(n, d_ch, seed, f"padre-{degree}"), degree)
 
 
 def _setup_softmax_attn(n: int, d_ch: int, seed: int):
@@ -116,10 +121,7 @@ def _setup_softmax_attn(n: int, d_ch: int, seed: int):
 def _setup_sima(n: int, d_ch: int, seed: int):
     rng = np.random.default_rng([seed, n, 2])
     p = SimaParams(*(_uniform(rng, (d_ch, d_ch), d_ch) for _ in range(3)))
-    x = _input_for(n, d_ch, seed, "sima")
-    ledger = FlopLedger()
-    sima_forward(p, x, ledger)
-    return (lambda: sima_forward(p, x)), ledger.flops, 3
+    return _ledgered(sima_forward, p, _input_for(n, d_ch, seed, "sima"), 3)
 
 
 def _setup_castling(n: int, d_ch: int, seed: int):
@@ -130,10 +132,7 @@ def _setup_castling(n: int, d_ch: int, seed: int):
     else:
         dw = Mixer.conv1d(Side.TOKEN, _uniform(rng, (3,), 3), n)
     p = CastlingParams(*(_uniform(rng, (d_ch, d_ch), d_ch) for _ in range(3)), dw=dw)
-    x = _input_for(n, d_ch, seed, "castling")
-    ledger = FlopLedger()
-    castling_forward(p, x, ledger)
-    return (lambda: castling_forward(p, x)), ledger.flops, 3
+    return _ledgered(castling_forward, p, _input_for(n, d_ch, seed, "castling"), 3)
 
 
 def _setup_conv2former(n: int, d_ch: int, seed: int):
@@ -146,10 +145,7 @@ def _setup_conv2former(n: int, d_ch: int, seed: int):
         w1=_uniform(rng, (d_ch, d_ch), d_ch), w2=_uniform(rng, (d_ch, d_ch), d_ch),
         kernel=_uniform(rng, (kh, kw), kh * kw), grid_h=layout.h, grid_w=layout.w,
     )
-    x = _input_for(n, d_ch, seed, "conv2former")
-    ledger = FlopLedger()
-    conv2former_forward(p, x, ledger)
-    return (lambda: conv2former_forward(p, x)), ledger.flops, 2
+    return _ledgered(conv2former_forward, p, _input_for(n, d_ch, seed, "conv2former"), 2)
 
 
 def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
@@ -225,12 +221,6 @@ def fit_scaling(records: list[BenchRecord]) -> list[ScalingFit]:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _record_row(r: BenchRecord) -> list[str]:
-    return [r.scheme, str(r.n_tokens), str(r.n_channels), str(r.degree),
-            str(r.flops), repr(r.median_s), repr(r.p10_s), repr(r.p90_s),
-            str(r.reps), str(r.seed)]
-
-
 def emit_csv(items: list[BenchRecord] | list[ScalingFit], path: str) -> None:
     """Header plus one line per item, full double precision, stable order."""
     if items and isinstance(items[0], ScalingFit):
@@ -240,9 +230,11 @@ def emit_csv(items: list[BenchRecord] | list[ScalingFit], path: str) -> None:
             for f in sorted(items, key=lambda f: f.scheme)
         ]
     else:
-        header = RECORD_COLUMNS
-        rows = [_record_row(r) for r in
-                sorted(items, key=lambda r: (r.scheme, r.n_tokens))]
+        header, rows = RECORD_COLUMNS, [
+            [r.scheme, str(r.n_tokens), str(r.n_channels), str(r.degree), str(r.flops),
+             repr(r.median_s), repr(r.p10_s), repr(r.p90_s), str(r.reps), str(r.seed)]
+            for r in sorted(items, key=lambda r: (r.scheme, r.n_tokens))
+        ]
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for row in rows:

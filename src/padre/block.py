@@ -346,25 +346,17 @@ def _all_mixers(block: PadreBlock) -> list[Mixer]:
             + block.inter_token + block.inter_channel)
 
 
-def _mixer_labels(block: PadreBlock) -> list[tuple[str, Mixer]]:
-    out = []
-    for i, m in enumerate(block.token_mixers):
-        out.append((f"A{i + 1}", m))
-    for i, m in enumerate(block.channel_mixers):
-        out.append((f"B{i + 1}", m))
-    for i, m in enumerate(block.inter_token):
-        out.append((f"C{i + 1}", m))
-    for i, m in enumerate(block.inter_channel):
-        out.append((f"D{i + 1}", m))
-    return out
+def mixer_parameters(*groups: tuple[str, list[Mixer]]) -> list[tuple[str, np.ndarray]]:
+    """``("<tag><i>.<param>", array)`` for the i-th mixer (from 1) of each
+    ``(tag, mixers)`` group, in order."""
+    return [(f"{tag}{i + 1}.{pname}", arr) for tag, mixers in groups
+            for i, m in enumerate(mixers) for pname, arr in m.param_arrays()]
 
 
 def iter_parameters(block: PadreBlock) -> list[tuple[str, np.ndarray]]:
     """All trainable arrays as (label, array) pairs in a deterministic order."""
-    out = []
-    for name, m in _mixer_labels(block):
-        for pname, arr in m.param_arrays():
-            out.append((f"{name}.{pname}", arr))
+    out = mixer_parameters(("A", block.token_mixers), ("B", block.channel_mixers),
+                           ("C", block.inter_token), ("D", block.inter_channel))
     out.append(("W", block.weights))
     if block.bias is not None:
         out.append(("L", block.bias))
@@ -383,8 +375,8 @@ def block_config(block: PadreBlock, seed: int | None = None) -> dict:
         "degree": block.degree,
         "N": block.n_tokens,
         "D": block.n_channels,
-        "layout": ("grid", block.layout.h, block.layout.w)
-        if isinstance(block.layout, Grid) else ("seq1d",),
+        "layout": ["grid", block.layout.h, block.layout.w]
+        if isinstance(block.layout, Grid) else ["seq1d"],
         "w_mode": block.w_mode.name,
         "degree_mask": sorted(block.degree_mask),
         "normalize_y": block.normalize_y,

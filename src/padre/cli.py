@@ -18,27 +18,24 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np
 
 from . import verify as verify_mod
-from .bench import (
-    ALL_SCHEMES,
-    DEFAULT_CHANNELS,
-    DEFAULT_N_LIST,
-    emit_csv,
-    fit_scaling,
-    run_bench,
-)
-from .block import (
-    Seq1d,
-    block_from_config,
-    build_conv_instance,
-    config_from_json,
-    forward,
-    random_block,
-)
+from .bench import ALL_SCHEMES, DEFAULT_CHANNELS, DEFAULT_N_LIST, emit_csv, fit_scaling, run_bench
+from .block import (Seq1d, block_from_config, build_conv_instance, config_from_json, forward,
+                    random_block)
 from .grad import gradcheck
 from .oracle import extract_coeffs
 from .rational import random_rational_block, rational_gradcheck
 
-EQUIV_SCHEMES = ("sima", "conv2former", "hyena", "mamba", "castling", "attn-approx")
+
+def _int_at_least(low: int):
+    """argparse type: a decimal integer >= ``low``; anything else is a usage error."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_seed = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,15 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--channels", type=int, default=DEFAULT_CHANNELS)
     b.add_argument("--reps", type=int, default=20)
     b.add_argument("--warmup", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="bench.csv")
     b.add_argument("--fits-out", default=None,
                    help="also write log-log exponent fits to this path")
 
-    v = sub.add_parser("verify", help="run invariant suites; nonzero exit on failure")
+    v = sub.add_parser("verify", help="run the invariant checks; nonzero exit on failure")
     v.add_argument("what", nargs="?", choices=["equivalence"], default=None)
-    v.add_argument("--scheme", choices=EQUIV_SCHEMES, default=None)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--scheme", choices=verify_mod.SCHEMES, default=None)
 
     e = sub.add_parser("expand", help="dump the exact polynomial of a small block")
     e.add_argument("--n", type=int, default=2, help="token count")
@@ -73,17 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="block degree (also the extraction bound)")
     e.add_argument("--config", default=None,
                    help="build the block from a JSON config instead of flags")
-    e.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient reports")
-    g.add_argument("--probes", type=int, default=200)
+    g.add_argument("--probes", type=_int_at_least(1), default=200)
     g.add_argument("--step", type=float, default=1e-4)
-    g.add_argument("--seed", type=int, default=0)
 
     a = sub.add_parser("approx-attn", help="truncated-series attention error sweep")
     a.add_argument("--max-degree", type=int, default=12)
     a.add_argument("--l-bound", type=float, default=1.0)
-    a.add_argument("--seed", type=int, default=0)
+    for command in (b, v, e, g, a):
+        command.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -105,26 +99,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    names = list(verify_mod.CHECKS)
     if args.what == "equivalence" or args.scheme:
-        schemes = [args.scheme] if args.scheme else list(EQUIV_SCHEMES)
-        failed = False
-        for scheme in schemes:
-            try:
-                ok, dev, detail = verify_mod.check_scheme_equivalence(scheme,
-                                                                      seed=args.seed)
-            except Exception as exc:       # verification errors carry the deviation
-                print(f"[FAIL] scheme={scheme} {exc}")
-                failed = True
-                continue
-            status = "PASS" if ok else "FAIL"
-            print(f"[{status}] scheme={scheme} max_dev={dev:.3e} ({detail})")
-            failed |= not ok
-        return 1 if failed else 0
+        names = [f"scheme={s}" for s in ([args.scheme] if args.scheme
+                                          else verify_mod.SCHEMES)]
     failed = False
-    for result in verify_mod.run_all_suites(seed=args.seed):
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {result.name}: {result.detail}")
-        failed |= not result.passed
+    for name in names:
+        r = verify_mod.CHECKS[name](args.seed)
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} max_dev={r.worst:.3e} "
+              f"tol={r.tol:.0e} ({r.detail})")
+        failed |= not r.passed
     return 1 if failed else 0
 
 
@@ -150,37 +134,25 @@ def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     failed = False
     cases = [
-        ("conv-seq-d3", build_conv_instance(16, 4, 3, Seq1d(), seed=args.seed)),
+        ("conv-seq-d3", build_conv_instance(16, 4, 3, Seq1d(), seed=args.seed), gradcheck),
         ("random-d4-norm", random_block(9, 4, 4, seed=args.seed, normalize_y=True,
-                                        with_bias=True)),
+                                        with_bias=True), gradcheck),
+        ("rational-d2e2", random_rational_block(6, 3, 2, 2, seed=args.seed),
+         rational_gradcheck),
     ]
-    for name, block in cases:
+    for name, block, check in cases:
         x = rng.uniform(-1, 1, size=(block.n_tokens, block.n_channels))
-        rep = gradcheck(block, x, probes=args.probes, step=args.step, seed=args.seed)
+        rep = check(block, x, probes=args.probes, step=args.step, seed=args.seed)
         status = "pass" if rep.passed else "fail"
         print(f"gradcheck scheme={name} seed={args.seed} probes={rep.probes} "
               f"max_rel_err={rep.max_rel_err:.3e} {status}")
         failed |= not rep.passed
-    rat = random_rational_block(6, 3, 2, 2, seed=args.seed)
-    x = rng.uniform(-1, 1, size=(6, 3))
-    rep = rational_gradcheck(rat, x, probes=args.probes, step=args.step,
-                             seed=args.seed)
-    status = "pass" if rep.passed else "fail"
-    print(f"gradcheck scheme=rational-d2e2 seed={args.seed} probes={rep.probes} "
-          f"max_rel_err={rep.max_rel_err:.3e} {status}")
-    failed |= not rep.passed
     return 1 if failed else 0
 
 
 def _cmd_approx_attn(args) -> int:
     from . import adapters
-    rng = np.random.default_rng(args.seed)
-    n, d_ch = 6, 4
-    p = adapters.AttnParams(*(rng.uniform(-0.5, 0.5, size=(d_ch, d_ch))
-                              for _ in range(3)), d_k=d_ch)
-    x = rng.uniform(-1.0, 1.0, size=(n, d_ch))
-    logits = (x @ p.w_q) @ (x @ p.w_k).T / np.sqrt(p.d_k)
-    x = x * np.sqrt(0.98 * args.l_bound / np.max(np.abs(logits)))
+    p, x = verify_mod.attention_instance(args.seed, 0.98 * args.l_bound)
     exact = adapters.softmax_attention(p, x)
     print("degree,max_error,remainder_bound")
     for deg in range(0, args.max_degree + 1):
@@ -194,7 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if "PADRE_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["PADRE_SEED"])
+        try:
+            args.seed = _seed(os.environ["PADRE_SEED"])
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"PADRE_SEED: {exc}")
     handlers = {
         "bench": _cmd_bench,
         "verify": _cmd_verify,

@@ -172,20 +172,29 @@ class GradReport:
         return self.failures == 0
 
 
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(1e-8, abs(a) + abs(b))
+def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: int,
+                  step: float, seed: int, fail_tol: float) -> GradReport:
+    """Check ``vjp_fn(block, trace, upstream)``, a label -> gradient dict that
+    includes "x", against central differences of ``forward_fn``.
 
-
-def finite_difference_report(loss_fn, targets: list[tuple[str, np.ndarray]],
-                             analytic: dict[str, np.ndarray], probes: int,
-                             step: float, seed: int, fail_tol: float) -> GradReport:
-    """Probe random scalar entries of ``targets`` with central differences.
-
-    ``targets`` holds mutable arrays that ``loss_fn`` reads; entries are
-    perturbed in place and restored.  Probes are distributed uniformly over
-    all scalars.
+    The probed scalars are drawn uniformly from ``params_fn(block)`` and x,
+    each perturbed in place on a copy of the block and restored.
     """
     rng = np.random.default_rng(seed)
+    work = copy.deepcopy(block)
+    xw = np.array(x, dtype=np.float64, copy=True)
+    out, trace = forward_fn(work, xw)
+    g_up = upstream_probe(rng, out.shape)
+    analytic = vjp_fn(work, trace, g_up)
+    targets = params_fn(work) + [("x", xw)]
+    base = out.copy()
+
+    # centered loss: subtracting the base output cancels the large constant
+    # term whose rounding would otherwise dominate the difference quotient
+    def loss_fn() -> float:
+        return float(np.sum(g_up * (forward_fn(work, xw)[0] - base)))
+
+    rng = np.random.default_rng(seed + 1)
     sizes = np.array([arr.size for _, arr in targets])
     cum = np.cumsum(sizes)
     total = int(cum[-1])
@@ -203,7 +212,7 @@ def finite_difference_report(loss_fn, targets: list[tuple[str, np.ndarray]],
         arr.flat[idx] = orig
         fd = (hi - lo) / (2 * step)
         an = analytic[label].flat[idx]
-        rel = relative_error(fd, an)
+        rel = abs(fd - an) / max(1e-8, abs(fd) + abs(an))
         max_rel = max(max_rel, rel)
         failures += rel >= fail_tol
     return GradReport(max_rel_err=max_rel, failures=failures, probes=probes,
@@ -224,21 +233,9 @@ def upstream_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 def gradcheck(block: PadreBlock, x: np.ndarray, probes: int = 200, step: float = 1e-4,
               seed: int = 0, fail_tol: float = 1e-5) -> GradReport:
     """Compare ``backward`` against central differences on random scalars."""
-    rng = np.random.default_rng(seed)
-    work = copy.deepcopy(block)
-    xw = np.array(x, dtype=np.float64, copy=True)
-    out, trace = forward(work, xw)
-    g_up = upstream_probe(rng, out.shape)
-    bundle = backward(work, trace, g_up)
-    analytic = bundle.by_label()
-    analytic["x"] = bundle.d_x
-    targets = iter_parameters(work) + [("x", xw)]
-    base = out.copy()
+    def vjp(work: PadreBlock, trace: PadreTrace, g_up: np.ndarray) -> dict:
+        bundle = backward(work, trace, g_up)
+        return {**bundle.by_label(), "x": bundle.d_x}
 
-    # centered loss: subtracting the base output cancels the large constant
-    # term whose rounding would otherwise dominate the difference quotient
-    def loss() -> float:
-        return float(np.sum(g_up * (forward(work, xw)[0] - base)))
-
-    return finite_difference_report(loss, targets, analytic, probes, step,
-                                    seed + 1, fail_tol)
+    return vjp_gradcheck(forward, vjp, iter_parameters, block, x, probes, step, seed,
+                         fail_tol)

@@ -28,15 +28,6 @@ class MissingModeError(KeyError):
     """An input for a registered mode was not supplied."""
 
 
-@dataclass(frozen=True)
-class ModeSequence:
-    labels: tuple[str, ...]
-
-    @classmethod
-    def parse(cls, text: str) -> "ModeSequence":
-        return cls(tuple(text))
-
-
 @dataclass
 class ModeSpec:
     """Input shape of one mode plus its projection to the common shape."""
@@ -56,7 +47,7 @@ class MultimodalBlock:
     banks: dict[str, tuple[list[Mixer], list[Mixer]]]   # per mode: token/channel per degree
     inter_token: list[Mixer]
     inter_channel: list[Mixer]
-    sequences: list[ModeSequence]
+    sequences: list[str]              # one mode label per level, e.g. "aab"
     weights: dict[int, np.ndarray]    # per sequence index: D' x d combine weights
     bias: np.ndarray | None = None
 
@@ -70,15 +61,13 @@ class MultimodalBlock:
             if len(tok) != d or len(ch) != d:
                 raise ShapeError(f"mode {mode!r} needs {d} token and channel mixers")
         for seq in self.sequences:
-            if len(seq.labels) != d:
-                raise ShapeError(f"sequence {seq.labels} length != degree {d}")
-            unknown = set(seq.labels) - set(self.modes)
+            if len(seq) != d:
+                raise ShapeError(f"sequence {seq!r} length != degree {d}")
+            unknown = set(seq) - set(self.modes)
             if unknown:
                 raise ShapeError(f"sequence uses unregistered modes {sorted(unknown)}")
-            if len(self.modes) > 1 and len(set(seq.labels)) < 2:
-                raise TrivialSequenceError(
-                    f"sequence {''.join(seq.labels)} has no cross-terms"
-                )
+            if len(self.modes) > 1 and len(set(seq)) < 2:
+                raise TrivialSequenceError(f"sequence {seq} has no cross-terms")
 
 
 @dataclass
@@ -118,7 +107,7 @@ def multimodal_forward(block: MultimodalBlock, inputs: dict[str, np.ndarray],
     out = np.zeros((block.n_out, block.d_out))
     taps: list[list[np.ndarray]] = []
     for s_idx, seq in enumerate(block.sequences):
-        ys = [banks[label][i] for i, label in enumerate(seq.labels)]
+        ys = [banks[label][i] for i, label in enumerate(seq)]
         chain = cascade(ys, block.inter_token, block.inter_channel, ledger)
         taps.append(chain)
         w = block.weights[s_idx]
@@ -154,7 +143,7 @@ def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out:
         inter_token=[random_mixer(rng, Side.TOKEN, n_out, menu) for _ in range(degree - 1)],
         inter_channel=[random_mixer(rng, Side.CHANNEL, d_out, menu)
                        for _ in range(degree - 1)],
-        sequences=[ModeSequence.parse(s) for s in sequences],
+        sequences=list(sequences),
         weights={i: _uniform(rng, (d_out, degree), 1) for i in range(len(sequences))},
     )
 
@@ -164,7 +153,7 @@ def multimodal_config(block: MultimodalBlock, seed: int | None = None) -> dict:
         "degree": block.degree,
         "target": [block.n_out, block.d_out],
         "modes": {m: [s.n_in, s.d_in] for m, s in block.modes.items()},
-        "sequences": ["".join(s.labels) for s in block.sequences],
+        "sequences": list(block.sequences),
     }
     if seed is not None:
         cfg["seed"] = seed

@@ -32,10 +32,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class NotPolynomialError(ValueError):
     """The probe residual is too large for any polynomial of this degree."""
 
-    def __init__(self, residual: float, degree: int):
+    def __init__(self, residual: float, degree: int, tol: float):
         self.residual = residual
         super().__init__(
-            f"fit residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}: "
+            f"fit residual {residual:.3e} exceeds {tol:.0e}: "
             f"not a polynomial of degree <= {degree}"
         )
 
@@ -266,7 +266,7 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     proj = system.u.T @ values
     residual = float(np.max(np.abs(values - system.u @ proj)))
     if residual > residual_tol:
-        raise NotPolynomialError(residual, degree_bound)
+        raise NotPolynomialError(residual, degree_bound, residual_tol)
     coeffs = (system.w @ proj).T
     keys = _monomial_keys(n_vars, n_channels, degree_bound)
     terms: dict[tuple[int, int], dict[MultiIndex, float]] = {}
@@ -283,6 +283,12 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     )
 
 
+def rel_dev(got, ref) -> float:
+    """Matrix-level relative deviation: max |got - ref| / max(|ref|)."""
+    scale = max(float(np.max(np.abs(ref))), 1e-12)
+    return float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))) / scale
+
+
 class HomogeneityVerdict(NamedTuple):
     passed: bool
     max_rel_err: float
@@ -297,10 +303,7 @@ def assert_homogeneous(f: Callable[[np.ndarray], np.ndarray], degree: int,
     for _ in range(trials):
         x = rng.uniform(-1.0, 1.0, size=shape)
         alpha = rng.uniform(0.5, 2.0)
-        lhs = f(alpha * x)
-        rhs = alpha ** degree * f(x)
-        scale = max(float(np.max(np.abs(rhs))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        worst = max(worst, rel_dev(f(alpha * x), alpha ** degree * f(x)))
     return HomogeneityVerdict(worst <= tol, worst)
 
 

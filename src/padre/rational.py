@@ -14,30 +14,14 @@ polynomial form.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _uniform, cascade, features, random_mixer
-from .grad import (
-    GradReport,
-    features_backward,
-    finite_difference_report,
-    upstream_probe,
-)
-from .tensor import (
-    FlopLedger,
-    Mixer,
-    NumericError,
-    Record,
-    ShapeError,
-    Side,
-    pack_records,
-    read_records,
-    unpack_records,
-    write_records,
-)
+from .block import _uniform, cascade, features, mixer_parameters, random_mixer
+from .grad import GradReport, features_backward, vjp_gradcheck
+from .tensor import (FlopLedger, Mixer, NumericError, Record, ShapeError, Side, pack_records,
+                     read_records, unpack_records, write_records)
 
 DEFAULT_EPS = 1e-6
 
@@ -163,7 +147,6 @@ def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
                 g = g + running * ys[j + 1]
             d_y[offset + j] += g * (chain[j - 1] if j else 1.0)
             running = g
-        return
 
     chain_backward(trace.k_chain, trace.y[:d], block.w_num, d_num, 0, "Wn")
     if e:
@@ -178,35 +161,15 @@ def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
 
 
 def iter_rational_parameters(block: RationalPadreBlock) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for i, m in enumerate(block.token_mixers):
-        for pname, arr in m.param_arrays():
-            out.append((f"A{i + 1}.{pname}", arr))
-    for i, m in enumerate(block.channel_mixers):
-        for pname, arr in m.param_arrays():
-            out.append((f"B{i + 1}.{pname}", arr))
-    out += [("Wn", block.w_num), ("Vn", block.bias_num),
-            ("Qd", block.w_den), ("Pd", block.bias_den)]
-    return out
+    return mixer_parameters(("A", block.token_mixers), ("B", block.channel_mixers)) + [
+        ("Wn", block.w_num), ("Vn", block.bias_num), ("Qd", block.w_den), ("Pd", block.bias_den)]
 
 
 def rational_gradcheck(block: RationalPadreBlock, x: np.ndarray, probes: int = 200,
                        step: float = 1e-4, seed: int = 0,
                        fail_tol: float = 1e-5) -> GradReport:
-    rng = np.random.default_rng(seed)
-    work = copy.deepcopy(block)
-    xw = np.array(x, dtype=np.float64, copy=True)
-    out, trace = rational_forward(work, xw)
-    g_up = upstream_probe(rng, out.shape)
-    analytic = rational_backward(work, trace, g_up)
-    targets = iter_rational_parameters(work) + [("x", xw)]
-    base = out.copy()
-
-    def loss() -> float:
-        return float(np.sum(g_up * (rational_forward(work, xw)[0] - base)))
-
-    return finite_difference_report(loss, targets, analytic, probes, step,
-                                    seed + 1, fail_tol)
+    return vjp_gradcheck(rational_forward, rational_backward, iter_rational_parameters,
+                         block, x, probes, step, seed, fail_tol)
 
 
 #: the manifest fields of a rational block container (version 2.0)

@@ -211,17 +211,12 @@ class Mixer:
         k = self.kind
         if k in (MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK):
             return self.param_count          # one MAC per parameter
-        if k == MixerKind.CONV1D:
+        if k in (MixerKind.CONV1D, MixerKind.CONV2D):
             if self.padding == PadMode.CIRCULAR:
-                return self.dim * self.kernel.shape[0]
-            return _conv_taps(self.dim, self.kernel.shape[0], self.kernel.shape[0] // 2)
-        if k == MixerKind.CONV2D:
-            kh, kw = self.kernel.shape
-            if self.padding == PadMode.CIRCULAR:
-                return self.dim * kh * kw
-            th = _conv_taps(self.grid_h, kh, kh // 2)
-            tw = _conv_taps(self.grid_w, kw, kw // 2)
-            return th * tw
+                return self.dim * self.kernel.size
+            axes = (self.dim,) if k == MixerKind.CONV1D else (self.grid_h, self.grid_w)
+            return math.prod(_conv_taps(n, kk, kk // 2)
+                             for n, kk in zip(axes, self.kernel.shape))
         return 0
 
     def param_arrays(self) -> list[tuple[str, np.ndarray]]:

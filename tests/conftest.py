@@ -8,16 +8,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np
 import pytest
 
+from padre.oracle import rel_dev  # noqa: F401  (re-exported for the test modules)
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def rel_dev(got, ref):
-    """Matrix-level relative deviation: max |got - ref| / max(|ref|)."""
-    scale = max(float(np.max(np.abs(ref))), 1e-12)
-    return float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))) / scale
 
 
 def stacked(f):

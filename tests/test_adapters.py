@@ -8,6 +8,7 @@ import pytest
 from padre import adapters as A
 from padre.oracle import assert_homogeneous, extract_coeffs, max_effective_degree
 from padre.tensor import Mixer, NumericError, Side
+from padre.verify import mamba_params
 
 from conftest import rel_dev, stacked
 from test_tensor import naive_conv2d_matrix
@@ -140,18 +141,6 @@ class TestHyena:
         h = np.array([1.0, 1.0, 0.0])
         z = np.array([1.0, 0.0, 0.0])
         np.testing.assert_array_equal(A.causal_conv(h, z), [1.0, 1.0, 0.0])
-
-
-def mamba_params(seed=0, state=4, length=8):
-    rng = np.random.default_rng(seed)
-    return A.MambaParams(
-        a_diag=rng.uniform(-1.0, -0.1, state),
-        w_b=rng.uniform(-0.8, 0.8, (state, length)),
-        w_c=rng.uniform(-0.8, 0.8, (length, state)),
-        delta_u=rng.uniform(-0.5, 0.5, length),
-        delta_v=rng.uniform(-0.5, 0.5, length),
-        beta=1.0, pi_param=0.1,
-    )
 
 
 def mamba_closed_form(p, x, delta_scale):

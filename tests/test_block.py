@@ -256,14 +256,16 @@ class TestParamCount:
 
 class TestConfig:
     def test_json_round_trip(self):
-        block = build_conv_instance(16, 4, 2, Grid(4, 4), seed=7)
-        cfg = block_config(block, seed=7)
-        back = config_from_json(config_to_json(cfg))
-        assert back["degree"] == 2 and back["N"] == 16 and back["D"] == 4
-        assert back["degree_mask"] == [2]
-        assert tuple(back["layout"]) == ("grid", 4, 4)
-        assert back["seed"] == 7
-        assert config_to_json(cfg) == config_to_json(config_from_json(config_to_json(cfg)))
+        for layout, listed in ((Grid(4, 4), ["grid", 4, 4]), (Seq1d(), ["seq1d"])):
+            block = build_conv_instance(16, 4, 2, layout, seed=7)
+            cfg = block_config(block, seed=7)
+            back = config_from_json(config_to_json(cfg))
+            assert back == cfg
+            assert back["degree"] == 2 and back["N"] == 16 and back["D"] == 4
+            assert back["degree_mask"] == [2]
+            assert back["layout"] == listed
+            assert back["seed"] == 7
+            assert block_from_config(back).layout == layout
 
     @pytest.mark.parametrize("mask", [[1, 2], [1], [2]], ids=["mask-1-2", "mask-1", "mask-2"])
     def test_layout_must_cover_n_for_every_mask(self, mask):

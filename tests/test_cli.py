@@ -2,9 +2,13 @@
 
 import os
 
+import numpy as np
 import pytest
 
+from padre import adapters as A
+from padre import verify as V
 from padre.cli import main
+from padre.verify import CheckResult
 
 
 class TestExpand:
@@ -56,6 +60,46 @@ class TestVerify:
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PADRE_SEED", "7")
         assert main(["verify", "equivalence", "--scheme", "hyena", "--seed", "0"]) == 0
+
+    @pytest.mark.parametrize("argv", [["verify"], ["verify", "equivalence"]],
+                             ids=["all", "equivalence"])
+    def test_failing_check_exits_one(self, argv, capsys, monkeypatch):
+        failing = CheckResult("scheme=hyena", 1.0, 1e-10, False, "forced failure")
+        monkeypatch.setitem(V.CHECKS, "scheme=hyena", lambda seed=0: failing)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] scheme=hyena max_dev=1.000e+00" in out
+        assert out.count("[FAIL]") == 1
+
+    def test_plan_deviation_becomes_failing_record(self, monkeypatch):
+        def deviating(*args, **kwargs):
+            raise A.EquivalenceError(0.25, 1e-10)
+        monkeypatch.setattr(A, "verify_plan", deviating)
+        rec = V.check_conv2former()
+        assert not rec.passed
+        assert (rec.worst, rec.tol) == (0.25, 1e-10)
+        assert "2.500e-01" in rec.detail
+
+    @pytest.mark.parametrize("loader,field", [("load_block", "weights"),
+                                              ("load_rational", "bias_den")])
+    def test_round_trip_fails_on_nan_in_a_later_array(self, loader, field, monkeypatch):
+        real = getattr(V, loader)
+
+        def corrupted(path):
+            block = real(path)
+            bad = getattr(block, field).copy()
+            bad.flat[0] = np.nan
+            setattr(block, field, bad)
+            return block
+        monkeypatch.setattr(V, loader, corrupted)
+        rec = V.check_round_trip()
+        assert not rec.passed
+        assert "changed on reload" in rec.detail
+
+    def test_state_space_law_keeps_its_instances_at_any_seed(self):
+        rec = V.check_state_space_law(7)
+        assert rec.passed, rec
+        assert rec == V.check_state_space_law(0)
 
 
 class TestGradcheckCommand:
@@ -111,3 +155,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,env", [
+        (["verify", "--seed", "-1"], None),
+        (["verify", "equivalence", "--scheme", "hyena"], "abc"),
+        (["verify", "equivalence", "--scheme", "hyena"], "-1"),
+        (["gradcheck", "--probes", "0"], None),
+    ], ids=["flag-negative", "env-not-integer", "env-negative", "zero-probes"])
+    def test_bad_value_exits_two(self, argv, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("PADRE_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >=" in capsys.readouterr().err

@@ -56,6 +56,12 @@ class TestExtractCoeffs:
             with pytest.raises(NotPolynomialError):
                 extract_coeffs(stacked(lambda x: softmax_attention(p, x)), 2, 1, deg)
 
+    def test_not_polynomial_names_the_callers_tolerance(self):
+        p = AttnParams(np.eye(1), np.eye(1), np.eye(1), d_k=1)
+        with pytest.raises(NotPolynomialError, match=r"fit residual \S+ exceeds 1e-03"):
+            extract_coeffs(stacked(lambda x: softmax_attention(p, x)), 2, 1, 2,
+                           residual_tol=1e-3)
+
     @pytest.mark.parametrize("f", [lambda xs: xs[0], lambda xs: xs.reshape(len(xs), -1),
                                    lambda xs: xs[:-1], lambda xs: xs.sum()],
                              ids=["one-probe", "flattened", "one-short", "scalar"])

@@ -16,6 +16,7 @@ from padre.rational import (
 from padre.adapters import SimaParams, sima_as_padre, sima_forward
 from padre.oracle import assert_homogeneous
 from padre.tensor import Mixer, Side
+from padre.verify import check_rational_scale_law
 
 from conftest import rel_dev
 
@@ -109,21 +110,9 @@ class TestDegreeStructure:
         for k in (1, 2):
             assert assert_homogeneous(den_tap(k), k, trials=20, shape=(4, 2)).passed
 
-    @pytest.mark.parametrize("j,k", [(1, 2), (2, 1), (2, 2)])
-    def test_scale_law(self, j, k, rng):
-        block = random_rational_block(4, 2, 2, 2, seed=6)
-        block.epsilon = 0.0
-        block.w_num[:] = 0.0
-        block.w_num[:, :, j - 1] = 1.0
-        block.w_den[:] = 0.0
-        block.w_den[:, :, k - 1] = 1.0
-        block.bias_num[:] = 0.0
-        block.bias_den[:] = 0.0
-        x = rng.uniform(0.3, 1.0, (4, 2))
-        alpha = 1.6
-        base, _ = rational_forward(block, x)
-        scaled, _ = rational_forward(block, alpha * x)
-        assert rel_dev(scaled, alpha ** (j - k) * base) <= 1e-9
+    def test_scale_law(self):
+        rec = check_rational_scale_law()
+        assert rec.passed, rec
 
 
 class TestGradcheck:
