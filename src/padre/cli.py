@@ -11,6 +11,8 @@ import os
 import sys
 
 # Pin BLAS pools before numpy comes in, so bench timing stays single-threaded.
+# ``import padre`` loads no numpy, so this runs first under the console script
+# and ``python -m padre``.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -49,10 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--schemes", nargs="+", default=["padre-2", "padre-3", "padre-4",
                                                     "softmax-attn"],
                    help=f"subset of: {', '.join(ALL_SCHEMES)}")
-    b.add_argument("--n-list", nargs="+", type=int, default=list(DEFAULT_N_LIST))
-    b.add_argument("--channels", type=int, default=DEFAULT_CHANNELS)
-    b.add_argument("--reps", type=int, default=20)
-    b.add_argument("--warmup", type=int, default=3)
+    b.add_argument("--n-list", nargs="+", type=_int_at_least(1), default=list(DEFAULT_N_LIST))
+    b.add_argument("--channels", type=_int_at_least(1), default=DEFAULT_CHANNELS)
+    b.add_argument("--reps", type=_int_at_least(5), default=20)
+    b.add_argument("--warmup", type=_int_at_least(0), default=3)
     b.add_argument("--out", default="bench.csv")
     b.add_argument("--fits-out", default=None,
                    help="also write log-log exponent fits to this path")
@@ -62,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--scheme", choices=verify_mod.SCHEMES, default=None)
 
     e = sub.add_parser("expand", help="dump the exact polynomial of a small block")
-    e.add_argument("--n", type=int, default=2, help="token count")
-    e.add_argument("--channels", type=int, default=2)
-    e.add_argument("-d", "--d", "--degree", dest="degree", type=int, default=2,
+    e.add_argument("--n", type=_int_at_least(1), default=2, help="token count")
+    e.add_argument("--channels", type=_int_at_least(1), default=2)
+    e.add_argument("-d", "--d", "--degree", dest="degree", type=_int_at_least(1), default=2,
                    help="block degree (also the extraction bound)")
     e.add_argument("--config", default=None,
                    help="build the block from a JSON config instead of flags")
@@ -74,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--step", type=float, default=1e-4)
 
     a = sub.add_parser("approx-attn", help="truncated-series attention error sweep")
-    a.add_argument("--max-degree", type=int, default=12)
+    a.add_argument("--max-degree", type=_int_at_least(0), default=12)
     a.add_argument("--l-bound", type=float, default=1.0)
     for command in (b, v, e, g, a):
         command.add_argument("--seed", type=_seed, default=0)

@@ -7,10 +7,16 @@ Conventions used throughout the package:
   is mixed exactly as it would be alone, bit for bit.
 * A token-side mixer is a linear operator acting on the left (an implicit
   N x N matrix); a channel-side mixer acts on the right (D x D).
+* Same-size convolutions run as tiled Toeplitz GEMMs (``_apply_conv``):
+  each tile of ``TILE`` outputs along the last convolution axis is one small
+  matrix product per kernel row, with a banded matrix holding that row's
+  taps.  Only rounding separates the result from a tap-by-tap sum, within
+  ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
 * Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
-  sample and multiplied by the batch size.  Convolution counts exclude taps
-  that fall on zero padding, so boundary outputs are cheaper than interior
-  ones; circular padding always uses the full kernel.
+  sample and multiplied by the batch size.  A convolution counts the
+  operator's MACs, not the zeros inside its banded matrices, and excludes
+  taps that fall on zero padding, so boundary outputs are cheaper than
+  interior ones; circular padding always uses the full kernel.
 """
 
 from __future__ import annotations
@@ -30,9 +36,13 @@ MAGIC = b"PADREW01"
 RAW_TENSOR_TAG = 200
 MANIFEST_TAG = 201
 
-#: output bytes per band of the convolution tap loop; a band's output and
-#: padded input should fit in a core's L2 cache
+#: output bytes per band of a convolution (and of its kernel gradient's tap
+#: loop); a band's output and padded input should fit in a core's L2 cache
 BAND_BYTES = 256 * 1024
+
+#: outputs per tile of a convolution's last axis; each tile is one small
+#: GEMM per kernel row
+TILE = 8
 
 
 class ShapeError(ValueError):
@@ -241,8 +251,8 @@ def _conv_taps(n: int, k: int, anchor: int) -> int:
     return int(np.sum(hi - lo + 1))
 
 
-def _conv_padded(m: Mixer, x: np.ndarray,
-                 transpose: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def _conv_padded(m: Mixer, x: np.ndarray, transpose: bool,
+                 extra: int = 0) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """View ``x`` with the convolution axes split out, and pad it.
 
     Returns the view (token grid ``(..., H, W, D)``, channel grid
@@ -250,7 +260,8 @@ def _conv_padded(m: Mixer, x: np.ndarray,
     convolution axes, which sit behind any batch axes.  The copy is built
     directly: zeros with the view copied into the interior, or a modular
     ``take`` per axis for circular padding.  With ``transpose`` the anchor
-    is mirrored.
+    is mirrored.  The last convolution axis gets ``extra`` more padding
+    values at its end, which only outputs past the view's end read.
     """
     *batch, n, d = x.shape
     nb = len(batch)
@@ -260,17 +271,19 @@ def _conv_padded(m: Mixer, x: np.ndarray,
         xv, axes = x.reshape(*batch, m.grid_h, m.grid_w, d), (nb, nb + 1)
     else:
         xv, axes = x.reshape(*batch, n, m.grid_h, m.grid_w), (nb + 1, nb + 2)
-    pads = [(ax, k, k - 1 - k // 2 if transpose else k // 2)
-            for ax, k in zip(axes, m.kernel.shape)]
+    widths = [k - 1 for k in m.kernel.shape]
+    widths[-1] += extra
+    pads = [(ax, width, k - 1 - k // 2 if transpose else k // 2)
+            for ax, width, k in zip(axes, widths, m.kernel.shape)]
     if m.padding == PadMode.CIRCULAR:
         xp = xv
-        for ax, k, before in pads:
+        for ax, width, before in pads:
             size = xv.shape[ax]
-            xp = xp.take(np.arange(-before, size + k - 1 - before) % size, axis=ax)
+            xp = xp.take(np.arange(-before, size + width - before) % size, axis=ax)
         return xv, xp, axes
     shape, interior = list(xv.shape), [slice(None)] * xv.ndim
-    for ax, k, before in pads:
-        shape[ax] += k - 1
+    for ax, width, before in pads:
+        shape[ax] += width
         interior[ax] = slice(before, before + xv.shape[ax])
     xp = np.zeros(shape, dtype=xv.dtype)
     xp[tuple(interior)] = xv
@@ -302,24 +315,81 @@ def _bands(xv: np.ndarray, xp: np.ndarray, axes: tuple[int, ...], k0: int):
         yield slice(r0, r0 + rows), xp[r0:r0 + rows + halo]
 
 
+def _toeplitz(kern: np.ndarray, tile: int) -> np.ndarray:
+    """Kernel rows as banded matrices: ``t[a, i + j, i] = kern[a, j]``.
+
+    Shape ``(kh, tile + kw - 1, tile)``: a row of ``tile + kw - 1`` padded
+    inputs times ``t[a]`` is ``tile`` outputs of the correlation with kernel
+    row ``a``.  The taps are written through one strided view of ``t``'s
+    diagonals, with no loop over taps.
+    """
+    kh, kw = kern.shape
+    t = np.zeros((kh, tile + kw - 1, tile))
+    s0, s1, s2 = t.strides
+    np.ndarray((kh, tile, kw), t.dtype, t, 0, (s0, s1 + s2, s1))[...] = kern[:, None, :]
+    return t
+
+
 def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     """Same-size correlation out[i] = sum_j kernel[j] * x[i + j - anchor].
 
     The transpose of a same-size correlation is correlation with the flipped
     kernel at the mirrored anchor, under both padding modes.
 
-    The tap loop runs band by band (``_bands``), so one band's output and
-    padded input stay in cache across all taps.  Each output element still
-    receives the same updates in the same tap order, so the result is
-    bit-identical to a single pass over the whole view.
+    The correlation runs as tiled Toeplitz GEMMs.  The last convolution axis
+    is cut into tiles of ``TILE`` outputs (one tile if the axis is shorter),
+    and a tile of an output row is ``sum_a window_a @ t[a]`` over the kernel
+    rows ``a``: ``t`` holds the banded matrices of ``_toeplitz`` and
+    ``window_a`` is a strided view of the padded copy, so no input is copied
+    per tile.  A conv1d is the one-kernel-row case, over a unit axis.  The
+    GEMMs run band by band (``_bands``) into the output and one band-sized
+    buffer, which stay in cache across the kernel rows.  Each sample of a
+    batch runs the same GEMMs as alone, so batching changes no bit.
+
+    Against a tap-by-tap sum only rounding differs, within
+    ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A non-finite
+    input reaches every output of the tiles that read it (``0 * inf`` is
+    NaN).  ``apply_mixer``'s ledger counts the operator's MACs, not the
+    zeros inside ``t``.
     """
-    xv, xp, axes = _conv_padded(m, x, transpose)
     kern = np.flip(m.kernel) if transpose else m.kernel
-    out = np.zeros_like(xv)
-    for rows, xb in _bands(xv, xp, axes, kern.shape[0]):
-        band = out[rows]
-        for tap, win in _windows(xb, axes, kern.shape):
-            band += kern[tap] * win
+    n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
+    tile = min(TILE, n)
+    xv, xp, axes = _conv_padded(m, x, transpose, extra=-n % tile)
+    if kern.ndim == 1:
+        r = axes[0]
+        xv = xv.reshape(xv.shape[:r] + (1,) + xv.shape[r:])
+        xp = xp.reshape(xp.shape[:r] + (1,) + xp.shape[r:])
+        axes, kern = (r, r + 1), kern[None]
+    r, ax = axes
+    kh, kw = kern.shape
+    n_tiles = -(-n // tile)
+    # tiles of the last conv axis: outputs (..., n_tiles, tile, ...) and the
+    # overlapping windows (..., n_tiles, tile + kw - 1, ...) they read
+    out = np.empty(xv.shape[:ax] + (n_tiles, tile) + xv.shape[ax + 1:], dtype=xv.dtype)
+    step = xp.strides[ax]
+    xt = np.ndarray(xp.shape[:ax] + (n_tiles, tile + kw - 1) + xp.shape[ax + 1:], xp.dtype, xp,
+                    0, xp.strides[:ax] + (tile * step, step) + xp.strides[ax + 1:])
+    # each GEMM is (channels on the token side, tokens on the channel side)
+    # by tile: move that axis and the tile axis last
+    rows = out.ndim - 1 if m.side == Side.TOKEN else r - 1
+    perm = [i for i in range(out.ndim) if i not in (rows, ax + 1)] + [rows, ax + 1]
+    t = _toeplitz(kern, tile)
+    lead = (slice(None),) * r
+    buf = None
+    for band, xb in _bands(xv, xt, axes, kh):
+        ob = out[band]
+        if buf is None:
+            buf = np.empty_like(ob)
+        tb = buf[:len(ob)]
+        for a in range(kh):
+            win = xb[lead + (slice(a, a + ob.shape[r]),)]
+            np.matmul(win.transpose(perm), t[a], out=(tb if a else ob).transpose(perm))
+            if a:
+                ob += tb
+    if n_tiles * tile > n:
+        out = out.reshape(xv.shape[:ax] + (n_tiles * tile,) + xv.shape[ax + 1:])
+        out = out[(slice(None),) * ax + (slice(n),)]
     return out.reshape(x.shape)
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI surface: subcommands, exit codes, output formats."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,7 +163,17 @@ class TestUsageErrors:
         (["verify", "equivalence", "--scheme", "hyena"], "abc"),
         (["verify", "equivalence", "--scheme", "hyena"], "-1"),
         (["gradcheck", "--probes", "0"], None),
-    ], ids=["flag-negative", "env-not-integer", "env-negative", "zero-probes"])
+        (["expand", "--n", "0"], None),
+        (["expand", "--channels", "0"], None),
+        (["expand", "--degree", "0"], None),
+        (["bench", "--reps", "4"], None),
+        (["bench", "--warmup", "-1"], None),
+        (["bench", "--channels", "0"], None),
+        (["bench", "--n-list", "16", "0"], None),
+        (["approx-attn", "--max-degree", "-1"], None),
+    ], ids=["flag-negative", "env-not-integer", "env-negative", "zero-probes", "expand-n",
+            "expand-channels", "expand-degree", "bench-reps", "bench-warmup",
+            "bench-channels", "bench-n-list", "approx-attn-max-degree"])
     def test_bad_value_exits_two(self, argv, env, monkeypatch, capsys):
         if env is not None:
             monkeypatch.setenv("PADRE_SEED", env)
@@ -169,3 +181,36 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "expected an integer >=" in capsys.readouterr().err
+
+
+#: prepended to a launcher: prints the BLAS thread variables as numpy's first import starts
+NUMPY_IMPORT_SPY = """
+import os, sys
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+class NumpySpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print("at numpy import:", *(os.environ.get(v) for v in THREAD_VARS))
+        return None
+
+sys.meta_path.insert(0, NumpySpy())
+"""
+
+
+@pytest.mark.parametrize("launcher", [
+    "from padre.cli import main; sys.exit(main())",
+    "import runpy; runpy.run_module('padre', run_name='__main__', alter_sys=True)",
+], ids=["console-script", "python-m"])
+def test_blas_pools_pinned_before_numpy_loads(launcher):
+    # the console script runs the first launcher; `python -m padre` the second
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY + launcher, "approx-attn",
+                          "--max-degree", "0"], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.splitlines()[0] == "at numpy import: 1 1 1 1"

@@ -192,22 +192,35 @@ def padded_correlation(xv, kern, axes, circular, transpose):
     return out
 
 
-def banded_cases(test):
-    """Parametrize ``test`` over conv kind and side, padding and kernel parity."""
+def assert_within_rounding(got, xv, kern, axes, circular, transpose):
+    """``got`` is the correlation of ``xv`` up to rounding, elementwise:
+    ``|got - exact| <= 1e-13 * sum_tap |kernel[tap] * window|``."""
+    ref = padded_correlation(xv, kern, axes, circular, transpose)
+    scale = padded_correlation(np.abs(xv), np.abs(kern), axes, circular, transpose)
+    assert np.all(np.abs(got.reshape(ref.shape) - ref) <= 1e-13 * scale)
+
+
+def conv_cases(test, *more):
+    """Parametrize ``test`` over conv kind and side, padding, then the ``more`` marks."""
     for mark in (
         pytest.mark.parametrize("kind,side", [
             (MixerKind.CONV1D, Side.TOKEN), (MixerKind.CONV1D, Side.CHANNEL),
             (MixerKind.CONV2D, Side.TOKEN), (MixerKind.CONV2D, Side.CHANNEL),
         ], ids=["conv1d-token", "conv1d-channel", "conv2d-token", "conv2d-channel"]),
         pytest.mark.parametrize("padding", list(PadMode), ids=lambda p: p.name.lower()),
-        pytest.mark.parametrize("even", [False, True], ids=["odd", "even"]),
+        *more,
     ):
         test = mark(test)
     return test
 
 
+def banded_cases(test):
+    """Parametrize ``test`` over conv kind and side, padding and kernel parity."""
+    return conv_cases(test, pytest.mark.parametrize("even", [False, True], ids=["odd", "even"]))
+
+
 class TestBandedConv:
-    """Inputs span three full bands of the tap loop plus a partial one."""
+    """Inputs span three full bands of ``_bands`` plus a partial one."""
 
     LEAD, GRID_H = 14, 10     # leading axis of the conv view; 4 rows per band
 
@@ -240,12 +253,11 @@ class TestBandedConv:
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
     @banded_cases
-    def test_bit_identical_to_unbanded_reference(self, rng, kind, side, padding, even,
-                                                 transpose):
+    def test_within_rounding_of_unbanded_reference(self, rng, kind, side, padding, even,
+                                                   transpose):
         m, x, xv, kern, axes = self.case(rng, kind, side, padding, even)
         got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
-        ref = padded_correlation(xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
-        assert np.array_equal(got, ref.reshape(x.shape))
+        assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
 
     @banded_cases
     def test_kernel_grad_matches_whole_tensor_sums(self, rng, kind, side, padding, even):
@@ -257,6 +269,53 @@ class TestBandedConv:
         xp = pad_view(xv, kern.shape, axes, padding == PadMode.CIRCULAR)
         for tap, win in shifted_windows(xp, axes, kern.shape, xv.shape):
             assert abs(got[tap] - np.sum(gv * win)) <= 1e-13 * np.sum(np.abs(gv * win))
+
+
+def conv_case(rng, kind, side, padding, n, k):
+    """A conv mixer over convolved axes all ``n`` long with ``k``-wide kernel axes.
+
+    Returns the mixer, its input ``x`` (3 vectors), the conv view of ``x``,
+    the kernel and the view's convolved axes.
+    """
+    conv = (n,) if kind == MixerKind.CONV1D else (n, n)
+    kern = rng.uniform(-1, 1, (k,) * len(conv))
+    m = (Mixer.conv1d(side, kern, n, padding) if kind == MixerKind.CONV1D
+         else Mixer.conv2d(side, kern, n, n, padding))
+    if side == Side.TOKEN:
+        xv = rng.uniform(-1, 1, conv + (3,))
+        return m, xv.reshape(-1, 3), xv, kern, tuple(range(len(conv)))
+    xv = rng.uniform(-1, 1, (3,) + conv)
+    return m, xv.reshape(3, -1), xv, kern, tuple(range(1, len(conv) + 1))
+
+
+class TestConvTiles:
+    """Convolved axes cut into ``TILE``-output tiles: whole, partial and single tiles."""
+
+    SIZES = pytest.mark.parametrize("n,k", [(16, 3), (13, 4), (5, 3), (13, 11)], ids=[
+        "whole-tiles", "partial-tile", "shorter-than-tile", "kernel-wider-than-tile"])
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
+    @SIZES
+    @conv_cases
+    def test_within_rounding_of_reference(self, rng, kind, side, padding, n, k, transpose):
+        m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
+        got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
+        assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
+
+    @SIZES
+    @conv_cases
+    def test_batch_stacks_and_transpose_is_adjoint(self, rng, kind, side, padding, n, k):
+        m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
+        xs = rng.uniform(-1, 1, (2, 3) + x.shape)
+        for apply in (apply_mixer, apply_mixer_transpose):
+            want = np.stack([apply(m, s) for s in xs.reshape(6, *x.shape)])
+            assert np.array_equal(apply(m, xs), want.reshape(xs.shape))
+        # <M x, g> = <x, M^T g>, relative to sum |M| |x| |g|
+        g = rng.uniform(-1, 1, x.shape)
+        lhs, rhs = np.vdot(apply_mixer(m, x), g), np.vdot(x, apply_mixer_transpose(m, g))
+        scale = padded_correlation(np.abs(xv), np.abs(kern), axes,
+                                   padding == PadMode.CIRCULAR, False)
+        assert abs(lhs - rhs) <= 1e-13 * np.vdot(scale, np.abs(g).reshape(scale.shape))
 
 
 class TestBatch:
