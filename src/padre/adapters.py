@@ -2,8 +2,8 @@
 machine-checked reductions of each to polynomial-cascade primitives.
 
 Each scheme gets a direct forward pass written in the scheme's own natural
-factorization, and (where the reduction is exact) an evaluation *plan* built
-solely from structured mixers, Hadamard cascades, and weighted combines.
+factorization, and (where the reduction is exact) an evaluation *plan*: a
+sum of ``PadreBlock`` cascades built solely from structured mixers.
 The plan and the direct pass are independent computational routes; their
 agreement on random inputs is the equivalence certificate.
 
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .block import cascade, features
+from .block import PadreBlock, WMode, forward
 from .oracle import rel_dev
 from .tensor import FlopLedger, LayoutError, Mixer, ShapeError, Side, apply_mixer
 
@@ -53,19 +53,17 @@ class EquivalenceError(ValueError):
 # Cascade plans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PlanCascade:
-    """One Hadamard cascade Z_1 = Y_1, Z_{j+1} = (C_j Z_j D_j) * Y_{j+1}."""
-
-    token: list[Mixer]
-    channel: list[Mixer]
-    inter_token: list[Mixer]
-    inter_channel: list[Mixer]
-    weight: float = 1.0
-
-    def top_tap(self, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
-        ys = features(self.token, self.channel, x, ledger)
-        return cascade(ys, self.inter_token, self.inter_channel, ledger)[-1]
+def plan_cascade(token: list[Mixer], channel: list[Mixer], inter_token: list[Mixer],
+                 inter_channel: list[Mixer], weight: float = 1.0) -> PadreBlock:
+    """One Hadamard cascade Z_1 = Y_1, Z_{j+1} = (C_j Z_j D_j) * Y_{j+1} as a
+    block whose combine keeps only the top tap, scaled by ``weight``."""
+    d = len(token)
+    weights = np.zeros(d)
+    weights[-1] = weight
+    return PadreBlock(degree=d, n_tokens=token[0].dim, n_channels=channel[0].dim,
+                      token_mixers=token, channel_mixers=channel, inter_token=inter_token,
+                      inter_channel=inter_channel, w_mode=WMode.SCALAR_PER_DEGREE,
+                      weights=weights, degree_mask=frozenset({d}))
 
 
 @dataclass
@@ -79,17 +77,15 @@ class PadrePlan:
 
     n_tokens: int
     n_channels: int
-    cascades: list[PlanCascade]
+    cascades: list[PadreBlock]
     normalizers: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
         out = np.zeros((self.n_tokens, self.n_channels))
         etas = self.normalizers(x) if self.normalizers is not None else None
-        for idx, cascade in enumerate(self.cascades):
-            w = cascade.weight if etas is None else cascade.weight / etas[idx]
-            out += w * cascade.top_tap(x, ledger)
-        if ledger is not None:
-            ledger.add("combine", len(self.cascades) * out.size)
+        for idx, blk in enumerate(self.cascades):
+            term = forward(blk, x, ledger)[0]
+            out += term if etas is None else term / etas[idx]
         return out
 
 
@@ -118,7 +114,7 @@ def _token_sum(n_tokens: int) -> Mixer:
     return Mixer.low_rank(Side.TOKEN, np.ones((n_tokens, 1)), np.ones((1, n_tokens)))
 
 
-def _qkv_cascades(w_q, w_k, w_v, n_tokens: int, weight: float) -> list[PlanCascade]:
+def _qkv_cascades(w_q, w_k, w_v, n_tokens: int, weight: float) -> list[PadreBlock]:
     """Cascades realizing Q (K^T V) as a sum of D degree-3 Hadamard chains.
 
     Chain i: Y1 broadcasts column i of K, Y2 = V, Y3 broadcasts column i of
@@ -129,7 +125,7 @@ def _qkv_cascades(w_q, w_k, w_v, n_tokens: int, weight: float) -> list[PlanCasca
     ident_t, ident_c = Mixer.identity(Side.TOKEN, n_tokens), Mixer.identity(Side.CHANNEL, d_ch)
     out = []
     for i in range(d_ch):
-        out.append(PlanCascade(
+        out.append(plan_cascade(
             token=[ident_t, ident_t, ident_t],
             channel=[_broadcast_column(w_k, i, d_ch), Mixer.dense(Side.CHANNEL, w_v),
                      _broadcast_column(w_q, i, d_ch)],
@@ -178,20 +174,17 @@ def sima_numerator(p: SimaParams, x: np.ndarray) -> np.ndarray:
     return q @ (k.T @ v)
 
 
-def sima_as_padre(p: SimaParams, n_tokens: int, verify_trials: int = 100,
-                  seed: int = 0, tol: float = 1e-10) -> PadrePlan:
+def sima_as_padre(p: SimaParams, n_tokens: int) -> PadrePlan:
     """Cascade plan for SimA; per-cascade l1 normalizers form the denominator."""
 
     def normalizers(x: np.ndarray) -> np.ndarray:
         return _l1_cols(x @ p.w_q, "Q") * _l1_cols(x @ p.w_k, "K")
 
-    plan = PadrePlan(
+    return PadrePlan(
         n_tokens=n_tokens, n_channels=p.w_q.shape[0],
         cascades=_qkv_cascades(p.w_q, p.w_k, p.w_v, n_tokens, 1.0),
         normalizers=normalizers,
     )
-    verify_plan(lambda x: sima_forward(p, x), plan, verify_trials, seed, tol)
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +232,17 @@ def conv2former_forward(p: Conv2FormerParams, x: np.ndarray,
     return a * v
 
 
-def conv2former_as_padre(p: Conv2FormerParams, verify_trials: int = 100,
-                         seed: int = 0, tol: float = 1e-10) -> PadrePlan:
+def conv2former_as_padre(p: Conv2FormerParams) -> PadrePlan:
     n = p.grid_h * p.grid_w
     d_ch = p.w1.shape[0]
-    cascade = PlanCascade(
+    cascade = plan_cascade(
         token=[Mixer.conv2d(Side.TOKEN, p.kernel, p.grid_h, p.grid_w),
                Mixer.identity(Side.TOKEN, n)],
         channel=[Mixer.dense(Side.CHANNEL, p.w1), Mixer.dense(Side.CHANNEL, p.w2)],
         inter_token=[Mixer.identity(Side.TOKEN, n)],
         inter_channel=[Mixer.identity(Side.CHANNEL, d_ch)],
     )
-    plan = PadrePlan(n_tokens=n, n_channels=d_ch, cascades=[cascade])
-    verify_plan(lambda x: conv2former_forward(p, x), plan, verify_trials, seed, tol)
-    return plan
+    return PadrePlan(n_tokens=n, n_channels=d_ch, cascades=[cascade])
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +404,15 @@ def castling_forward(p: CastlingParams, x: np.ndarray,
     return out
 
 
-def castling_as_padre(p: CastlingParams, verify_trials: int = 100, seed: int = 0,
-                      tol: float = 1e-10) -> PadrePlan:
+def castling_as_padre(p: CastlingParams) -> PadrePlan:
     """Degree-3 cascades for the kernelized term plus two degree-1 branches."""
     n = p.dw.dim
     d_ch = p.w_q.shape[0]
     cascades = _qkv_cascades(p.w_q, p.w_k, p.w_v, n, 1.0 / math.pi)
-    cascades += [PlanCascade(token=[token], channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
-                             inter_token=[], inter_channel=[], weight=weight)
+    cascades += [plan_cascade(token=[token], channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
+                              inter_token=[], inter_channel=[], weight=weight)
                  for token, weight in ((Mixer.identity(Side.TOKEN, n), 0.5), (p.dw, 1.0))]
-    plan = PadrePlan(n_tokens=n, n_channels=d_ch, cascades=cascades)
-    verify_plan(lambda x: castling_forward(p, x), plan, verify_trials, seed, tol)
-    return plan
+    return PadrePlan(n_tokens=n, n_channels=d_ch, cascades=cascades)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ elementwise.
 
 One bank of linear features Y_1..Y_{d+e} feeds two plain Hadamard chains:
 K_j = Y_1 * ... * Y_j builds the numerator degrees and L_k = Y_{d+1} * ... *
-Y_{d+k} the denominator degrees.  Each chain gets its own full combine
-weights and bias, and the output is N / D entrywise.  Training-style use can
+Y_{d+k} the denominator degrees.  Each chain is a ``PadreBlock`` with
+identity inter-degree mixers and its own full combine weights and bias
+(``chain_blocks``), so ``block.forward`` and ``grad.backward`` run both, and
+the output is N / D entrywise.  Training-style use can
 stabilize the division as N / (D^2 + eps); with stabilization off, any
 denominator entry at or below eps in magnitude is an error.
 
@@ -18,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _uniform, cascade, features, mixer_parameters, random_mixer
-from .grad import GradReport, features_backward, vjp_gradcheck
+from .block import (PadreBlock, PadreTrace, WMode, _uniform, forward, mixer_parameters,
+                    random_mixer)
+from .grad import GradBundle, GradReport, backward, vjp_gradcheck
 from .tensor import (FlopLedger, Mixer, NumericError, Record, ShapeError, Side, pack_records,
                      read_records, unpack_records, write_records)
 
 DEFAULT_EPS = 1e-6
+#: the least denominator bias of a seeded block (``random_rational_block``)
+DEN_BIAS_FLOOR = 2.0
 
 
 class DenominatorError(ArithmeticError):
@@ -53,57 +58,68 @@ class RationalPadreBlock:
 
     def __post_init__(self):
         d, e, n, dc = self.num_degree, self.den_degree, self.n_tokens, self.n_channels
-        if d < 1 or e < 0:
-            raise ShapeError(f"need num degree >= 1 and den degree >= 0, got {d}/{e}")
-        if len(self.token_mixers) != d + e or len(self.channel_mixers) != d + e:
-            raise ShapeError("need d+e token and channel mixers")
-        for mixers, side, dim in ((self.token_mixers, Side.TOKEN, n),
-                                  (self.channel_mixers, Side.CHANNEL, dc)):
-            if any(m.side != side or m.dim != dim for m in mixers):
-                raise ShapeError(f"{side.name.lower()} mixers must act on that side with dim {dim}")
-        if self.w_num.shape != (n, dc, d) or self.w_den.shape != (n, dc, e):
-            raise ShapeError("combine weights must be N x D x d and N x D x e")
-        if self.bias_num.shape != (n, dc) or self.bias_den.shape != (n, dc):
-            raise ShapeError("combine biases must be N x D")
+        if e < 0 or len(self.token_mixers) != d + e or len(self.channel_mixers) != d + e:
+            raise ShapeError(f"need den degree >= 0 and d+e token and channel mixers, "
+                             f"got {d}/{e}")
+        if e == 0:    # no denominator chain checks the bare bias
+            if self.w_den.shape != (n, dc, 0) or self.bias_den.shape != (n, dc):
+                raise ShapeError("a degree-0 denominator needs N x D x 0 weights and an "
+                                 "N x D bias")
+            if not np.isfinite(self.bias_den).all():
+                raise NumericError("block-params", "combine weights and biases must be finite")
         if not self.epsilon >= 0:
             raise ShapeError(f"epsilon must be nonnegative, got {self.epsilon}")
-        for a in (self.w_num, self.bias_num, self.w_den, self.bias_den):
-            if not np.isfinite(a).all():
-                raise NumericError("block-params", "combine weights and biases must be finite")
+        chain_blocks(self)     # the chains check the mixers, degrees, weights and biases
+
+
+def chain_blocks(block: RationalPadreBlock) -> tuple[PadreBlock, PadreBlock | None]:
+    """The numerator and denominator as plain-chain ``PadreBlock``s over the
+    block's own arrays: identity inter-degree mixers, FULL weights, every
+    degree in the mask, and a bias.  With e = 0 there is no denominator
+    block; the denominator is its bias."""
+    d, e, n, dc = block.num_degree, block.den_degree, block.n_tokens, block.n_channels
+
+    def chain(first: int, k: int, weights: np.ndarray, bias: np.ndarray) -> PadreBlock:
+        return PadreBlock(
+            degree=k, n_tokens=n, n_channels=dc,
+            token_mixers=block.token_mixers[first:first + k],
+            channel_mixers=block.channel_mixers[first:first + k],
+            inter_token=[Mixer.identity(Side.TOKEN, n)] * (k - 1),
+            inter_channel=[Mixer.identity(Side.CHANNEL, dc)] * (k - 1),
+            w_mode=WMode.FULL, weights=weights, degree_mask=frozenset(range(1, k + 1)),
+            bias=bias)
+
+    return (chain(0, d, block.w_num, block.bias_num),
+            chain(d, e, block.w_den, block.bias_den) if e else None)
 
 
 @dataclass
 class RationalTrace:
-    x: np.ndarray
-    y: list[np.ndarray]
-    k_chain: list[np.ndarray]
-    l_chain: list[np.ndarray]
-    num: np.ndarray
+    num_trace: PadreTrace
+    den_trace: PadreTrace | None
     den: np.ndarray
     output: np.ndarray
+
+    @property
+    def k_chain(self) -> list[np.ndarray]:
+        return self.num_trace.z
+
+    @property
+    def l_chain(self) -> list[np.ndarray]:
+        return self.den_trace.z if self.den_trace is not None else []
 
 
 def rational_forward(block: RationalPadreBlock, x: np.ndarray,
                      ledger: FlopLedger | None = None) -> tuple[np.ndarray, RationalTrace]:
     if x.shape != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} != ({block.n_tokens}, {block.n_channels})")
-    d, e = block.num_degree, block.den_degree
-    y = features(block.token_mixers, block.channel_mixers, x, ledger)
-    # plain chains: identity inter-degree mixers, which add no MACs
-    ident_t = Mixer.identity(Side.TOKEN, block.n_tokens)
-    ident_c = Mixer.identity(Side.CHANNEL, block.n_channels)
-    k_chain = cascade(y[:d], [ident_t] * (d - 1), [ident_c] * (d - 1), ledger)
-    l_chain = cascade(y[d:], [ident_t] * (e - 1), [ident_c] * (e - 1), ledger)
-    num = np.zeros_like(x)
-    for j in range(d):
-        num += block.w_num[:, :, j] * k_chain[j]
-    num = num + block.bias_num
-    den = np.zeros_like(x)
-    for j in range(e):
-        den += block.w_den[:, :, j] * l_chain[j]
-    den = den + block.bias_den
+    num_block, den_block = chain_blocks(block)
+    num, num_trace = forward(num_block, x, ledger)
+    den, den_trace = block.bias_den.copy(), None
+    if den_block is not None:
+        den, den_trace = forward(den_block, x, ledger)
     if ledger is not None:
-        ledger.add("combine", (d + e + 1) * x.size)   # weighted sums + division
+        ledger.add("combine", x.size)   # the division
     if block.square_denominator:
         den_eff = den * den + block.epsilon
     else:
@@ -115,48 +131,36 @@ def rational_forward(block: RationalPadreBlock, x: np.ndarray,
     out = num / den_eff
     if not np.isfinite(out).all():
         raise NumericError("O", "rational output is not finite")
-    return out, RationalTrace(x=x, y=y, k_chain=k_chain, l_chain=l_chain,
-                              num=num, den=den, output=out)
+    return out, RationalTrace(num_trace=num_trace, den_trace=den_trace, den=den, output=out)
+
+
+def _chain_grads(bundle: GradBundle, offset: int) -> dict[str, np.ndarray]:
+    """A chain's mixer gradients keyed by the rational block's own A/B index;
+    its identity inter-degree mixers have none."""
+    return {f"{name[0]}{int(name[1:]) + offset}.{pname}": arr
+            for name, parts in bundle.mixers.items() for pname, arr in parts.items()}
 
 
 def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
                       upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Vector-Jacobian products keyed like ``iter_rational_parameters`` (+ "x")."""
-    d, e = block.num_degree, block.den_degree
+    num = trace.num_trace.output
     if block.square_denominator:
         den_eff = trace.den * trace.den + block.epsilon
         d_num = upstream / den_eff
-        d_den = -2.0 * trace.den * upstream * trace.num / (den_eff * den_eff)
+        d_den = -2.0 * trace.den * upstream * num / (den_eff * den_eff)
     else:
         d_num = upstream / trace.den
-        d_den = -upstream * trace.num / (trace.den * trace.den)
+        d_den = -upstream * num / (trace.den * trace.den)
 
-    grads: dict[str, np.ndarray] = {
-        "Wn": np.empty_like(block.w_num), "Vn": d_num.copy(),
-        "Qd": np.empty_like(block.w_den), "Pd": d_den.copy(),
-    }
-    d_y = [np.zeros_like(trace.x) for _ in range(d + e)]
-
-    def chain_backward(chain, ys, w, d_out, offset, w_key):
-        deg = len(ys)
-        running = None
-        for j in range(deg - 1, -1, -1):
-            grads[w_key][:, :, j] = d_out * chain[j]
-            g = d_out * w[:, :, j]
-            if running is not None:
-                g = g + running * ys[j + 1]
-            d_y[offset + j] += g * (chain[j - 1] if j else 1.0)
-            running = g
-
-    chain_backward(trace.k_chain, trace.y[:d], block.w_num, d_num, 0, "Wn")
-    if e:
-        chain_backward(trace.l_chain, trace.y[d:], block.w_den, d_den, d, "Qd")
-
-    d_x, feature_grads = features_backward(block.token_mixers, block.channel_mixers,
-                                           trace.x, d_y)
-    grads.update({f"{name}.{pname}": arr for name, parts in feature_grads.items()
-                  for pname, arr in parts.items()})
-    grads["x"] = d_x
+    num_block, den_block = chain_blocks(block)
+    g_num = backward(num_block, trace.num_trace, d_num)
+    grads = {**_chain_grads(g_num, 0), "Wn": g_num.d_w, "Vn": g_num.d_l,
+             "Qd": np.empty_like(block.w_den), "Pd": d_den.copy(), "x": g_num.d_x}
+    if den_block is not None:
+        g_den = backward(den_block, trace.den_trace, d_den)
+        grads.update(_chain_grads(g_den, block.num_degree), Qd=g_den.d_w, Pd=g_den.d_l,
+                     x=g_num.d_x + g_den.d_x)
     return grads
 
 
@@ -215,8 +219,7 @@ def load_rational(path: str) -> RationalPadreBlock:
 
 def random_rational_block(n_tokens: int, n_channels: int, num_degree: int,
                           den_degree: int, seed: int, epsilon: float = DEFAULT_EPS,
-                          square_denominator: bool = False,
-                          den_bias_floor: float = 2.0) -> RationalPadreBlock:
+                          square_denominator: bool = False) -> RationalPadreBlock:
     """Seeded instance; the denominator bias is lifted away from zero so the
     unstabilized division is well posed on inputs in [-1, 1]."""
     rng = np.random.default_rng(seed)
@@ -228,6 +231,6 @@ def random_rational_block(n_tokens: int, n_channels: int, num_degree: int,
         w_num=_uniform(rng, (n_tokens, n_channels, d), 1),
         bias_num=_uniform(rng, (n_tokens, n_channels), 1),
         w_den=_uniform(rng, (n_tokens, n_channels, e), 1) * 0.1,
-        bias_den=den_bias_floor + rng.uniform(0, 1, (n_tokens, n_channels)),
+        bias_den=DEN_BIAS_FLOOR + rng.uniform(0, 1, (n_tokens, n_channels)),
         epsilon=epsilon, square_denominator=square_denominator,
     )

@@ -223,7 +223,7 @@ def _scheme_params(seed: int):
 def check_sima(seed, problems):
     """Criterion 4, SimA: plan vs direct on 100 inputs; numerator of degree 3."""
     sima = _scheme_params(seed)[0]
-    plan = A.sima_as_padre(sima, n_tokens=16, verify_trials=100, seed=seed + 1)
+    plan = A.sima_as_padre(sima, n_tokens=16)
     _homogeneous(lambda x: A.sima_numerator(sima, x), 3, (16, 8), seed, problems)
     return (A.verify_plan(lambda x: A.sima_forward(sima, x), plan, trials=100,
                           seed=seed + 2),
@@ -234,7 +234,7 @@ def check_sima(seed, problems):
 def check_conv2former(seed, problems):
     """Criterion 4, Conv2Former: plan vs direct on 100 inputs; degree 2."""
     c2f = _scheme_params(seed)[1]
-    plan = A.conv2former_as_padre(c2f, verify_trials=100, seed=seed + 3)
+    plan = A.conv2former_as_padre(c2f)
     _homogeneous(lambda x: A.conv2former_forward(c2f, x), 2, (16, 8), seed, problems)
     return (A.verify_plan(lambda x: A.conv2former_forward(c2f, x), plan, trials=100,
                           seed=seed + 4),
@@ -246,7 +246,7 @@ def check_castling(seed, problems):
     """Criterion 4, Castling-ViT: plan vs direct on 100 inputs; effective
     degree 3, with degree-1 and degree-3 terms in the extracted support."""
     _, _, castle, small, _ = _scheme_params(seed)
-    plan = A.castling_as_padre(castle, verify_trials=100, seed=seed + 5)
+    plan = A.castling_as_padre(castle)
     dev = A.verify_plan(lambda x: A.castling_forward(castle, x), plan, trials=100,
                         seed=seed + 6)
     eff = max_effective_degree(lambda x: A.castling_forward(castle, x), 4, (16, 8),

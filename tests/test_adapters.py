@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from padre import adapters as A
+from padre.block import load_block, save_block
 from padre.oracle import assert_homogeneous, extract_coeffs, max_effective_degree
 from padre.tensor import Mixer, NumericError, Side
 from padre.verify import mamba_params
@@ -51,7 +52,7 @@ class TestSima:
             A.sima_forward(p, np.ones((3, 2)))
 
     def test_plan_matches_direct(self, sima_params):
-        plan = A.sima_as_padre(sima_params, n_tokens=7, verify_trials=100, seed=1)
+        plan = A.sima_as_padre(sima_params, n_tokens=7)
         dev = A.verify_plan(lambda x: A.sima_forward(sima_params, x), plan,
                             trials=100, seed=2)
         assert dev <= 1e-10
@@ -87,13 +88,21 @@ class TestConv2Former:
         assert rel_dev(A.conv2former_forward(params, x), ref) <= 1e-12
 
     def test_plan_matches_direct(self, params):
-        plan = A.conv2former_as_padre(params, verify_trials=100, seed=3)
+        plan = A.conv2former_as_padre(params)
         dev = A.verify_plan(lambda x: A.conv2former_forward(params, x), plan,
                             trials=100, seed=4)
         assert dev <= 1e-10
 
+    def test_plan_cascade_round_trips_through_block_container(self, params, rng, tmp_path):
+        plan = A.conv2former_as_padre(params)
+        path = str(tmp_path / "cascade.bin")
+        save_block(plan.cascades[0], path)
+        reloaded = A.PadrePlan(plan.n_tokens, plan.n_channels, [load_block(path)])
+        x = rng.uniform(-1, 1, (9, 4))
+        assert np.array_equal(reloaded.evaluate(x), plan.evaluate(x))
+
     def test_plan_overflow_raises_instead_of_returning_inf(self, params):
-        plan = A.conv2former_as_padre(params, verify_trials=5, seed=3)
+        plan = A.conv2former_as_padre(params)
         with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
             plan.evaluate(np.full((9, 4), 1e200))
         assert exc.value.stage == "Z[2]"
@@ -221,7 +230,7 @@ class TestCastling:
         assert 1 in degs and 3 in degs and 2 not in degs
 
     def test_plan_matches_direct(self, params):
-        plan = A.castling_as_padre(params, verify_trials=100, seed=5)
+        plan = A.castling_as_padre(params)
         dev = A.verify_plan(lambda x: A.castling_forward(params, x), plan,
                             trials=100, seed=6)
         assert dev <= 1e-10

@@ -56,7 +56,9 @@ def test_rational_forward_and_backward(calls, d, e, rng):
     assert calls == counts(apply_mixer=2 * (d + e) + 2 * chains, hadamard=chains)
     calls.clear()
     rational.rational_backward(blk, trace, rng.uniform(-1, 1, out.shape))
-    assert calls == counts(mixer_param_grad=2 * (d + e), apply_mixer_transpose=2 * (d + e))
+    # the chains' identity inter-degree mixers go through grad.backward too
+    assert calls == counts(mixer_param_grad=2 * (d + e) + 2 * chains,
+                           apply_mixer_transpose=2 * (d + e) + 2 * chains)
 
 
 def test_multimodal_forward(calls, rng):
@@ -70,9 +72,9 @@ def test_multimodal_forward(calls, rng):
 
 def test_plan_evaluate(calls, rng):
     p = adapters.SimaParams(*(rng.uniform(-1, 1, (3, 3)) for _ in range(3)))
-    plan = adapters.sima_as_padre(p, n_tokens=5, verify_trials=2)
+    plan = adapters.sima_as_padre(p, n_tokens=5)
     calls.clear()
     plan.evaluate(rng.uniform(-1, 1, (5, 3)))
-    lengths = [len(c.token) for c in plan.cascades]
-    assert calls == counts(apply_mixer=sum(4 * n - 2 for n in lengths),
-                           hadamard=sum(n - 1 for n in lengths))
+    degrees = [c.degree for c in plan.cascades]
+    assert calls == counts(apply_mixer=sum(4 * n - 2 for n in degrees),
+                           hadamard=sum(n - 1 for n in degrees))
