@@ -9,15 +9,15 @@ agreement on random inputs is the equivalence certificate.
 
 * SimA's column normalizers are not polynomial, so its plan divides each
   cascade by the input-dependent l1-norm pair: a rational-form combine.
-* The selective state-space scheme is approximated (not matched) by a
-  first-order surrogate; the surrogate itself is the degree-3 object.
+* The selective state-space scan is exact at a frozen step: its plan is one
+  degree-3 cascade per state, for the exponential and the first-order
+  discretization alike; only the softplus step is not polynomial.
 * Softmax attention is not polynomial at any degree; it is approximated by
   a Taylor-truncated rational form with an a-priori remainder bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -89,16 +89,21 @@ class PadrePlan:
         return out
 
 
-def verify_plan(direct_fn, plan: PadrePlan, trials: int = 100, seed: int = 0,
-                tol: float = 1e-10) -> float:
-    """Compare the two routes on random inputs; raises on disagreement."""
+#: the random inputs ``verify_plan`` draws, and its relative-deviation tolerance
+PLAN_TRIALS = 100
+PLAN_TOL = 1e-10
+
+
+def verify_plan(direct_fn, plan: PadrePlan, seed: int = 0) -> float:
+    """Compare the two routes on ``PLAN_TRIALS`` random inputs; raises
+    ``EquivalenceError`` on a deviation above ``PLAN_TOL``."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(PLAN_TRIALS):
         x = rng.uniform(-1.0, 1.0, size=(plan.n_tokens, plan.n_channels))
         worst = max(worst, rel_dev(plan.evaluate(x), direct_fn(x)))
-    if worst > tol:
-        raise EquivalenceError(worst, tol)
+    if worst > PLAN_TOL:
+        raise EquivalenceError(worst, PLAN_TOL)
     return worst
 
 
@@ -109,9 +114,9 @@ def _broadcast_column(weight_matrix: np.ndarray, col: int, n_channels: int) -> M
     return Mixer.low_rank(Side.CHANNEL, left, right)
 
 
-def _token_sum(n_tokens: int) -> Mixer:
-    """Rank-1 all-ones token mixer: every output row is the column sum."""
-    return Mixer.low_rank(Side.TOKEN, np.ones((n_tokens, 1)), np.ones((1, n_tokens)))
+def _token_sum(weights: np.ndarray) -> Mixer:
+    """Rank-1 token mixer: every output row is the weighted row sum ``weights @ X``."""
+    return Mixer.low_rank(Side.TOKEN, np.ones((weights.shape[0], 1)), weights[None, :])
 
 
 def _qkv_cascades(w_q, w_k, w_v, n_tokens: int, weight: float) -> list[PadreBlock]:
@@ -129,7 +134,7 @@ def _qkv_cascades(w_q, w_k, w_v, n_tokens: int, weight: float) -> list[PadreBloc
             token=[ident_t, ident_t, ident_t],
             channel=[_broadcast_column(w_k, i, d_ch), Mixer.dense(Side.CHANNEL, w_v),
                      _broadcast_column(w_q, i, d_ch)],
-            inter_token=[ident_t, _token_sum(n_tokens)],
+            inter_token=[ident_t, _token_sum(np.ones(n_tokens))],
             inter_channel=[ident_c, ident_c],
             weight=weight,
         ))
@@ -288,24 +293,27 @@ def hyena_forward(p: HyenaParams, chi: np.ndarray) -> np.ndarray:
     return hyena_forward_recurrence(p, hyena_project(p, chi))
 
 
-def hyena_forward_closed(p: HyenaParams, chi: np.ndarray, size_cap: int = 16) -> np.ndarray:
-    """Explicit monomial-sum evaluation: y = sum_m eta_m * prod_j chi_{m_j}.
+def causal_toeplitz(h: np.ndarray) -> np.ndarray:
+    """The L x L lower-triangular matrix T with T @ z == causal_conv(h, z)."""
+    t = np.arange(h.shape[0])
+    return np.tril(h[np.subtract.outer(t, t)])   # negative lags wrap, then are cut
 
-    The coefficient of one multi-index is built by chaining, per level, a
-    causal convolution of the previous level with that level's projection
-    column.  Exponential in the input size; oracle use only.
-    """
+
+def hyena_as_padre(p: HyenaParams) -> PadrePlan:
+    """One degree-(order+1) cascade on the L x 1 input: Y_i = P_{i-1} X as
+    dense token mixers, C_i the causal Toeplitz of filter h^i, identity
+    channel mixers.  Needs square projections (M = L)."""
     seq_len = p.projections[0].shape[0]
-    m_dim = chi.shape[0]
-    if seq_len > size_cap or m_dim > size_cap:
-        raise ShapeError(f"closed-form evaluation capped at size {size_cap}")
-    y = np.zeros(seq_len)
-    for multi in itertools.product(range(m_dim), repeat=p.order + 1):
-        w = p.projections[0][:, multi[0]]
-        for lvl in range(1, p.order + 1):
-            w = p.projections[lvl][:, multi[lvl]] * causal_conv(p.filters[lvl - 1], w)
-        y += w * math.prod(chi[j] for j in multi)
-    return y
+    if any(proj.shape != (seq_len, seq_len) for proj in p.projections):
+        raise ShapeError(f"a Hyena plan needs square {seq_len} x {seq_len} projections")
+    ident_c = Mixer.identity(Side.CHANNEL, 1)
+    cascade = plan_cascade(
+        token=[Mixer.dense(Side.TOKEN, proj) for proj in p.projections],
+        channel=[ident_c] * (p.order + 1),
+        inter_token=[Mixer.dense(Side.TOKEN, causal_toeplitz(h)) for h in p.filters],
+        inter_channel=[ident_c] * p.order,
+    )
+    return PadrePlan(n_tokens=seq_len, n_channels=1, cascades=[cascade])
 
 
 # ---------------------------------------------------------------------------
@@ -338,41 +346,56 @@ def mamba_delta(p: MambaParams, x: np.ndarray, delta_scale: float) -> float:
     return delta_scale * float(np.logaddexp(0.0, z)) / p.beta
 
 
-def mamba_forward(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0) -> np.ndarray:
-    """Exact scan with exponential discretization and input-dependent B, C, delta.
-
-    The input is a scalar sequence of length L; B, C and delta are functions
-    of the whole sequence, so the discretized transition is constant along
-    the scan.
-    """
-    delta = mamba_delta(p, x, delta_scale)
-    b, c = p.w_b @ x, x @ p.w_c
-    a_bar = np.exp(delta * p.a_diag)
-    b_bar = (np.expm1(delta * p.a_diag) / p.a_diag) * b
-    return _scan(a_bar, b_bar, c, x)
+def zoh_step(p: MambaParams, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential discretization: A_bar = exp(delta A), B_bar = expm1(delta A) / A * B."""
+    return np.exp(delta * p.a_diag), np.expm1(delta * p.a_diag) / p.a_diag
 
 
-def mamba_padre_approx(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0,
-                       frozen_delta: float | None = None) -> np.ndarray:
-    """First-order surrogate: A_bar ~ I + delta A, B_bar ~ delta B.
-
-    With ``frozen_delta`` the step is treated as a constant coefficient and
-    the map is a homogeneous degree-3 polynomial of the input sequence.
-    """
-    delta = mamba_delta(p, x, delta_scale) if frozen_delta is None else frozen_delta
-    b, c = p.w_b @ x, x @ p.w_c
-    a_bar = 1.0 + delta * p.a_diag
-    b_bar = delta * b
-    return _scan(a_bar, b_bar, c, x)
+def euler_step(p: MambaParams, delta: float) -> tuple[np.ndarray, float]:
+    """First-order discretization: A_bar = 1 + delta A, B_bar = delta B."""
+    return 1.0 + delta * p.a_diag, delta
 
 
-def _scan(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+def mamba_scan(p: MambaParams, x: np.ndarray, a_bar: np.ndarray, gain) -> np.ndarray:
+    """h_t = a_bar * h_{t-1} + gain * b * x_t, y_t = c . h_t over a length-L
+    sequence x.  b = W_B x and c = x W_C (like the step) depend on all of x, so
+    the scan is homogeneous of degree 3 in x at a fixed (a_bar, gain)."""
+    b_bar, c = gain * (p.w_b @ x), x @ p.w_c
     h = np.zeros_like(a_bar)
     out = np.empty_like(x)
     for t in range(x.shape[0]):
         h = a_bar * h + b_bar * x[t]
         out[t] = c @ h
     return out
+
+
+def mamba_forward(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0) -> np.ndarray:
+    """Exact scan: exponential discretization at the input-dependent step."""
+    return mamba_scan(p, x, *zoh_step(p, mamba_delta(p, x, delta_scale)))
+
+
+def mamba_padre_approx(p: MambaParams, x: np.ndarray, delta_scale: float = 1.0) -> np.ndarray:
+    """First-order surrogate: A_bar ~ I + delta A, B_bar ~ delta B."""
+    return mamba_scan(p, x, *euler_step(p, mamba_delta(p, x, delta_scale)))
+
+
+def mamba_as_padre(p: MambaParams, a_bar: np.ndarray, gain) -> PadrePlan:
+    """The scan at a frozen step as one degree-3 cascade per state k on the
+    L x 1 input: Y_1 broadcasts b_k = W_B[k] x, Y_2 = X, Y_3 broadcasts
+    c_k = x W_C[:, k], and C_2 is the causal Toeplitz of a_bar_k^j, so the
+    cascade is gain_k c_k (T_k (b_k x))."""
+    seq_len = p.w_b.shape[1]
+    ident_t, ident_c = Mixer.identity(Side.TOKEN, seq_len), Mixer.identity(Side.CHANNEL, 1)
+    gains = np.broadcast_to(gain, a_bar.shape)
+    cascades = [plan_cascade(
+        token=[_token_sum(p.w_b[k]), ident_t, _token_sum(p.w_c[:, k])],
+        channel=[ident_c] * 3,
+        inter_token=[ident_t,
+                     Mixer.dense(Side.TOKEN, causal_toeplitz(a_bar[k] ** np.arange(seq_len)))],
+        inter_channel=[ident_c] * 2,
+        weight=float(gains[k]),
+    ) for k in range(a_bar.shape[0])]
+    return PadrePlan(n_tokens=seq_len, n_channels=1, cascades=cascades)
 
 
 # ---------------------------------------------------------------------------

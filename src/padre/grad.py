@@ -75,24 +75,6 @@ def mixer_param_grad(m: Mixer, x_in: np.ndarray, g_out: np.ndarray) -> dict[str,
     return {"kernel": conv_kernel_grad(m, x_in, g_out)}
 
 
-def features_backward(token_mixers: list[Mixer], channel_mixers: list[Mixer],
-                      x: np.ndarray, d_y: list[np.ndarray]) -> tuple[np.ndarray, dict]:
-    """Backward through the feature bank Y_i = A_i X B_i.
-
-    Returns d_x and the A_i / B_i parameter gradients keyed "A{i}" / "B{i}",
-    each a dict like ``mixer_param_grad``'s.
-    """
-    d_x = np.zeros_like(x)
-    grads: dict[str, dict[str, np.ndarray]] = {}
-    for i, (a, b, g_y) in enumerate(zip(token_mixers, channel_mixers, d_y)):
-        xb = apply_mixer(b, x)
-        grads[f"A{i + 1}"] = mixer_param_grad(a, xb, g_y)
-        g_xb = apply_mixer_transpose(a, g_y)
-        grads[f"B{i + 1}"] = mixer_param_grad(b, x, g_xb)
-        d_x += apply_mixer_transpose(b, g_xb)
-    return d_x, grads
-
-
 def _rms_backward(m_pre: np.ndarray, g: np.ndarray, eps: float = RMS_EPS) -> np.ndarray:
     dch = m_pre.shape[1]
     s = np.sqrt(np.mean(m_pre * m_pre, axis=1, keepdims=True) + eps)
@@ -150,9 +132,13 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
 
     if block.normalize_y:
         d_y = [_rms_backward(m_pre, g) for m_pre, g in zip(trace.y_raw, d_y)]
-    d_x, feature_grads = features_backward(block.token_mixers, block.channel_mixers,
-                                           trace.x, d_y)
-    mixer_grads.update(feature_grads)
+    d_x = np.zeros_like(trace.x)           # the feature bank Y_i = A_i X B_i
+    for i, (a, b, g_y) in enumerate(zip(block.token_mixers, block.channel_mixers, d_y)):
+        xb = apply_mixer(b, trace.x)
+        mixer_grads[f"A{i + 1}"] = mixer_param_grad(a, xb, g_y)
+        g_xb = apply_mixer_transpose(a, g_y)
+        mixer_grads[f"B{i + 1}"] = mixer_param_grad(b, trace.x, g_xb)
+        d_x += apply_mixer_transpose(b, g_xb)
     return GradBundle(d_x=d_x, mixers=mixer_grads, d_w=d_w, d_l=d_l, d_u=d_u, d_v=d_v)
 
 

@@ -8,7 +8,8 @@ identity inter-degree mixers and its own full combine weights and bias
 (``chain_blocks``), so ``block.forward`` and ``grad.backward`` run both, and
 the output is N / D entrywise.  Training-style use can
 stabilize the division as N / (D^2 + eps); with stabilization off, any
-denominator entry at or below eps in magnitude is an error.
+denominator entry at or below eps in magnitude is an error.  A non-finite
+stage of a chain raises ``NumericError`` at ``num:<stage>`` or ``den:<stage>``.
 
 With e = 0 the denominator is just its bias and the block degenerates to the
 polynomial form.
@@ -109,15 +110,24 @@ class RationalTrace:
         return self.den_trace.z if self.den_trace is not None else []
 
 
+def _chain_forward(chain: str, blk: PadreBlock, x: np.ndarray,
+                   ledger: FlopLedger | None) -> tuple[np.ndarray, PadreTrace]:
+    """``forward`` on one chain; a non-finite stage is renamed ``<chain>:<stage>``."""
+    try:
+        return forward(blk, x, ledger)
+    except NumericError as exc:
+        raise NumericError(f"{chain}:{exc.stage}") from exc
+
+
 def rational_forward(block: RationalPadreBlock, x: np.ndarray,
                      ledger: FlopLedger | None = None) -> tuple[np.ndarray, RationalTrace]:
     if x.shape != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} != ({block.n_tokens}, {block.n_channels})")
     num_block, den_block = chain_blocks(block)
-    num, num_trace = forward(num_block, x, ledger)
+    num, num_trace = _chain_forward("num", num_block, x, ledger)
     den, den_trace = block.bias_den.copy(), None
     if den_block is not None:
-        den, den_trace = forward(den_block, x, ledger)
+        den, den_trace = _chain_forward("den", den_block, x, ledger)
     if ledger is not None:
         ledger.add("combine", x.size)   # the division
     if block.square_denominator:

@@ -102,7 +102,14 @@ class TestForward:
         block.w_num[:] = 1e300
         with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
             rational_forward(block, np.full((4, 3), 1e10))
-        assert exc.value.stage == "P"
+        assert exc.value.stage == "num:P"
+
+    def test_non_finite_denominator_names_its_combine(self):
+        block = random_rational_block(4, 3, 2, 1, seed=0)
+        block.w_den[:] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+            rational_forward(block, np.full((4, 3), 1e10))
+        assert exc.value.stage == "den:P"
 
     def test_denominator_underflow_names_entry(self):
         block = identity_rational(2, 2, 1, 1, np.ones(4), np.zeros(4),
