@@ -80,11 +80,14 @@ class PadrePlan:
     cascades: list[PadreBlock]
     normalizers: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def evaluate(self, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The plan on one ``(N, D)`` input; any other shape raises ShapeError."""
+        if x.shape != (self.n_tokens, self.n_channels):
+            raise ShapeError(f"input shape {x.shape} != ({self.n_tokens}, {self.n_channels})")
         out = np.zeros((self.n_tokens, self.n_channels))
         etas = self.normalizers(x) if self.normalizers is not None else None
         for idx, blk in enumerate(self.cascades):
-            term = forward(blk, x, ledger)[0]
+            term = forward(blk, x)[0]
             out += term if etas is None else term / etas[idx]
         return out
 

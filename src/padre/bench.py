@@ -7,14 +7,14 @@ attention reference times the quadratic core (token-token logits, softmax,
 value aggregation) plus one output projection, i.e. 2 N^2 D + N D^2 MACs;
 the polynomial schemes time the full block, whose ledger is O(N D d).
 
-BLAS thread pools are pinned to one thread around the timed region when
-``threadpoolctl`` is available; otherwise set OMP/OpenBLAS thread env vars
-to 1 before importing numpy for trustworthy exponents.
+Timing is single-threaded only when the BLAS thread variables
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ...) are 1 before numpy is
+imported; ``padre.cli`` sets them first, so ``padre bench`` times one thread.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import time
 import warnings
@@ -31,7 +31,7 @@ from .adapters import (
     sima_forward,
 )
 from .block import Grid, Seq1d, _uniform, build_conv_instance, forward
-from .tensor import FlopLedger, Mixer, Side
+from .tensor import FlopLedger, LayoutError, Mixer, Side
 
 DEFAULT_N_LIST = [256, 1024, 2304, 4096]
 DEFAULT_CHANNELS = 192
@@ -70,14 +70,6 @@ class ScalingFit:
     time_exponent: float
     flop_residual: float
     time_residual: float
-
-
-def _single_thread():
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
-    except ImportError:                      # pragma: no cover
-        return contextlib.nullcontext()
 
 
 def _layout_for(n: int):
@@ -138,7 +130,7 @@ def _setup_castling(n: int, d_ch: int, seed: int):
 def _setup_conv2former(n: int, d_ch: int, seed: int):
     layout = _layout_for(n)
     if not isinstance(layout, Grid):
-        raise UnknownSchemeError("conv2former needs a square token count")
+        raise LayoutError(f"conv2former needs a square token count, got N={n}")
     rng = np.random.default_rng([seed, n, 4])
     kh, kw = min(11, layout.h), min(11, layout.w)
     p = Conv2FormerParams(
@@ -149,10 +141,11 @@ def _setup_conv2former(n: int, d_ch: int, seed: int):
 
 
 def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
-    """Build a runnable closure for one scheme; returns (run, flops, degree)."""
-    if scheme.startswith("padre-"):
-        return _setup_padre(int(scheme.split("-", 1)[1]), n, d_ch, seed)
-    table = {"softmax-attn": _setup_softmax_attn, "sima": _setup_sima,
+    """Build a runnable closure for one of ``ALL_SCHEMES``; returns (run, flops, degree)."""
+    table = {"padre-2": functools.partial(_setup_padre, 2),
+             "padre-3": functools.partial(_setup_padre, 3),
+             "padre-4": functools.partial(_setup_padre, 4),
+             "softmax-attn": _setup_softmax_attn, "sima": _setup_sima,
              "castling": _setup_castling, "conv2former": _setup_conv2former}
     if scheme not in table:
         raise UnknownSchemeError(f"unknown scheme {scheme!r}; "
@@ -163,31 +156,30 @@ def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
 def run_bench(schemes: list[str], n_list: list[int] | None = None,
               d_ch: int = DEFAULT_CHANNELS, reps: int = 20, warmup: int = 3,
               seed: int = 0) -> list[BenchRecord]:
-    """Time every (scheme, N) pair single-threaded; FLOPs come from the ledger."""
+    """Time every (scheme, N) pair; FLOPs come from the ledger."""
     if reps < 5:
         raise ValueError(f"need at least 5 repetitions, got {reps}")
     n_list = list(n_list) if n_list else list(DEFAULT_N_LIST)
     records = []
-    with _single_thread():
-        for scheme in schemes:
-            for n in n_list:
-                run, flops, sch_degree = setup_scheme(scheme, n, d_ch, seed)
-                for _ in range(warmup):
-                    run()
-                times = np.empty(reps)
-                for r in range(reps):
-                    t0 = time.perf_counter()
-                    run()
-                    times[r] = time.perf_counter() - t0
-                p10, med, p90 = np.percentile(times, [10, 50, 90])
-                if med < 1e-6:
-                    warnings.warn(f"{scheme} at N={n}: median {med:.2e}s is below "
-                                  "timer resolution confidence")
-                records.append(BenchRecord(
-                    scheme=scheme, n_tokens=n, n_channels=d_ch, degree=sch_degree,
-                    flops=flops, median_s=float(med), p10_s=float(p10),
-                    p90_s=float(p90), reps=reps, seed=seed,
-                ))
+    for scheme in schemes:
+        for n in n_list:
+            run, flops, sch_degree = setup_scheme(scheme, n, d_ch, seed)
+            for _ in range(warmup):
+                run()
+            times = np.empty(reps)
+            for r in range(reps):
+                t0 = time.perf_counter()
+                run()
+                times[r] = time.perf_counter() - t0
+            p10, med, p90 = np.percentile(times, [10, 50, 90])
+            if med < 1e-6:
+                warnings.warn(f"{scheme} at N={n}: median {med:.2e}s is below "
+                              "timer resolution confidence")
+            records.append(BenchRecord(
+                scheme=scheme, n_tokens=n, n_channels=d_ch, degree=sch_degree,
+                flops=flops, median_s=float(med), p10_s=float(p10),
+                p90_s=float(p90), reps=reps, seed=seed,
+            ))
     records.sort(key=lambda r: (r.scheme, r.n_tokens))
     return records
 

@@ -150,9 +150,9 @@ class PadreTrace:
     output: np.ndarray
 
 
-def rms_normalize_rows(y: np.ndarray, eps: float = RMS_EPS) -> np.ndarray:
-    """Divide each row by sqrt(mean of squares + eps); zero rows stay zero."""
-    scale = np.sqrt(np.mean(y * y, axis=-1, keepdims=True) + eps)
+def rms_normalize_rows(y: np.ndarray) -> np.ndarray:
+    """Divide each row by sqrt(mean of squares + RMS_EPS); zero rows stay zero."""
+    scale = np.sqrt(np.mean(y * y, axis=-1, keepdims=True) + RMS_EPS)
     return y / scale
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: bench, verify, expand, gradcheck, approx-attn.
 
 Exit codes: 0 on success, 1 when any verification fails, 2 on usage errors.
-``PADRE_SEED`` in the environment overrides ``--seed`` everywhere.
+``PADRE_SEED`` in the environment overrides ``--seed`` everywhere; ``expand
+--config`` takes its seed from the config.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .block import (Seq1d, block_from_config, build_conv_instance, config_from_j
 from .grad import gradcheck
 from .oracle import extract_coeffs
 from .rational import random_rational_block, rational_gradcheck
+from .tensor import LayoutError
 
 
 def _int_at_least(low: int):
@@ -48,9 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="run the scaling benchmark and emit CSV")
-    b.add_argument("--schemes", nargs="+", default=["padre-2", "padre-3", "padre-4",
-                                                    "softmax-attn"],
-                   help=f"subset of: {', '.join(ALL_SCHEMES)}")
+    b.add_argument("--schemes", nargs="+", choices=ALL_SCHEMES,
+                   default=["padre-2", "padre-3", "padre-4", "softmax-attn"])
     b.add_argument("--n-list", nargs="+", type=_int_at_least(1), default=list(DEFAULT_N_LIST))
     b.add_argument("--channels", type=_int_at_least(1), default=DEFAULT_CHANNELS)
     b.add_argument("--reps", type=_int_at_least(5), default=20)
@@ -84,12 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    records = run_bench(args.schemes, args.n_list, d_ch=args.channels, reps=args.reps,
-                        warmup=args.warmup, seed=args.seed)
+    try:
+        records = run_bench(args.schemes, args.n_list, d_ch=args.channels, reps=args.reps,
+                            warmup=args.warmup, seed=args.seed)
+    except LayoutError as exc:      # a scheme that cannot take one of the N values
+        print(f"padre bench: error: {exc}", file=sys.stderr)
+        return 2
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     by_scheme = {r.scheme for r in records}
-    if all(sum(r.scheme == s for r in records) >= 4 for s in by_scheme):
+    if all(len({r.n_tokens for r in records if r.scheme == s}) >= 4 for s in by_scheme):
         fits = fit_scaling(records)
         for f in fits:
             print(f"{f.scheme}: flop exponent {f.flop_exponent:.3f}, "
@@ -120,7 +125,7 @@ def _cmd_expand(args) -> int:
             cfg = config_from_json(f.read())
         block = block_from_config(cfg)
         args.n, args.channels = block.n_tokens, block.n_channels
-        args.degree = block.degree
+        args.degree, args.seed = block.degree, cfg.get("seed", 0)   # as the block was built
     else:
         block = random_block(args.n, args.channels, args.degree, args.seed)
     coeffs = extract_coeffs(lambda x: forward(block, x)[0], args.n, args.channels,

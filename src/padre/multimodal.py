@@ -17,7 +17,7 @@ import numpy as np
 
 from .block import (MAX_CONFIG_DEGREE, MAX_CONFIG_VALUES, _config_int, _is_int, _uniform,
                     cascade, features, random_mixer)
-from .tensor import FlopLedger, Mixer, MixerKind, ShapeError, Side, SizeCapError
+from .tensor import Mixer, ShapeError, Side, SizeCapError
 
 
 class TrivialSequenceError(ValueError):
@@ -78,8 +78,8 @@ class MultimodalTrace:
     output: np.ndarray
 
 
-def multimodal_forward(block: MultimodalBlock, inputs: dict[str, np.ndarray],
-                       ledger: FlopLedger | None = None) -> tuple[np.ndarray, MultimodalTrace]:
+def multimodal_forward(block: MultimodalBlock,
+                       inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, MultimodalTrace]:
     missing = set(block.modes) - set(inputs)
     if missing:
         raise MissingModeError(f"missing inputs for modes {sorted(missing)}")
@@ -91,30 +91,24 @@ def multimodal_forward(block: MultimodalBlock, inputs: dict[str, np.ndarray],
                              f"({spec.n_in}, {spec.d_in})")
         if spec.proj_left is not None:
             x = spec.proj_left @ x
-            if ledger is not None:
-                ledger.add("resize", spec.proj_left.shape[0] * spec.n_in * spec.d_in)
         if spec.proj_right is not None:
-            if ledger is not None:
-                ledger.add("resize", x.shape[0] * spec.d_in * spec.proj_right.shape[1])
             x = x @ spec.proj_right
         if x.shape != (block.n_out, block.d_out):
             raise ShapeError(f"mode {mode!r} projects to {x.shape}, expected "
                              f"({block.n_out}, {block.d_out})")
         projected[mode] = x
 
-    banks = {mode: features(tok, ch, projected[mode], ledger)
+    banks = {mode: features(tok, ch, projected[mode])
              for mode, (tok, ch) in block.banks.items()}
     out = np.zeros((block.n_out, block.d_out))
     taps: list[list[np.ndarray]] = []
     for s_idx, seq in enumerate(block.sequences):
         ys = [banks[label][i] for i, label in enumerate(seq)]
-        chain = cascade(ys, block.inter_token, block.inter_channel, ledger)
+        chain = cascade(ys, block.inter_token, block.inter_channel)
         taps.append(chain)
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):
             out += w[None, :, i] * zi
-        if ledger is not None:
-            ledger.add("combine", block.degree * out.size)
     if block.bias is not None:
         out = out + block.bias
     return out, MultimodalTrace(projected=projected, features=banks, taps=taps, output=out)
@@ -122,12 +116,10 @@ def multimodal_forward(block: MultimodalBlock, inputs: dict[str, np.ndarray],
 
 def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out: int,
                      degree: int, sequences: list[str], seed: int = 0) -> MultimodalBlock:
-    """Seeded block: dense projections where shapes differ, mixed-kind banks."""
+    """Seeded block: dense projections where shapes differ, and banks and
+    inter-degree mixers drawn from ``MIXER_MENU``."""
     rng = np.random.default_rng(seed)
     modes, banks = {}, {}
-    # this block's own menu order (CONV2D last) fixes its seeded draws
-    menu = (MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
-            MixerKind.CONV1D, MixerKind.IDENTITY, MixerKind.CONV2D)
     for mode, (n_in, d_in) in mode_shapes.items():
         modes[mode] = ModeSpec(
             n_in=n_in, d_in=d_in,
@@ -135,14 +127,13 @@ def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out:
             proj_right=None if d_in == d_out else _uniform(rng, (d_in, d_out), d_in),
         )
         banks[mode] = (
-            [random_mixer(rng, Side.TOKEN, n_out, menu) for _ in range(degree)],
-            [random_mixer(rng, Side.CHANNEL, d_out, menu) for _ in range(degree)],
+            [random_mixer(rng, Side.TOKEN, n_out) for _ in range(degree)],
+            [random_mixer(rng, Side.CHANNEL, d_out) for _ in range(degree)],
         )
     return MultimodalBlock(
         degree=degree, n_out=n_out, d_out=d_out, modes=modes, banks=banks,
-        inter_token=[random_mixer(rng, Side.TOKEN, n_out, menu) for _ in range(degree - 1)],
-        inter_channel=[random_mixer(rng, Side.CHANNEL, d_out, menu)
-                       for _ in range(degree - 1)],
+        inter_token=[random_mixer(rng, Side.TOKEN, n_out) for _ in range(degree - 1)],
+        inter_channel=[random_mixer(rng, Side.CHANNEL, d_out) for _ in range(degree - 1)],
         sequences=list(sequences),
         weights={i: _uniform(rng, (d_out, degree), 1) for i in range(len(sequences))},
     )

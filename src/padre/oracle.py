@@ -22,11 +22,14 @@ from .tensor import NumericError, ShapeError, SizeCapError
 
 MAX_VARS = 8
 MAX_DEGREE = 4
+#: probe points per monomial of the fit
+OVERSAMPLE = 2.0
 PRUNE_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
 COND_CAP = 1e10
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+HALTON_SKIP = 20
 
 
 class NotPolynomialError(ValueError):
@@ -137,15 +140,15 @@ def monomial_exponents(n_vars: int, degree: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def halton(n_points: int, n_dims: int, skip: int = 20) -> np.ndarray:
-    """Deterministic low-discrepancy points in (0, 1)^n_dims."""
+def halton(n_points: int, n_dims: int) -> np.ndarray:
+    """Deterministic low-discrepancy points in (0, 1)^n_dims, after the first ``HALTON_SKIP``."""
     if n_dims > len(_PRIMES):
         raise SizeCapError(f"halton supports up to {len(_PRIMES)} dims")
     out = np.empty((n_points, n_dims))
     for d in range(n_dims):
         base = _PRIMES[d]
         for i in range(n_points):
-            idx, f, v = skip + i + 1, 1.0, 0.0
+            idx, f, v = HALTON_SKIP + i + 1, 1.0, 0.0
             while idx > 0:
                 f /= base
                 v += f * (idx % base)
@@ -227,10 +230,10 @@ def _monomial_keys(n_vars: int, n_channels: int, degree: int) -> tuple[MultiInde
 
 
 def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
-                   n_channels: int, degree_bound: int, *, oversample: float = 2.0,
-                   prune_tol: float = PRUNE_TOL, residual_tol: float = RESIDUAL_TOL,
-                   cond_cap: float = COND_CAP) -> PolyCoeffs:
-    """Identify the polynomial coefficients of ``f`` by least squares.
+                   n_channels: int, degree_bound: int) -> PolyCoeffs:
+    """Identify the polynomial coefficients of ``f`` by least squares on
+    ``OVERSAMPLE`` probes per monomial; coefficients within ``PRUNE_TOL`` of
+    zero are dropped.
 
     ``f`` maps a ``(P, N, D)`` stack of probe inputs to the ``(P, N, D)``
     stack of their outputs in one call; any other output shape raises
@@ -238,10 +241,10 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     into.  The probe points and the factorized probe system are computed
     once per (N*D, degree, probe count) and cached; the condition cap, the
     output shape and the residual are checked on every call.  Raises
-    NotPolynomialError when the fit residual shows the map cannot be a
-    polynomial of the given degree, NumericError when ``f`` returns a
-    non-finite value, and IllConditionedError when the probe system is
-    numerically untrustworthy.
+    NotPolynomialError when the fit residual exceeds ``RESIDUAL_TOL``,
+    NumericError when ``f`` returns a non-finite value, and
+    IllConditionedError when the probe system's condition exceeds
+    ``COND_CAP``.
     """
     n_vars = n_tokens * n_channels
     if n_vars > MAX_VARS:
@@ -249,13 +252,11 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     if degree_bound > MAX_DEGREE:
         raise SizeCapError(f"coefficient extraction capped at degree <= {MAX_DEGREE}")
     n_mono = math.comb(n_vars + degree_bound, degree_bound)
-    n_probes = int(math.ceil(oversample * n_mono))
-    if n_probes < 1:
-        raise ShapeError(f"oversample {oversample!r} leaves no probe points")
+    n_probes = int(math.ceil(OVERSAMPLE * n_mono))
     system = _probe_system(n_vars, degree_bound, n_probes)
-    if system.cond > cond_cap:
+    if system.cond > COND_CAP:
         raise IllConditionedError(
-            f"probe system condition {system.cond:.3e} > {cond_cap:.0e}")
+            f"probe system condition {system.cond:.3e} > {COND_CAP:.0e}")
     stack = (n_probes, n_tokens, n_channels)
     values = np.asarray(f(system.pts.reshape(stack).copy()))
     if values.shape != stack:
@@ -265,13 +266,13 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     values = values.reshape(n_probes, n_vars)
     proj = system.u.T @ values
     residual = float(np.max(np.abs(values - system.u @ proj)))
-    if residual > residual_tol:
-        raise NotPolynomialError(residual, degree_bound, residual_tol)
+    if residual > RESIDUAL_TOL:
+        raise NotPolynomialError(residual, degree_bound, RESIDUAL_TOL)
     coeffs = (system.w @ proj).T
     keys = _monomial_keys(n_vars, n_channels, degree_bound)
     terms: dict[tuple[int, int], dict[MultiIndex, float]] = {}
     for out_idx, col in enumerate(coeffs):
-        kept = np.flatnonzero(np.abs(col) > prune_tol)
+        kept = np.flatnonzero(np.abs(col) > PRUNE_TOL)
         if kept.size:
             vals = col.tolist()
             terms[(out_idx // n_channels, out_idx % n_channels)] = {
@@ -295,24 +296,24 @@ class HomogeneityVerdict(NamedTuple):
 
 
 def assert_homogeneous(f: Callable[[np.ndarray], np.ndarray], degree: int,
-                       trials: int, shape: tuple[int, int], seed: int = 0,
-                       tol: float = 1e-10) -> HomogeneityVerdict:
-    """Check f(a*x) == a^degree * f(x) over random trials with a in [0.5, 2]."""
+                       trials: int, shape: tuple[int, int], seed: int = 0) -> HomogeneityVerdict:
+    """Check f(a*x) == a^degree * f(x), within 1e-10 relative, over random
+    trials with a in [0.5, 2]."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         x = rng.uniform(-1.0, 1.0, size=shape)
         alpha = rng.uniform(0.5, 2.0)
         worst = max(worst, rel_dev(f(alpha * x), alpha ** degree * f(x)))
-    return HomogeneityVerdict(worst <= tol, worst)
+    return HomogeneityVerdict(worst <= 1e-10, worst)
 
 
 def max_effective_degree(f: Callable[[np.ndarray], np.ndarray], cap: int,
-                         shape: tuple[int, int], directions: int = 16,
-                         seed: int = 0, coeff_tol: float = 1e-8) -> int:
+                         shape: tuple[int, int], seed: int = 0) -> int:
     """Largest polynomial degree present, by univariate restriction.
 
-    Fits g(t) = f(t * x0) per random direction x0; raises DegreeCapError when
+    Fits g(t) = f(t * x0) per random direction x0, 16 of them; a degree is
+    present when a coefficient exceeds 1e-8.  Raises DegreeCapError when
     the restriction cannot be matched by a degree-``cap`` polynomial.
     """
     rng = np.random.default_rng(seed)
@@ -321,7 +322,7 @@ def max_effective_degree(f: Callable[[np.ndarray], np.ndarray], cap: int,
     t = 1.0 + 0.5 * np.cos(np.pi * (2 * np.arange(n_t) + 1) / (2 * n_t))
     vand = t[:, None] ** np.arange(cap + 1)[None, :]
     best = 0
-    for _ in range(directions):
+    for _ in range(16):
         x0 = rng.uniform(-1.0, 1.0, size=shape)
         samples = np.stack([f(ti * x0).ravel() for ti in t])
         coeffs, *_ = np.linalg.lstsq(vand, samples, rcond=None)
@@ -330,7 +331,7 @@ def max_effective_degree(f: Callable[[np.ndarray], np.ndarray], cap: int,
             raise DegreeCapError(
                 f"restriction residual {resid:.3e}: effective degree exceeds cap {cap}"
             )
-        present = np.nonzero(np.max(np.abs(coeffs), axis=1) > coeff_tol)[0]
+        present = np.nonzero(np.max(np.abs(coeffs), axis=1) > 1e-8)[0]
         if present.size:
             best = max(best, int(present[-1]))
     return best

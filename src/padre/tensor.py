@@ -466,14 +466,14 @@ def apply_mixer_transpose(m: Mixer, g: np.ndarray) -> np.ndarray:
     return _apply_conv(m, g, transpose=True)
 
 
-def mixer_as_dense(m: Mixer, cap: int = 64) -> np.ndarray:
+def mixer_as_dense(m: Mixer) -> np.ndarray:
     """Materialize the implicit matrix by probing with basis vectors.
 
-    Oracle-only: refuses dims above ``cap``.  Token side returns M with
+    Oracle-only: refuses dims above 64.  Token side returns M with
     apply(m, x) == M @ x; channel side returns M with apply(m, x) == x @ M.
     """
-    if m.dim > cap:
-        raise SizeCapError(f"mixer_as_dense is capped at dim {cap}, got {m.dim}")
+    if m.dim > 64:
+        raise SizeCapError(f"mixer_as_dense is capped at dim 64, got {m.dim}")
     eye = np.eye(m.dim)
     return apply_mixer(m, eye)
 

@@ -31,7 +31,7 @@ from .bench import run_bench
 from .block import (Grid, Seq1d, block_config, build_conv_instance, config_from_json,
                     config_to_json, forward, iter_parameters, load_block, random_block,
                     save_block)
-from .grad import gradcheck
+from .grad import GRAD_TOL, gradcheck
 from .multimodal import TrivialSequenceError, build_multimodal, multimodal_forward
 from .oracle import assert_homogeneous, extract_coeffs, max_effective_degree, rel_dev
 from .rational import (iter_rational_parameters, load_rational, random_rational_block,
@@ -72,17 +72,16 @@ def _check(name: str, strict: bool = False):
     return register
 
 
-def conditioned_norm_block(n: int, d_ch: int, degree: int, seed: int,
-                           x: np.ndarray, min_row_rms: float = 0.05):
-    """A normalized random block whose feature rows stay well away from the
-    normalizer's epsilon scale, so the h = 1e-4 difference quotient is
-    trustworthy.  Bumps the seed until the instance is well conditioned."""
+def conditioned_norm_block(n: int, d_ch: int, degree: int, seed: int, x: np.ndarray):
+    """A normalized random block whose feature rows have rms >= 0.05, well
+    away from the normalizer's epsilon scale, so the h = 1e-4 difference
+    quotient is trustworthy.  Bumps the seed until the instance is well
+    conditioned."""
     for attempt in range(64):
         block = random_block(n, d_ch, degree, seed + 1000 * attempt,
                              normalize_y=True, with_bias=True)
         _, trace = forward(block, x)
-        if min(float(np.sqrt((m * m).mean(axis=1)).min()) for m in trace.y_raw) \
-                >= min_row_rms:
+        if min(float(np.sqrt((m * m).mean(axis=1)).min()) for m in trace.y_raw) >= 0.05:
             return block
     raise RuntimeError("no well-conditioned normalized instance found")
 
@@ -185,9 +184,9 @@ def check_gradients(seed, problems):
         block = random_rational_block(8, 4, 2, 2, seed=seed + 5, square_denominator=square)
         errs[name] = rational_gradcheck(block, rng.uniform(-1, 1, (8, 4)), probes=200,
                                         step=1e-4, seed=seed + 8).max_rel_err
-    problems += [f"{name} {err:.2e}" for name, err in errs.items() if not err < 1e-5]
+    problems += [f"{name} {err:.2e}" for name, err in errs.items() if not err < GRAD_TOL]
     worst = max(errs.values())
-    return worst, 1e-5, f"6 configurations, 200 probes each, max rel err {worst:.2e}"
+    return worst, GRAD_TOL, f"6 configurations, 200 probes each, max rel err {worst:.2e}"
 
 
 def _scheme_params(seed: int):

@@ -61,6 +61,12 @@ class TestSima:
         assert assert_homogeneous(f, 3, trials=30, shape=(5, 4)).passed
         assert not assert_homogeneous(f, 2, trials=10, shape=(5, 4)).passed
 
+    def test_plan_rejects_a_batched_input(self, sima_params, rng):
+        # the l1 normalizers sum over the token axis, so a batch is not N x D
+        plan = A.sima_as_padre(sima_params, n_tokens=3)
+        with pytest.raises(ShapeError):
+            plan.evaluate(rng.uniform(-1, 1, (2, 3, 4)))
+
 
 class TestConv2Former:
     @pytest.fixture

@@ -11,7 +11,9 @@ from padre.bench import (
     fit_scaling,
     read_csv,
     run_bench,
+    setup_scheme,
 )
+from padre.tensor import LayoutError
 
 
 def synthetic_records(ns, times, flops, scheme="synthetic"):
@@ -33,6 +35,15 @@ class TestRunBench:
     def test_unknown_scheme(self):
         with pytest.raises(UnknownSchemeError):
             run_bench(["who-knows"], [16], d_ch=8, reps=5, warmup=0)
+
+    @pytest.mark.parametrize("scheme", ["padre-x", "padre-9"])
+    def test_only_listed_schemes_set_up(self, scheme):
+        with pytest.raises(UnknownSchemeError):
+            setup_scheme(scheme, 16, 8, 0)
+
+    def test_conv2former_needs_a_square_token_count(self):
+        with pytest.raises(LayoutError):
+            run_bench(["conv2former"], [15], d_ch=8, reps=5, warmup=0)
 
     def test_too_few_reps(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,13 @@ class TestExpand:
             assert total == 2
 
 
+    def test_config_header_names_the_configured_seed(self, capsys, tmp_path):
+        cfg_path = tmp_path / "block.json"
+        cfg_path.write_text('{"seed": 7, "degree": 2, "N": 2, "D": 1}')
+        assert main(["expand", "--config", str(cfg_path), "--seed", "3"]) == 0
+        assert "degree=2 seed=7;" in capsys.readouterr().out.splitlines()[0]
+
+
 class TestVerify:
     def test_full_suite_green(self, capsys):
         assert main(["verify"]) == 0
@@ -146,6 +153,19 @@ class TestBenchCommand:
         assert os.path.exists(fits)
         assert "flop exponent" in capsys.readouterr().out
 
+    def test_no_fits_from_repeated_n(self, tmp_path, capsys):
+        # four records at one N are one point, too few for a fit
+        assert main(["bench", "--schemes", "padre-2", "--n-list", "16", "16", "16", "16",
+                     "--channels", "8", "--reps", "5", "--warmup", "0",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert "flop exponent" not in capsys.readouterr().out
+
+    def test_non_square_conv2former_exits_two(self, tmp_path, capsys):
+        assert main(["bench", "--schemes", "conv2former", "--n-list", "15",
+                     "--channels", "8", "--reps", "5", "--warmup", "0",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert "conv2former needs a square token count" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):
@@ -157,6 +177,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("scheme", ["who-knows", "padre-x", "padre-9"])
+    def test_unlisted_scheme_exits_two(self, scheme, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--schemes", scheme])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,env", [
         (["verify", "--seed", "-1"], None),
