@@ -42,6 +42,8 @@ RECORD_COLUMNS = ["scheme", "N", "D", "d", "flops", "median_s", "p10_s", "p90_s"
                   "reps", "seed"]
 FIT_COLUMNS = ["scheme", "points", "flop_exponent", "time_exponent",
                "flop_residual", "time_residual"]
+#: distinct N values a scheme needs for a scaling fit
+MIN_FIT_POINTS = 4
 
 
 class UnknownSchemeError(ValueError):
@@ -129,8 +131,6 @@ def _setup_castling(n: int, d_ch: int, seed: int):
 
 def _setup_conv2former(n: int, d_ch: int, seed: int):
     layout = _layout_for(n)
-    if not isinstance(layout, Grid):
-        raise LayoutError(f"conv2former needs a square token count, got N={n}")
     rng = np.random.default_rng([seed, n, 4])
     kh, kw = min(11, layout.h), min(11, layout.w)
     p = Conv2FormerParams(
@@ -140,26 +140,41 @@ def _setup_conv2former(n: int, d_ch: int, seed: int):
     return _ledgered(conv2former_forward, p, _input_for(n, d_ch, seed, "conv2former"), 2)
 
 
-def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
-    """Build a runnable closure for one of ``ALL_SCHEMES``; returns (run, flops, degree)."""
-    table = {"padre-2": functools.partial(_setup_padre, 2),
-             "padre-3": functools.partial(_setup_padre, 3),
-             "padre-4": functools.partial(_setup_padre, 4),
-             "softmax-attn": _setup_softmax_attn, "sima": _setup_sima,
-             "castling": _setup_castling, "conv2former": _setup_conv2former}
-    if scheme not in table:
+_SETUPS = {"padre-2": functools.partial(_setup_padre, 2),
+           "padre-3": functools.partial(_setup_padre, 3),
+           "padre-4": functools.partial(_setup_padre, 4),
+           "softmax-attn": _setup_softmax_attn, "sima": _setup_sima,
+           "castling": _setup_castling, "conv2former": _setup_conv2former}
+
+
+def check_scheme(scheme: str, n: int) -> None:
+    """Raise what ``setup_scheme`` would for this pair, without building anything."""
+    if scheme not in _SETUPS:
         raise UnknownSchemeError(f"unknown scheme {scheme!r}; "
                                  f"choose from {', '.join(ALL_SCHEMES)}")
-    return table[scheme](n, d_ch, seed)
+    if scheme == "conv2former" and not isinstance(_layout_for(n), Grid):
+        raise LayoutError(f"conv2former needs a square token count, got N={n}")
+
+
+def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
+    """Build a runnable closure for one of ``ALL_SCHEMES``; returns (run, flops, degree)."""
+    check_scheme(scheme, n)
+    return _SETUPS[scheme](n, d_ch, seed)
 
 
 def run_bench(schemes: list[str], n_list: list[int] | None = None,
               d_ch: int = DEFAULT_CHANNELS, reps: int = 20, warmup: int = 3,
               seed: int = 0) -> list[BenchRecord]:
-    """Time every (scheme, N) pair; FLOPs come from the ledger."""
+    """Time every (scheme, N) pair; FLOPs come from the ledger.
+
+    Every pair is checked (``check_scheme``) before the first is timed.
+    """
     if reps < 5:
         raise ValueError(f"need at least 5 repetitions, got {reps}")
     n_list = list(n_list) if n_list else list(DEFAULT_N_LIST)
+    for scheme in schemes:
+        for n in n_list:
+            check_scheme(scheme, n)
     records = []
     for scheme in schemes:
         for n in n_list:
@@ -198,8 +213,8 @@ def fit_scaling(records: list[BenchRecord]) -> list[ScalingFit]:
     for scheme in sorted({r.scheme for r in records}):
         rs = sorted((r for r in records if r.scheme == scheme), key=lambda r: r.n_tokens)
         ns = np.array([r.n_tokens for r in rs], dtype=float)
-        if np.unique(ns).size < 4:
-            raise ValueError(f"scheme {scheme!r} needs >= 4 distinct N values, "
+        if np.unique(ns).size < MIN_FIT_POINTS:
+            raise ValueError(f"scheme {scheme!r} needs >= {MIN_FIT_POINTS} distinct N values, "
                              f"got {np.unique(ns).size}")
         f_exp, f_res = _loglog_slope(ns, np.array([r.flops for r in rs], dtype=float))
         t_exp, t_res = _loglog_slope(ns, np.array([r.median_s for r in rs]))

@@ -391,7 +391,11 @@ def config_to_json(cfg: dict) -> str:
 
 
 def config_from_json(text: str) -> dict:
-    return json.loads(text)
+    """Parse a config document; one that is not a JSON object raises ``ShapeError``."""
+    cfg = json.loads(text)
+    if not isinstance(cfg, dict):
+        raise ShapeError(f"a config is a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 #: what a config may ask the builders for: the degree, and float64 values

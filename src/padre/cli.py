@@ -1,6 +1,10 @@
 """Command-line surface: bench, verify, expand, gradcheck, approx-attn.
 
 Exit codes: 0 on success, 1 when any verification fails, 2 on usage errors.
+Usage errors are found before any work is timed or printed: bad flag values,
+an unreadable or invalid ``expand --config`` document, a block beyond the
+oracle's caps, and ``bench`` schemes, N values or ``--fits-out`` requests
+that cannot all be met.
 ``PADRE_SEED`` in the environment overrides ``--seed`` everywhere; ``expand
 --config`` takes its seed from the config.
 """
@@ -21,13 +25,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np
 
 from . import verify as verify_mod
-from .bench import ALL_SCHEMES, DEFAULT_CHANNELS, DEFAULT_N_LIST, emit_csv, fit_scaling, run_bench
+from .bench import (ALL_SCHEMES, DEFAULT_CHANNELS, DEFAULT_N_LIST, MIN_FIT_POINTS, emit_csv,
+                    fit_scaling, run_bench)
 from .block import (Seq1d, block_from_config, build_conv_instance, config_from_json, forward,
                     random_block)
 from .grad import gradcheck
 from .oracle import extract_coeffs
 from .rational import random_rational_block, rational_gradcheck
-from .tensor import LayoutError
+from .tensor import LayoutError, SizeCapError
 
 
 def _int_at_least(low: int):
@@ -40,6 +45,11 @@ def _int_at_least(low: int):
 
 
 _seed = _int_at_least(0)
+
+
+def _usage_error(command: str, message) -> int:
+    print(f"padre {command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,16 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
+    fits_possible = len(set(args.n_list)) >= MIN_FIT_POINTS
+    if args.fits_out and not fits_possible:
+        return _usage_error("bench", f"--fits-out needs >= {MIN_FIT_POINTS} distinct "
+                                     f"--n-list values, got {len(set(args.n_list))}")
     try:
         records = run_bench(args.schemes, args.n_list, d_ch=args.channels, reps=args.reps,
                             warmup=args.warmup, seed=args.seed)
     except LayoutError as exc:      # a scheme that cannot take one of the N values
-        print(f"padre bench: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("bench", exc)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
-    by_scheme = {r.scheme for r in records}
-    if all(len({r.n_tokens for r in records if r.scheme == s}) >= 4 for s in by_scheme):
+    if fits_possible:
         fits = fit_scaling(records)
         for f in fits:
             print(f"{f.scheme}: flop exponent {f.flop_exponent:.3f}, "
@@ -120,16 +132,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            cfg = config_from_json(f.read())
-        block = block_from_config(cfg)
-        args.n, args.channels = block.n_tokens, block.n_channels
-        args.degree, args.seed = block.degree, cfg.get("seed", 0)   # as the block was built
-    else:
-        block = random_block(args.n, args.channels, args.degree, args.seed)
-    coeffs = extract_coeffs(lambda x: forward(block, x)[0], args.n, args.channels,
-                            args.degree)
+    try:
+        if args.config:
+            with open(args.config, encoding="utf-8") as f:
+                cfg = config_from_json(f.read())
+            block = block_from_config(cfg)
+            args.n, args.channels = block.n_tokens, block.n_channels
+            args.degree, args.seed = block.degree, cfg.get("seed", 0)   # as the block was built
+        else:
+            block = random_block(args.n, args.channels, args.degree, args.seed)
+    except (OSError, ValueError) as exc:     # unreadable or invalid config document
+        return _usage_error("expand", exc)
+    try:
+        coeffs = extract_coeffs(lambda x: forward(block, x)[0], args.n, args.channels,
+                                args.degree)
+    except SizeCapError as exc:              # a block beyond the oracle's caps
+        return _usage_error("expand", exc)
     print(f"# block N={args.n} D={args.channels} degree={args.degree} "
           f"seed={args.seed}; residual {coeffs.diagnostics.residual:.2e}")
     for line in coeffs.dump_lines():

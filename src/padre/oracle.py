@@ -12,8 +12,9 @@ softmax attention) that are not polynomial at all.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,9 +54,20 @@ class DegreeCapError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class MultiIndex:
-    """Exponent assignment over the N*D input entries; zero exponents dropped."""
+    """Exponent assignment over the N*D input entries; zero exponents dropped.
+
+    Keys compare by ``powers``; the hash of ``powers`` is computed once, at
+    construction, since a fit inserts every kept key into a dict.
+    """
 
     powers: tuple[tuple[tuple[int, int], int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.powers))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_exponents(cls, evec: np.ndarray, n_channels: int) -> "MultiIndex":
@@ -270,13 +282,11 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
         raise NotPolynomialError(residual, degree_bound, RESIDUAL_TOL)
     coeffs = (system.w @ proj).T
     keys = _monomial_keys(n_vars, n_channels, degree_bound)
+    kept = (np.abs(coeffs) > PRUNE_TOL).tolist()
     terms: dict[tuple[int, int], dict[MultiIndex, float]] = {}
-    for out_idx, col in enumerate(coeffs):
-        kept = np.flatnonzero(np.abs(col) > PRUNE_TOL)
-        if kept.size:
-            vals = col.tolist()
-            terms[(out_idx // n_channels, out_idx % n_channels)] = {
-                keys[i]: vals[i] for i in kept.tolist()}
+    for out_idx, (mask, vals) in enumerate(zip(kept, coeffs.tolist())):
+        if any(mask):
+            terms[divmod(out_idx, n_channels)] = dict(itertools.compress(zip(keys, vals), mask))
     return PolyCoeffs(
         n_tokens=n_tokens, n_channels=n_channels, degree_bound=degree_bound,
         terms=terms,

@@ -7,10 +7,15 @@ Conventions used throughout the package:
   is mixed exactly as it would be alone, bit for bit.
 * A token-side mixer is a linear operator acting on the left (an implicit
   N x N matrix); a channel-side mixer acts on the right (D x D).
-* Same-size convolutions run as tiled Toeplitz GEMMs (``_apply_conv``):
-  each tile of ``TILE`` outputs along the last convolution axis is one small
-  matrix product per kernel row, with a banded matrix holding that row's
-  taps.  Only rounding separates the result from a tap-by-tap sum, within
+* Same-size convolutions (``_apply_conv``) take one of two routes, chosen
+  by the length of the last convolution axis alone.  An axis that fits in
+  one tile (at most ``TILE`` outputs) runs as a tap-by-tap sum over slices
+  of the unpadded input; an inf or NaN there reaches only the outputs whose
+  taps read it.  Longer axes run as tiled Toeplitz GEMMs: each tile of
+  ``TILE`` outputs is one small matrix product per kernel row, with a
+  banded matrix holding that row's taps, and a non-finite input reaches
+  every output of the tiles that read it.  Only rounding separates either
+  route from a tap-by-tap sum, within
   ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
 * Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
   sample and multiplied by the batch size.  A convolution counts the
@@ -22,6 +27,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import struct
@@ -41,7 +47,7 @@ MANIFEST_TAG = 201
 BAND_BYTES = 256 * 1024
 
 #: outputs per tile of a convolution's last axis; each tile is one small
-#: GEMM per kernel row
+#: GEMM per kernel row, and an axis no longer than one tile runs as a tap sum
 TILE = 8
 
 
@@ -251,29 +257,41 @@ def _conv_taps(n: int, k: int, anchor: int) -> int:
     return int(np.sum(hi - lo + 1))
 
 
-def _conv_padded(m: Mixer, x: np.ndarray, transpose: bool,
-                 extra: int = 0) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """View ``x`` with the convolution axes split out, and pad it.
+def _conv_view(m: Mixer, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``x`` with the convolution axes split out, and those axes.
 
-    Returns the view (token grid ``(..., H, W, D)``, channel grid
-    ``(..., N, H, W)``, or ``x`` itself for conv1d), its padded copy and the
-    convolution axes, which sit behind any batch axes.  The copy is built
-    directly: zeros with the view copied into the interior, or a modular
-    ``take`` per axis for circular padding.  With ``transpose`` the anchor
-    is mirrored.  The last convolution axis gets ``extra`` more padding
-    values at its end, which only outputs past the view's end read.
+    The view is the token grid ``(..., H, W, D)``, the channel grid
+    ``(..., N, H, W)``, or ``x`` itself for conv1d; the convolution axes sit
+    behind any batch axes.
     """
     *batch, n, d = x.shape
     nb = len(batch)
     if m.kind == MixerKind.CONV1D:
-        xv, axes = x, (nb if m.side == Side.TOKEN else nb + 1,)
-    elif m.side == Side.TOKEN:
-        xv, axes = x.reshape(*batch, m.grid_h, m.grid_w, d), (nb, nb + 1)
-    else:
-        xv, axes = x.reshape(*batch, n, m.grid_h, m.grid_w), (nb + 1, nb + 2)
+        return x, (nb if m.side == Side.TOKEN else nb + 1,)
+    if m.side == Side.TOKEN:
+        return x.reshape(*batch, m.grid_h, m.grid_w, d), (nb, nb + 1)
+    return x.reshape(*batch, n, m.grid_h, m.grid_w), (nb + 1, nb + 2)
+
+
+def _anchor(k: int, transpose: bool) -> int:
+    """Input offset of a ``k``-wide kernel's first tap; mirrored for the transpose."""
+    return k - 1 - k // 2 if transpose else k // 2
+
+
+def _conv_padded(m: Mixer, x: np.ndarray, transpose: bool,
+                 extra: int = 0) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The view and axes of ``_conv_view``, and the view's padded copy.
+
+    The copy is built directly: zeros with the view copied into the
+    interior, or a modular ``take`` per axis for circular padding.  With
+    ``transpose`` the anchor is mirrored.  The last convolution axis gets
+    ``extra`` more padding values at its end, which only outputs past the
+    view's end read.
+    """
+    xv, axes = _conv_view(m, x)
     widths = [k - 1 for k in m.kernel.shape]
     widths[-1] += extra
-    pads = [(ax, width, k - 1 - k // 2 if transpose else k // 2)
+    pads = [(ax, width, _anchor(k, transpose))
             for ax, width, k in zip(axes, widths, m.kernel.shape)]
     if m.padding == PadMode.CIRCULAR:
         xp = xv
@@ -330,32 +348,94 @@ def _toeplitz(kern: np.ndarray, tile: int) -> np.ndarray:
     return t
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_plan(sizes: tuple[int, ...], kshape: tuple[int, ...], transpose: bool,
+              circular: bool) -> tuple:
+    """Per tap, in row-major order, ``(tap, pieces)``: the index pairs it adds.
+
+    On an axis of size ``n``, tap ``t`` adds ``x[i + t - anchor]`` into
+    ``out[i]``.  One slice pair covers the outputs whose input lies inside
+    the axis (zero padding); under circular padding a second pair wraps
+    around, so every output is covered.  A piece ``(out_index, in_index)``
+    takes one slice pair per axis.  Cached per shape, since tiny inputs
+    would pay for this on every call.
+    """
+    per_axis = []
+    for n, k in zip(sizes, kshape):
+        pairs = []
+        for t in range(k):
+            o = t - _anchor(k, transpose)
+            if not circular:
+                pairs.append([(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o)))])
+                continue
+            o %= n      # outputs below n - o read x[o:], the rest wrap round to x[:o]
+            wrap = [(slice(n - o, n), slice(0, o))] if o else []
+            pairs.append([(slice(0, n - o), slice(o, n))] + wrap)
+        per_axis.append(pairs)
+    plan = []
+    for tap in itertools.product(*map(range, kshape)):
+        pieces = itertools.product(*(pairs[t] for pairs, t in zip(per_axis, tap)))
+        plan.append((tap, tuple(tuple(zip(*piece)) for piece in pieces)))
+    return tuple(plan)
+
+
+def _tap_sum(m: Mixer, x: np.ndarray, kern: np.ndarray, transpose: bool) -> np.ndarray:
+    """The correlation as a sum of each tap's product, in row-major tap order.
+
+    Each tap adds ``kern[tap]`` times slices of the unpadded view into the
+    output (``_tap_plan``).  No padded copy is built and no tap reads a
+    padding value.  The sum runs on a copy of the view with the convolution
+    axes first, so that every slice is one contiguous run per leading index.
+    """
+    xv, axes = _conv_view(m, x)
+    perm = axes + tuple(i for i in range(xv.ndim) if i not in axes)
+    xs = xv.transpose(perm).copy()
+    out, prod = np.zeros(xs.shape), np.empty(xs.shape)
+    plan = _tap_plan(xs.shape[:len(axes)], kern.shape, transpose,
+                     m.padding == PadMode.CIRCULAR)
+    for tap, pieces in plan:
+        w = kern[tap]
+        for dst, src in pieces:
+            o = out[dst]
+            o += np.multiply(xs[src], w, out=prod[dst])
+    back = np.empty_like(xv)
+    back.transpose(perm)[...] = out
+    return back.reshape(x.shape)
+
+
 def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     """Same-size correlation out[i] = sum_j kernel[j] * x[i + j - anchor].
 
     The transpose of a same-size correlation is correlation with the flipped
     kernel at the mirrored anchor, under both padding modes.
 
-    The correlation runs as tiled Toeplitz GEMMs.  The last convolution axis
-    is cut into tiles of ``TILE`` outputs (one tile if the axis is shorter),
-    and a tile of an output row is ``sum_a window_a @ t[a]`` over the kernel
-    rows ``a``: ``t`` holds the banded matrices of ``_toeplitz`` and
-    ``window_a`` is a strided view of the padded copy, so no input is copied
-    per tile.  A conv1d is the one-kernel-row case, over a unit axis.  The
-    GEMMs run band by band (``_bands``) into the output and one band-sized
-    buffer, which stay in cache across the kernel rows.  Each sample of a
-    batch runs the same GEMMs as alone, so batching changes no bit.
+    The route depends only on the length ``n`` of the last convolution axis,
+    so each sample of a batch runs the same operations as alone and batching
+    changes no bit.  When the axis fits in one tile (``n <= TILE``) the
+    correlation is ``_tap_sum``: a tap-by-tap sum over slices of the
+    unpadded view.  An input inf or NaN then reaches only the outputs whose
+    taps read it.
 
-    Against a tap-by-tap sum only rounding differs, within
-    ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A non-finite
-    input reaches every output of the tiles that read it (``0 * inf`` is
-    NaN).  ``apply_mixer``'s ledger counts the operator's MACs, not the
-    zeros inside ``t``.
+    Longer axes run as tiled Toeplitz GEMMs.  The last convolution axis is
+    cut into tiles of ``TILE`` outputs, and a tile of an output row is
+    ``sum_a window_a @ t[a]`` over the kernel rows ``a``: ``t`` holds the
+    banded matrices of ``_toeplitz`` and ``window_a`` is a strided view of
+    the padded copy, so no input is copied per tile.  A conv1d is the
+    one-kernel-row case, over a unit axis.  The GEMMs run band by band
+    (``_bands``) into the output and one band-sized buffer, which stay in
+    cache across the kernel rows.  Against a tap-by-tap sum only rounding
+    differs, within ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
+    A non-finite input reaches every output of the tiles that read it
+    (``0 * inf`` is NaN).
+
+    ``apply_mixer``'s ledger counts the operator's MACs on both routes, not
+    the zeros inside ``t``.
     """
     kern = np.flip(m.kernel) if transpose else m.kernel
     n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
-    tile = min(TILE, n)
-    xv, xp, axes = _conv_padded(m, x, transpose, extra=-n % tile)
+    if n <= TILE:
+        return _tap_sum(m, x, kern, transpose)
+    xv, xp, axes = _conv_padded(m, x, transpose, extra=-n % TILE)
     if kern.ndim == 1:
         r = axes[0]
         xv = xv.reshape(xv.shape[:r] + (1,) + xv.shape[r:])
@@ -363,18 +443,18 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
         axes, kern = (r, r + 1), kern[None]
     r, ax = axes
     kh, kw = kern.shape
-    n_tiles = -(-n // tile)
-    # tiles of the last conv axis: outputs (..., n_tiles, tile, ...) and the
-    # overlapping windows (..., n_tiles, tile + kw - 1, ...) they read
-    out = np.empty(xv.shape[:ax] + (n_tiles, tile) + xv.shape[ax + 1:], dtype=xv.dtype)
+    n_tiles = -(-n // TILE)
+    # tiles of the last conv axis: outputs (..., n_tiles, TILE, ...) and the
+    # overlapping windows (..., n_tiles, TILE + kw - 1, ...) they read
+    out = np.empty(xv.shape[:ax] + (n_tiles, TILE) + xv.shape[ax + 1:], dtype=xv.dtype)
     step = xp.strides[ax]
-    xt = np.ndarray(xp.shape[:ax] + (n_tiles, tile + kw - 1) + xp.shape[ax + 1:], xp.dtype, xp,
-                    0, xp.strides[:ax] + (tile * step, step) + xp.strides[ax + 1:])
+    xt = np.ndarray(xp.shape[:ax] + (n_tiles, TILE + kw - 1) + xp.shape[ax + 1:], xp.dtype, xp,
+                    0, xp.strides[:ax] + (TILE * step, step) + xp.strides[ax + 1:])
     # each GEMM is (channels on the token side, tokens on the channel side)
     # by tile: move that axis and the tile axis last
     rows = out.ndim - 1 if m.side == Side.TOKEN else r - 1
     perm = [i for i in range(out.ndim) if i not in (rows, ax + 1)] + [rows, ax + 1]
-    t = _toeplitz(kern, tile)
+    t = _toeplitz(kern, TILE)
     lead = (slice(None),) * r
     buf = None
     for band, xb in _bands(xv, xt, axes, kh):
@@ -387,8 +467,8 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
             np.matmul(win.transpose(perm), t[a], out=(tb if a else ob).transpose(perm))
             if a:
                 ob += tb
-    if n_tiles * tile > n:
-        out = out.reshape(xv.shape[:ax] + (n_tiles * tile,) + xv.shape[ax + 1:])
+    if n_tiles * TILE > n:
+        out = out.reshape(xv.shape[:ax] + (n_tiles * TILE,) + xv.shape[ax + 1:])
         out = out[(slice(None),) * ax + (slice(n),)]
     return out.reshape(x.shape)
 

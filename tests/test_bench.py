@@ -45,6 +45,14 @@ class TestRunBench:
         with pytest.raises(LayoutError):
             run_bench(["conv2former"], [15], d_ch=8, reps=5, warmup=0)
 
+    def test_every_pair_checked_before_any_is_set_up(self, monkeypatch):
+        from padre import bench
+        set_up = []
+        monkeypatch.setattr(bench, "setup_scheme", lambda *a: set_up.append(a))
+        with pytest.raises(LayoutError, match="got N=15"):
+            run_bench(["padre-2", "sima", "conv2former"], [16, 15], d_ch=8, reps=5, warmup=0)
+        assert set_up == []
+
     def test_too_few_reps(self):
         with pytest.raises(ValueError):
             run_bench(["padre-2"], [16], d_ch=8, reps=3)

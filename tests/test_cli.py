@@ -53,6 +53,31 @@ class TestExpand:
         assert main(["expand", "--config", str(cfg_path), "--seed", "3"]) == 0
         assert "degree=2 seed=7;" in capsys.readouterr().out.splitlines()[0]
 
+    @pytest.mark.parametrize("document,message", [
+        ('{"degree": 0, "N": 2, "D": 1}', "config field 'degree' is 0"),
+        ('{"degree": 2, "N": 5, "D": 1, "layout": ["grid", 2, 2]}', "does not cover N=5"),
+        ('{"degree": 65, "N": 2, "D": 1}', "beyond the config caps"),
+        ('{"degree": 2, "N": 4, "D": 4}', "capped at N*D <= 8"),
+        (None, "No such file or directory"),
+        ('{"degree": 2, "N": 2,', "Expecting property name"),
+        ("[2, 2, 1]", "a config is a JSON object, not list"),
+    ], ids=["shape-error", "layout-error", "size-cap-error", "beyond-oracle-caps",
+            "missing-file", "malformed-json", "not-an-object"])
+    def test_bad_config_is_a_usage_error(self, document, message, capsys, tmp_path):
+        cfg_path = tmp_path / "block.json"
+        if document is not None:
+            cfg_path.write_text(document)
+        assert main(["expand", "--config", str(cfg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("padre expand: error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_flags_beyond_oracle_caps_are_a_usage_error(self, capsys):
+        assert main(["expand", "--n", "3", "--channels", "3"]) == 2
+        assert capsys.readouterr().err == ("padre expand: error: coefficient extraction "
+                                           "capped at N*D <= 8\n")
+
 
 class TestVerify:
     def test_full_suite_green(self, capsys):
@@ -165,6 +190,28 @@ class TestBenchCommand:
                      "--channels", "8", "--reps", "5", "--warmup", "0",
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "conv2former needs a square token count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--schemes", "padre-2", "conv2former", "--n-list", "16", "15"],
+         "conv2former needs a square token count, got N=15"),
+        (["--schemes", "padre-2", "--n-list", "16", "25", "--fits-out", "FITS"],
+         "--fits-out needs >= 4 distinct --n-list values, got 2"),
+        (["--schemes", "padre-2", "--n-list", "16", "16", "25", "36", "--fits-out", "FITS"],
+         "--fits-out needs >= 4 distinct --n-list values, got 3"),
+    ], ids=["non-square-after-a-good-scheme", "fits-from-two-n", "fits-from-repeated-n"])
+    def test_checked_before_anything_is_timed(self, argv, message, tmp_path, capsys,
+                                              monkeypatch):
+        from padre import bench
+        set_up = []
+        real = bench.setup_scheme
+        monkeypatch.setattr(bench, "setup_scheme", lambda *a: set_up.append(a) or real(*a))
+        out, fits = tmp_path / "b.csv", tmp_path / "f.csv"
+        argv = [str(fits) if a == "FITS" else a for a in argv]
+        assert main(["bench", *argv, "--channels", "8", "--reps", "5", "--warmup", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"padre bench: error: {message}\n"
+        assert set_up == []
+        assert not out.exists() and not fits.exists()
 
 
 class TestUsageErrors:

@@ -94,6 +94,36 @@ class TestExtractCoeffs:
         coeffs = extract_coeffs(lambda x: forward(block, x)[0], 2, 2, 2)
         assert 0 in coeffs.support_degrees()
 
+    def test_fresh_key_finds_its_coefficient(self):
+        # each key hashes once, when built; a key built later from the same
+        # exponents must hash and compare equal to the cached one
+        block = random_block(2, 2, 3, seed=5)
+        fit = extract_coeffs(lambda x: forward(block, x)[0], 2, 2, 3)
+        exps = monomial_exponents(4, 3)
+        found = 0
+        for e in exps:
+            fresh = MultiIndex.from_exponents(e, 2)
+            for entry in fit.terms.values():
+                # a linear scan by equality, then the hashed lookup
+                match = [(k, v) for k, v in entry.items() if k == fresh]
+                if match:
+                    (cached, coeff), = match
+                    assert cached is not fresh and hash(cached) == hash(fresh)
+                    assert entry[fresh] == coeff
+                    found += 1
+        assert found == sum(map(len, fit.terms.values())) > 0
+
+    def test_zero_outputs_get_no_entry(self):
+        # the map zeroes output column 1, so only entries (m, 0) exist
+        def f(x):
+            out = x ** 2
+            out[..., 1] = 0.0
+            return out
+        fit = extract_coeffs(f, 2, 2, 2)
+        assert list(fit.terms) == [(0, 0), (1, 0)]
+        for m in range(2):
+            assert fit.terms[(m, 0)] == {MultiIndex((((m, 0), 2),)): pytest.approx(1.0)}
+
     def test_dump_lines_sorted_by_total_degree(self):
         block = identity_block(1, 2, 2, np.ones(2), {1, 2})
         coeffs = extract_coeffs(lambda x: forward(block, x)[0], 1, 2, 2)

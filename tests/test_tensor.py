@@ -289,33 +289,61 @@ def conv_case(rng, kind, side, padding, n, k):
 
 
 class TestConvTiles:
-    """Convolved axes cut into ``TILE``-output tiles: whole, partial and single tiles."""
+    """Convolved axes cut into ``TILE``-output tiles: whole, partial and single
+    tiles.  An axis of ``n <= TILE`` outputs runs as a tap sum instead
+    (``_tap_sum``); ``TILE + 1`` is the shortest axis on the Toeplitz route."""
 
-    SIZES = pytest.mark.parametrize("n,k", [(16, 3), (13, 4), (5, 3), (13, 11)], ids=[
-        "whole-tiles", "partial-tile", "shorter-than-tile", "kernel-wider-than-tile"])
+    SIZES = pytest.mark.parametrize("n,k", [
+        (16, 3), (13, 4), (5, 3), (13, 11), (tensor.TILE, 3), (tensor.TILE, 4),
+        (tensor.TILE + 1, 3), (tensor.TILE + 1, 4),
+    ], ids=["whole-tiles", "partial-tile", "shorter-than-tile", "kernel-wider-than-tile",
+            "one-tile", "one-tile-even", "tile-plus-one", "tile-plus-one-even"])
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
     @SIZES
     @conv_cases
-    def test_within_rounding_of_reference(self, rng, kind, side, padding, n, k, transpose):
+    def test_within_rounding_of_reference(self, rng, monkeypatch, kind, side, padding, n, k,
+                                          transpose):
+        tap_sums = []
+        real = tensor._tap_sum
+        monkeypatch.setattr(tensor, "_tap_sum", lambda *a: tap_sums.append(a) or real(*a))
         m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
         got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
+        assert len(tap_sums) == (n <= tensor.TILE)
         assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
 
     @SIZES
     @conv_cases
     def test_batch_stacks_and_transpose_is_adjoint(self, rng, kind, side, padding, n, k):
         m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
-        xs = rng.uniform(-1, 1, (2, 3) + x.shape)
-        for apply in (apply_mixer, apply_mixer_transpose):
-            want = np.stack([apply(m, s) for s in xs.reshape(6, *x.shape)])
-            assert np.array_equal(apply(m, xs), want.reshape(xs.shape))
+        for batch in ((6,), (2, 3)):
+            xs = rng.uniform(-1, 1, batch + x.shape)
+            for apply in (apply_mixer, apply_mixer_transpose):
+                want = np.stack([apply(m, s) for s in xs.reshape(6, *x.shape)])
+                assert np.array_equal(apply(m, xs), want.reshape(xs.shape))
         # <M x, g> = <x, M^T g>, relative to sum |M| |x| |g|
         g = rng.uniform(-1, 1, x.shape)
         lhs, rhs = np.vdot(apply_mixer(m, x), g), np.vdot(x, apply_mixer_transpose(m, g))
         scale = padded_correlation(np.abs(xv), np.abs(kern), axes,
                                    padding == PadMode.CIRCULAR, False)
         assert abs(lhs - rhs) <= 1e-13 * np.vdot(scale, np.abs(g).reshape(scale.shape))
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
+    @pytest.mark.parametrize("k", [3, 4], ids=["odd", "even"])
+    @conv_cases
+    def test_one_tile_inf_reaches_only_outputs_whose_taps_read_it(self, rng, kind, side,
+                                                                  padding, k, transpose):
+        m, x, xv, kern, axes = conv_case(rng, kind, side, padding, tensor.TILE, k)
+        circular = padding == PadMode.CIRCULAR
+        for pos in ((0,) * xv.ndim, tuple(s // 2 for s in xv.shape)):
+            hit = np.zeros(xv.shape)
+            hit[pos] = 1.0
+            xi = xv.copy()
+            xi[pos] = np.inf
+            xi = xi.reshape(x.shape)
+            got = apply_mixer_transpose(m, xi) if transpose else apply_mixer(m, xi)
+            reads = padded_correlation(hit, np.ones(kern.shape), axes, circular, transpose)
+            assert np.array_equal(~np.isfinite(got.reshape(xv.shape)), reads > 0)
 
 
 class TestBatch:
