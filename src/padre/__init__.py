@@ -16,8 +16,8 @@ _EXPORTS = {
                      "build_conv_instance", "forward", "load_block", "param_count",
                      "random_block", "rms_normalize_rows", "save_block"), "block"),
     **dict.fromkeys(("GradBundle", "GradReport", "backward", "gradcheck"), "grad"),
-    **dict.fromkeys(("MultiIndex", "NotPolynomialError", "PolyCoeffs", "assert_homogeneous",
-                     "extract_coeffs", "max_effective_degree"), "oracle"),
+    **dict.fromkeys(("NotPolynomialError", "PolyCoeffs", "assert_homogeneous", "extract_coeffs",
+                     "max_effective_degree"), "oracle"),
     **dict.fromkeys(("RationalPadreBlock", "rational_forward", "rational_gradcheck"),
                     "rational"),
     **dict.fromkeys(("MultimodalBlock", "build_multimodal", "multimodal_forward"),

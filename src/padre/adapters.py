@@ -479,8 +479,22 @@ def exp_taylor(logits: np.ndarray, degree: int) -> np.ndarray:
 
 
 def taylor_remainder_bound(l_bound: float, degree: int) -> float:
-    """A-priori truncation error of exp on [-L, L]: e^L L^{d+1} / (d+1)!."""
-    return math.exp(l_bound) * l_bound ** (degree + 1) / math.factorial(degree + 1)
+    """A-priori truncation error of exp on [-L, L]: e^L L^{d+1} / (d+1)!.
+
+    Where a factor of that form overflows a float, the bound is formed in log
+    space instead; it is ``math.inf`` beyond the float range.
+    """
+    try:
+        bound = math.exp(l_bound) * l_bound ** (degree + 1) / math.factorial(degree + 1)
+    except OverflowError:
+        bound = math.inf
+    if bound < math.inf:
+        return bound
+    log_l = math.log(l_bound) if l_bound > 0 else -math.inf
+    try:
+        return math.exp(l_bound + (degree + 1) * log_l - math.lgamma(degree + 2))
+    except OverflowError:
+        return math.inf
 
 
 def attention_rational_approx(p: AttnParams, x: np.ndarray,

@@ -12,6 +12,7 @@ that cannot all be met.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,11 +28,8 @@ import numpy as np
 from . import verify as verify_mod
 from .bench import (ALL_SCHEMES, DEFAULT_CHANNELS, DEFAULT_N_LIST, MIN_FIT_POINTS, emit_csv,
                     fit_scaling, run_bench)
-from .block import (Seq1d, block_from_config, build_conv_instance, config_from_json, forward,
-                    random_block)
-from .grad import gradcheck
+from .block import block_from_config, config_from_json, forward, random_block
 from .oracle import extract_coeffs
-from .rational import random_rational_block, rational_gradcheck
 from .tensor import LayoutError, SizeCapError
 
 
@@ -42,6 +40,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return int(text)
     return parse
+
+
+def _finite_positive(text: str) -> float:
+    """argparse type: a finite float > 0; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 _seed = _int_at_least(0)
@@ -84,11 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient reports")
     g.add_argument("--probes", type=_int_at_least(1), default=200)
-    g.add_argument("--step", type=float, default=1e-4)
+    g.add_argument("--step", type=_finite_positive, default=1e-4)
 
     a = sub.add_parser("approx-attn", help="truncated-series attention error sweep")
     a.add_argument("--max-degree", type=_int_at_least(0), default=12)
-    a.add_argument("--l-bound", type=float, default=1.0)
+    a.add_argument("--l-bound", type=_finite_positive, default=1.0)
     for command in (b, v, e, g, a):
         command.add_argument("--seed", type=_seed, default=0)
     return parser
@@ -156,18 +165,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
     failed = False
-    cases = [
-        ("conv-seq-d3", build_conv_instance(16, 4, 3, Seq1d(), seed=args.seed), gradcheck),
-        ("random-d4-norm", random_block(9, 4, 4, seed=args.seed, normalize_y=True,
-                                        with_bias=True), gradcheck),
-        ("rational-d2e2", random_rational_block(6, 3, 2, 2, seed=args.seed),
-         rational_gradcheck),
-    ]
-    for name, block, check in cases:
-        x = rng.uniform(-1, 1, size=(block.n_tokens, block.n_channels))
-        rep = check(block, x, probes=args.probes, step=args.step, seed=args.seed)
+    for name, check, block, x, probe_seed in verify_mod.gradient_cases(args.seed):
+        rep = check(block, x, probes=args.probes, step=args.step, seed=probe_seed)
         status = "pass" if rep.passed else "fail"
         print(f"gradcheck scheme={name} seed={args.seed} probes={rep.probes} "
               f"max_rel_err={rep.max_rel_err:.3e} {status}")

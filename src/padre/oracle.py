@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,39 +52,9 @@ class DegreeCapError(ValueError):
     """The map has effective degree beyond the requested cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class MultiIndex:
-    """Exponent assignment over the N*D input entries; zero exponents dropped.
-
-    Keys compare by ``powers``; the hash of ``powers`` is computed once, at
-    construction, since a fit inserts every kept key into a dict.
-    """
-
-    powers: tuple[tuple[tuple[int, int], int], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.powers))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @classmethod
-    def from_exponents(cls, evec: np.ndarray, n_channels: int) -> "MultiIndex":
-        powers = tuple(
-            ((j // n_channels, j % n_channels), int(e))
-            for j, e in enumerate(evec) if e
-        )
-        return cls(powers)
-
-    @property
-    def total(self) -> int:
-        return sum(e for _, e in self.powers)
-
-    def __str__(self) -> str:
-        if not self.powers:
-            return "1"
-        return " ".join(f"({m},{n})^{e}" for (m, n), e in self.powers)
+#: a monomial ``((j, e), ...)``: exponent ``e`` of input entry ``j = m*D + n``
+#: (row-major), ascending in ``j``, nonzero exponents only; ``()`` is the constant
+Monomial = tuple[tuple[int, int], ...]
 
 
 class FitDiagnostics(NamedTuple):
@@ -96,16 +66,16 @@ class FitDiagnostics(NamedTuple):
 
 @dataclass
 class PolyCoeffs:
-    """Per output entry, a sparse map from multi-indices to coefficients."""
+    """Per output entry ``(m, n)``, a sparse map from monomials to coefficients."""
 
     n_tokens: int
     n_channels: int
     degree_bound: int
-    terms: dict[tuple[int, int], dict[MultiIndex, float]]
+    terms: dict[tuple[int, int], dict[Monomial, float]]
     diagnostics: FitDiagnostics
 
     def support_degrees(self) -> set[int]:
-        return {k.total for entry in self.terms.values() for k in entry}
+        return {sum(e for _, e in k) for entry in self.terms.values() for k in entry}
 
     def max_degree(self) -> int:
         degs = self.support_degrees()
@@ -118,19 +88,21 @@ class PolyCoeffs:
             acc = 0.0
             for k, coeff in entry.items():
                 mono = 1.0
-                for (mm, nn), e in k.powers:
-                    mono *= flat[mm * self.n_channels + nn] ** e
+                for j, e in k:
+                    mono *= flat[j] ** e
                 acc += coeff * mono
             out[m, n] = acc
         return out
 
     def dump_lines(self) -> list[str]:
         """Text form: "(m,n) | k=... | pi", sorted by |k| then lexicographic."""
+        d = self.n_channels
         lines = []
         for (m, n) in sorted(self.terms):
             entry = self.terms[(m, n)]
-            for k in sorted(entry, key=lambda k: (k.total, k.powers)):
-                lines.append(f"({m},{n}) | k={k} | {entry[k]!r}")
+            for k in sorted(entry, key=lambda k: (sum(e for _, e in k), k)):
+                mono = " ".join(f"({j // d},{j % d})^{e}" for j, e in k) or "1"
+                lines.append(f"({m},{n}) | k={mono} | {entry[k]!r}")
         return lines
 
 
@@ -207,6 +179,7 @@ class _ProbeSystem(NamedTuple):
 
     pts: np.ndarray      # (P, N*D) probe points
     exps: np.ndarray     # (M, N*D) monomial exponents, graded order
+    keys: tuple[Monomial, ...]   # the ``Monomial`` of each row of ``exps``
     u: np.ndarray        # (P, r)
     w: np.ndarray        # (M, r)
     cond: float          # s[0] / s[-1] of the P x M Vandermonde
@@ -229,16 +202,10 @@ def _probe_system(n_vars: int, degree: int, n_probes: int) -> _ProbeSystem:
     w = buf[n_probes * r:(n_probes + n_mono) * r].reshape(n_mono, r)
     u[...] = u_full[:, :r]
     np.divide(vh[:r].T, s[:r], out=w)
+    keys = tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in exps.tolist())
     for a in (buf, u, w, pts, exps):
         a.flags.writeable = False
-    return _ProbeSystem(pts, exps, u, w, cond)
-
-
-@functools.lru_cache(maxsize=4)
-def _monomial_keys(n_vars: int, n_channels: int, degree: int) -> tuple[MultiIndex, ...]:
-    """The ``MultiIndex`` of each monomial, in the order of ``monomial_exponents``."""
-    return tuple(MultiIndex.from_exponents(e, n_channels)
-                 for e in monomial_exponents(n_vars, degree))
+    return _ProbeSystem(pts, exps, keys, u, w, cond)
 
 
 def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
@@ -281,12 +248,12 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     if residual > RESIDUAL_TOL:
         raise NotPolynomialError(residual, degree_bound, RESIDUAL_TOL)
     coeffs = (system.w @ proj).T
-    keys = _monomial_keys(n_vars, n_channels, degree_bound)
     kept = (np.abs(coeffs) > PRUNE_TOL).tolist()
-    terms: dict[tuple[int, int], dict[MultiIndex, float]] = {}
+    terms: dict[tuple[int, int], dict[Monomial, float]] = {}
     for out_idx, (mask, vals) in enumerate(zip(kept, coeffs.tolist())):
         if any(mask):
-            terms[divmod(out_idx, n_channels)] = dict(itertools.compress(zip(keys, vals), mask))
+            terms[divmod(out_idx, n_channels)] = dict(
+                itertools.compress(zip(system.keys, vals), mask))
     return PolyCoeffs(
         n_tokens=n_tokens, n_channels=n_channels, degree_bound=degree_bound,
         terms=terms,

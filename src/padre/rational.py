@@ -101,14 +101,6 @@ class RationalTrace:
     den: np.ndarray
     output: np.ndarray
 
-    @property
-    def k_chain(self) -> list[np.ndarray]:
-        return self.num_trace.z
-
-    @property
-    def l_chain(self) -> list[np.ndarray]:
-        return self.den_trace.z if self.den_trace is not None else []
-
 
 def _chain_forward(chain: str, blk: PadreBlock,
                    x: np.ndarray) -> tuple[np.ndarray, PadreTrace]:

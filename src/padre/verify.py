@@ -163,27 +163,32 @@ def check_oracle(seed, problems):
     return worst, 1e-9, f"32 shapes x degrees, worst residual {worst:.2e}"
 
 
-@_check("gradients", strict=True)
-def check_gradients(seed, problems):
-    """Criterion 3: backward agrees with central differences on six blocks."""
+def gradient_cases(seed: int) -> list[tuple]:
+    """Criterion 3's instances: ``(name, checker, block, x, probe seed)`` for six
+    blocks, where ``checker`` is ``gradcheck`` or ``rational_gradcheck``."""
     rng = np.random.default_rng(seed + 42)
     x_norm = rng.uniform(-1, 1, (12, 6))
     cases = [
-        ("conv-seq-d3", build_conv_instance(32, 8, 3, Seq1d(), seed=seed + 1),
-         rng.uniform(-1, 1, (32, 8))),
-        ("conv-grid-d2", build_conv_instance(36, 8, 2, Grid(6, 6), seed=seed + 2),
-         rng.uniform(-1, 1, (36, 8))),
-        ("random-d4-plain", random_block(10, 5, 4, seed=seed + 3, with_bias=True),
-         rng.uniform(-1, 1, (10, 5))),
-        ("random-d3-normalized",
-         conditioned_norm_block(12, 6, 3, seed=seed + 4, x=x_norm), x_norm),
+        ("conv-seq-d3", gradcheck, build_conv_instance(32, 8, 3, Seq1d(), seed=seed + 1),
+         rng.uniform(-1, 1, (32, 8)), seed + 7),
+        ("conv-grid-d2", gradcheck, build_conv_instance(36, 8, 2, Grid(6, 6), seed=seed + 2),
+         rng.uniform(-1, 1, (36, 8)), seed + 7),
+        ("random-d4-plain", gradcheck, random_block(10, 5, 4, seed=seed + 3, with_bias=True),
+         rng.uniform(-1, 1, (10, 5)), seed + 7),
+        ("random-d3-normalized", gradcheck,
+         conditioned_norm_block(12, 6, 3, seed=seed + 4, x=x_norm), x_norm, seed + 7),
     ]
-    errs = {name: gradcheck(block, x, probes=200, step=1e-4, seed=seed + 7).max_rel_err
-            for name, block, x in cases}
     for name, square in (("rational-plain", False), ("rational-stabilized", True)):
         block = random_rational_block(8, 4, 2, 2, seed=seed + 5, square_denominator=square)
-        errs[name] = rational_gradcheck(block, rng.uniform(-1, 1, (8, 4)), probes=200,
-                                        step=1e-4, seed=seed + 8).max_rel_err
+        cases.append((name, rational_gradcheck, block, rng.uniform(-1, 1, (8, 4)), seed + 8))
+    return cases
+
+
+@_check("gradients", strict=True)
+def check_gradients(seed, problems):
+    """Criterion 3: backward agrees with central differences on six blocks."""
+    errs = {name: check(block, x, probes=200, step=1e-4, seed=probe_seed).max_rel_err
+            for name, check, block, x, probe_seed in gradient_cases(seed)}
     problems += [f"{name} {err:.2e}" for name, err in errs.items() if not err < GRAD_TOL]
     worst = max(errs.values())
     return worst, GRAD_TOL, f"6 configurations, 200 probes each, max rel err {worst:.2e}"

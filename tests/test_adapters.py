@@ -1,6 +1,8 @@
 """The six reference schemes: direct forwards, cascade plans, degree certificates."""
 
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -349,6 +351,34 @@ class TestAttention:
 
     def test_taylor_remainder_bound_formula(self):
         assert A.taylor_remainder_bound(1.0, 3) == pytest.approx(math.e / 24.0)
+
+    @pytest.mark.parametrize("l_bound", [1e-3, 0.5, 0.999, 2.5, 30.0, 300.0, 700.0])
+    def test_taylor_remainder_bound_follows_closed_form(self, l_bound):
+        # within 1e-13 of e^L L^{d+1} / (d+1)! wherever that form is a finite float;
+        # elsewhere within 1e-11 of the exact bound, which is inf beyond the float range
+        for degree in range(0, 400, 3):
+            got = A.taylor_remainder_bound(l_bound, degree)
+            try:
+                closed = math.exp(l_bound) * l_bound ** (degree + 1) / math.factorial(degree + 1)
+            except OverflowError:
+                closed = math.inf
+            if closed < math.inf:
+                assert got == pytest.approx(closed, rel=1e-13, abs=0)
+                continue
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                exact = (decimal.Decimal(l_bound).exp() * decimal.Decimal(l_bound) ** (degree + 1)
+                         / math.factorial(degree + 1))
+                if exact > decimal.Decimal(sys.float_info.max):
+                    assert got == math.inf
+                else:
+                    assert got == pytest.approx(float(exact), rel=1e-11, abs=1e-300)
+
+    def test_taylor_remainder_bound_beyond_float_range(self):
+        # exp(1000) and factorial(401) both overflow a float
+        assert A.taylor_remainder_bound(1000.0, 12) == math.inf
+        assert A.taylor_remainder_bound(0.98, 400) == 0.0
+        assert A.taylor_remainder_bound(0.0, 400) == 0.0
 
     def test_denominator_instability_raises(self):
         # with identity projections the degree-1 row sum is N + x_m * sum(x);

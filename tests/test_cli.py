@@ -13,6 +13,31 @@ from padre.cli import main
 from padre.verify import CheckResult
 
 
+#: ``padre expand`` output for one flag case and one ``--config`` case
+EXPAND_GOLDEN = {
+    "flags": [
+        "# block N=1 D=2 degree=2 seed=1; residual 2.00e-15",
+        "(0,0) | k=(0,0)^1 | 1.1345422181662426",
+        "(0,0) | k=(0,0)^1 (0,1)^1 | -0.38708017134686756",
+        "(0,0) | k=(0,0)^2 | 0.7087033754047971",
+        "(0,1) | k=(0,1)^1 | 1.3113644557346607",
+        "(0,1) | k=(0,0)^1 (0,1)^1 | 0.06131286813280846",
+        "(0,1) | k=(0,1)^2 | -0.033487910917679775",
+    ],
+    "config": [
+        "# block N=2 D=1 degree=2 seed=7; residual 3.55e-15",
+        "(0,0) | k=(0,0)^1 | 2.1918329739364",
+        "(0,0) | k=(0,0)^1 (1,0)^1 | -0.2091067539554417",
+        "(0,0) | k=(0,0)^2 | 0.27654914969778627",
+        "(0,0) | k=(1,0)^2 | -0.06856304217715666",
+        "(1,0) | k=(1,0)^1 | 2.191832973936397",
+        "(1,0) | k=(0,0)^1 (1,0)^1 | -0.18311306579168274",
+        "(1,0) | k=(0,0)^2 | 0.17975804634447756",
+        "(1,0) | k=(1,0)^2 | 0.003924461216465794",
+    ],
+}
+
+
 class TestExpand:
     def test_dump_respects_degree_bound(self, capsys):
         assert main(["expand", "--n", "2", "--d", "2", "--channels", "2",
@@ -46,6 +71,31 @@ class TestExpand:
             total = sum(int(t.split("^")[1]) for t in k_field.split() if "^" in t)
             assert total == 2
 
+
+    @pytest.mark.parametrize("argv,document", [
+        (["--n", "1", "--channels", "2", "--degree", "2", "--seed", "1"], None),
+        ([], '{"seed": 7, "degree": 2, "N": 2, "D": 1}'),
+    ], ids=["flags", "config"])
+    def test_golden_text(self, argv, document, capsys, tmp_path):
+        # the whole dump, byte for byte, except that the residual and the
+        # coefficients, which come from an SVD, are compared numerically
+        if document is not None:
+            cfg_path = tmp_path / "block.json"
+            cfg_path.write_text(document)
+            argv = ["--config", str(cfg_path)]
+        assert main(["expand", *argv]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = EXPAND_GOLDEN["config" if document else "flags"]
+        assert len(got) == len(want)
+        head, _, residual = got[0].rpartition(" ")
+        want_head, _, want_residual = want[0].rpartition(" ")
+        assert head == want_head
+        assert float(residual) == pytest.approx(float(want_residual), abs=1e-13)
+        for line, want_line in zip(got[1:], want[1:]):
+            entry, k_field, coeff = line.split(" | ")
+            want_entry, want_k, want_coeff = want_line.split(" | ")
+            assert (entry, k_field) == (want_entry, want_k)
+            assert float(coeff) == pytest.approx(float(want_coeff), rel=1e-12)
 
     def test_config_header_names_the_configured_seed(self, capsys, tmp_path):
         cfg_path = tmp_path / "block.json"
@@ -138,13 +188,23 @@ class TestVerify:
 
 class TestGradcheckCommand:
     def test_record_lines(self, capsys):
+        # one line per case of criterion 3
         assert main(["gradcheck", "--probes", "60"]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
-        assert len(lines) == 3
-        for ln in lines:
-            assert ln.startswith("gradcheck scheme=")
+        names = [name for name, *_ in V.gradient_cases(0)]
+        assert len(lines) == len(names) == 6
+        for ln, name in zip(lines, names):
+            assert ln.startswith(f"gradcheck scheme={name} seed=0 ")
             assert "probes=60" in ln and "max_rel_err=" in ln
             assert ln.endswith(" pass")
+
+    def test_seed_four_passes_with_criterion_three(self, capsys):
+        # at the default probes and step the lines reproduce the ``gradients`` check
+        assert main(["gradcheck", "--seed", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        worst = max(float(ln.split("max_rel_err=")[1].split()[0]) for ln in lines)
+        rec = V.check_gradients(4)
+        assert rec.passed and f"{rec.worst:.3e}" == f"{worst:.3e}"
 
 
 class TestApproxAttn:
@@ -156,6 +216,15 @@ class TestApproxAttn:
         errs = {int(r[0]): float(r[1]) for r in rows}
         assert all(errs[d + 1] <= errs[d] for d in range(2, 12))
         assert errs[12] < 1e-8
+
+    @pytest.mark.parametrize("argv,last_bound", [
+        (["--max-degree", "400"], 0.0),
+        (["--l-bound", "1000"], float("inf")),
+    ], ids=["factorial-beyond-float", "exp-beyond-float"])
+    def test_bound_beyond_float_range(self, argv, last_bound, capsys):
+        assert main(["approx-attn", *argv]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert float(last[2]) == last_bound
 
 
 class TestBenchCommand:
@@ -255,6 +324,21 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "expected an integer >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--step", "0"],
+        ["gradcheck", "--step", "nan"],
+        ["approx-attn", "--l-bound", "-1"],
+        ["approx-attn", "--l-bound", "nan"],
+        ["approx-attn", "--l-bound", "inf"],
+        ["approx-attn", "--l-bound", "0"],
+    ], ids=["step-zero", "step-nan", "l-bound-negative", "l-bound-nan", "l-bound-inf",
+            "l-bound-zero"])
+    def test_bad_float_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a finite number > 0" in capsys.readouterr().err
 
 
 #: prepended to a launcher: prints the BLAS thread variables as numpy's first import starts

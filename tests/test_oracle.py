@@ -11,7 +11,6 @@ from padre.oracle import (
     PRUNE_TOL,
     DegreeCapError,
     IllConditionedError,
-    MultiIndex,
     NotPolynomialError,
     SizeCapError,
     assert_homogeneous,
@@ -35,8 +34,7 @@ class TestExtractCoeffs:
         coeffs = extract_coeffs(lambda x: forward(block, x)[0], 1, 1, 2)
         assert coeffs.diagnostics.residual < 1e-9
         entry = coeffs.terms[(0, 0)]
-        lin = MultiIndex((((0, 0), 1),))
-        quad = MultiIndex((((0, 0), 2),))
+        lin, quad = ((0, 1),), ((0, 2),)
         assert entry[lin] == pytest.approx(1.0, abs=1e-9)
         assert entry[quad] == pytest.approx(1.0, abs=1e-9)
         assert set(entry) == {lin, quad}
@@ -46,8 +44,8 @@ class TestExtractCoeffs:
         for m in range(2):
             for n in range(2):
                 entry = coeffs.terms[(m, n)]
-                assert set(entry) == {MultiIndex((((m, n), 1),))}
-                assert entry[MultiIndex((((m, n), 1),))] == pytest.approx(1.0, abs=1e-10)
+                assert set(entry) == {((2 * m + n, 1),)}
+                assert entry[((2 * m + n, 1),)] == pytest.approx(1.0, abs=1e-10)
 
     def test_softmax_attention_is_not_polynomial(self):
         p = AttnParams(np.eye(1), np.eye(1), np.eye(1), d_k=1)
@@ -95,23 +93,32 @@ class TestExtractCoeffs:
         assert 0 in coeffs.support_degrees()
 
     def test_fresh_key_finds_its_coefficient(self):
-        # each key hashes once, when built; a key built later from the same
-        # exponents must hash and compare equal to the cached one
+        # a key built from ``monomial_exponents`` finds its coefficient; every
+        # kept key is built that way
         block = random_block(2, 2, 3, seed=5)
         fit = extract_coeffs(lambda x: forward(block, x)[0], 2, 2, 3)
-        exps = monomial_exponents(4, 3)
         found = 0
-        for e in exps:
-            fresh = MultiIndex.from_exponents(e, 2)
+        for e in monomial_exponents(4, 3):
+            fresh = monomial_key(e)
             for entry in fit.terms.values():
                 # a linear scan by equality, then the hashed lookup
-                match = [(k, v) for k, v in entry.items() if k == fresh]
+                match = [v for k, v in entry.items() if k == fresh]
                 if match:
-                    (cached, coeff), = match
-                    assert cached is not fresh and hash(cached) == hash(fresh)
-                    assert entry[fresh] == coeff
+                    assert entry[fresh] == match[0]
                     found += 1
         assert found == sum(map(len, fit.terms.values())) > 0
+
+    def test_keys_are_row_major_entries_with_nonzero_exponents(self):
+        # the degree-2 block on a 2 x 2 grid: every key lists ascending entries
+        # j = m*D + n once each, with exponents >= 1 that sum to at most 2
+        block = random_block(2, 2, 2, seed=3)
+        fit = extract_coeffs(lambda x: forward(block, x)[0], 2, 2, 2)
+        keys = {k for entry in fit.terms.values() for k in entry}
+        assert ((0, 1), (3, 1)) in keys and ((1, 2),) in keys
+        for k in keys:
+            js = [j for j, _ in k]
+            assert js == sorted(set(js)) and all(0 <= j < 4 for j in js)
+            assert all(e >= 1 for _, e in k) and 1 <= sum(e for _, e in k) <= 2
 
     def test_zero_outputs_get_no_entry(self):
         # the map zeroes output column 1, so only entries (m, 0) exist
@@ -122,7 +129,7 @@ class TestExtractCoeffs:
         fit = extract_coeffs(f, 2, 2, 2)
         assert list(fit.terms) == [(0, 0), (1, 0)]
         for m in range(2):
-            assert fit.terms[(m, 0)] == {MultiIndex((((m, 0), 2),)): pytest.approx(1.0)}
+            assert fit.terms[(m, 0)] == {((2 * m, 2),): pytest.approx(1.0)}
 
     def test_dump_lines_sorted_by_total_degree(self):
         block = identity_block(1, 2, 2, np.ones(2), {1, 2})
@@ -140,6 +147,11 @@ class TestExtractCoeffs:
             per_entry.setdefault(entry, []).append(total(k_field.removeprefix("k=")))
         for degs in per_entry.values():
             assert degs == sorted(degs)
+
+
+def monomial_key(e):
+    """The key of exponent row ``e``: its nonzero ``(j, e_j)``, ascending in ``j``."""
+    return tuple((j, e_j) for j, e_j in enumerate(e.tolist()) if e_j)
 
 
 def lstsq_fit(f, n, d_ch, degree):
@@ -163,7 +175,7 @@ def dense_coeffs(fit, exps):
     Also checks that each entry lists its monomials in the order of ``exps``,
     the order ``evaluate`` sums them in.
     """
-    row = {MultiIndex.from_exponents(e, fit.n_channels): i for i, e in enumerate(exps)}
+    row = {monomial_key(e): i for i, e in enumerate(exps)}
     out = np.zeros((len(exps), fit.n_tokens * fit.n_channels))
     for (m, n), entry in fit.terms.items():
         rows = [row[k] for k in entry]
@@ -216,6 +228,18 @@ class TestCachedProbeSystem:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    def test_shapes_of_one_size_share_one_key_set(self):
+        # N*D = 8 at degree 3 in four layouts: one cached system, and each fit's
+        # keys are the objects of its ``keys``, one per exponent row
+        system = oracle._probe_system(8, 3, 330)
+        assert system.keys == tuple(map(monomial_key, system.exps))
+        cached = {id(k) for k in system.keys}
+        for n, d_ch in ((2, 4), (4, 2), (8, 1), (1, 8)):
+            block = random_block(n, d_ch, 3, seed=n)
+            fit = extract_coeffs(lambda x: forward(block, x)[0], n, d_ch, 3)
+            assert {id(k) for entry in fit.terms.values() for k in entry} <= cached
+        assert oracle._probe_system(8, 3, 330) is system
 
     def test_condition_cap_checked_on_warm_shape(self, monkeypatch):
         extract_coeffs(lambda x: x.copy(), 2, 2, 2)

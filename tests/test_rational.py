@@ -134,10 +134,10 @@ class TestDegreeStructure:
         block = random_rational_block(4, 2, 2, 2, seed=5)
 
         def num_tap(j):
-            return lambda x: rational_forward(block, x)[1].k_chain[j - 1]
+            return lambda x: rational_forward(block, x)[1].num_trace.z[j - 1]
 
         def den_tap(k):
-            return lambda x: rational_forward(block, x)[1].l_chain[k - 1]
+            return lambda x: rational_forward(block, x)[1].den_trace.z[k - 1]
 
         for j in (1, 2):
             assert assert_homogeneous(num_tap(j), j, trials=20, shape=(4, 2)).passed
