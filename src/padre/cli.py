@@ -30,7 +30,7 @@ from .bench import (ALL_SCHEMES, DEFAULT_CHANNELS, DEFAULT_N_LIST, MIN_FIT_POINT
                     fit_scaling, run_bench)
 from .block import block_from_config, config_from_json, forward, random_block
 from .oracle import extract_coeffs
-from .tensor import LayoutError, SizeCapError
+from .tensor import LayoutError, NumericError, SizeCapError
 
 
 def _int_at_least(low: int):
@@ -167,11 +167,14 @@ def _cmd_expand(args) -> int:
 def _cmd_gradcheck(args) -> int:
     failed = False
     for name, check, block, x, probe_seed in verify_mod.gradient_cases(args.seed):
-        rep = check(block, x, probes=args.probes, step=args.step, seed=probe_seed)
-        status = "pass" if rep.passed else "fail"
-        print(f"gradcheck scheme={name} seed={args.seed} probes={rep.probes} "
-              f"max_rel_err={rep.max_rel_err:.3e} {status}")
-        failed |= not rep.passed
+        try:
+            rep = check(block, x, probes=args.probes, step=args.step, seed=probe_seed)
+            result, ok = f"max_rel_err={rep.max_rel_err:.3e}", rep.passed
+        except NumericError as exc:          # a perturbed forward left the float range
+            result, ok = f"non_finite_stage={exc.stage}", False
+        print(f"gradcheck scheme={name} seed={args.seed} probes={args.probes} "
+              f"{result} {'pass' if ok else 'fail'}")
+        failed |= not ok
     return 1 if failed else 0
 
 
@@ -179,11 +182,18 @@ def _cmd_approx_attn(args) -> int:
     from . import adapters
     p, x = verify_mod.attention_instance(args.seed, 0.98 * args.l_bound)
     exact = adapters.softmax_attention(p, x)
-    print("degree,max_error,remainder_bound")
+    rows = []
     for deg in range(0, args.max_degree + 1):
         approx, bound = adapters.attention_rational_approx(p, x, deg)
-        err = float(np.max(np.abs(approx - exact)))
-        print(f"{deg},{err!r},{bound!r}")
+        if bound == math.inf:                # beyond the float range: no approximation
+            break
+        rows.append(f"{deg},{float(np.max(np.abs(approx - exact)))!r},{bound!r}")
+    beyond = f"degree {len(rows)} remainder bound is beyond the float range"
+    if not rows:
+        return _usage_error("approx-attn", f"--l-bound {args.l_bound!r}: the {beyond}")
+    print("degree,max_error,remainder_bound", *rows, sep="\n")
+    if len(rows) <= args.max_degree:
+        print(f"padre approx-attn: stopped, the {beyond}", file=sys.stderr)
     return 0
 
 

@@ -86,7 +86,9 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     """Vector-Jacobian products of the block output against x and all parameters.
 
     Only an unbatched trace (a 2-D ``x``) is supported; a batched one raises
-    ShapeError.
+    ShapeError.  Each gradient buffer starts at its first contribution and,
+    like each recomputed intermediate, is freed once used: the peak above the
+    trace stays near ``d + 5`` copies of ``x``.
     """
     d = block.degree
     if trace.x.ndim != 2:
@@ -106,7 +108,7 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
 
     d_l = g_p.copy() if block.bias is not None else None
     d_w = np.zeros_like(block.weights)
-    d_z = [np.zeros_like(g_p) for _ in range(d)]
+    d_z: list[np.ndarray | None] = [None] * d
     for i in block.degree_mask:
         prod = g_p * trace.z[i - 1]
         if block.w_mode == WMode.FULL:
@@ -115,30 +117,35 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
             d_w[:, i - 1] = prod.sum(axis=0)
         else:
             d_w[i - 1] = prod.sum()
-        d_z[i - 1] += g_p * combine_weight(block, i)
+        d_z[i - 1] = np.multiply(g_p, combine_weight(block, i), out=prod)
+    del prod
 
-    d_y = [np.zeros_like(g_p) for _ in range(d)]
+    d_y: list[np.ndarray | None] = [None] * d
     for i in range(d - 1, 0, -1):          # stage producing Z_{i+1} (index i)
-        g_z = d_z[i]
+        g, d_z[i] = d_z[i], None           # rebinding g frees each buffer once used
+        g = np.zeros_like(g_p) if g is None else g     # degree i + 1 may be masked out
         zd = apply_mixer(block.inter_channel[i - 1], trace.z[i - 1])
-        t = apply_mixer(block.inter_token[i - 1], zd)
-        d_t = g_z * trace.y[i]
-        d_y[i] += g_z * t
-        mixer_grads[f"C{i}"] = mixer_param_grad(block.inter_token[i - 1], zd, d_t)
-        d_zd = apply_mixer_transpose(block.inter_token[i - 1], d_t)
-        mixer_grads[f"D{i}"] = mixer_param_grad(block.inter_channel[i - 1], trace.z[i - 1], d_zd)
-        d_z[i - 1] += apply_mixer_transpose(block.inter_channel[i - 1], d_zd)
-    d_y[0] += d_z[0]
+        d_y[i] = apply_mixer(block.inter_token[i - 1], zd)
+        d_y[i] *= g
+        g *= trace.y[i]
+        mixer_grads[f"C{i}"] = mixer_param_grad(block.inter_token[i - 1], zd, g)
+        del zd
+        g = apply_mixer_transpose(block.inter_token[i - 1], g)
+        mixer_grads[f"D{i}"] = mixer_param_grad(block.inter_channel[i - 1], trace.z[i - 1], g)
+        g = apply_mixer_transpose(block.inter_channel[i - 1], g)
+        d_z[i - 1] = g if d_z[i - 1] is None else np.add(d_z[i - 1], g, out=d_z[i - 1])
+    d_y[0], d_z[0] = d_z[0], None
 
-    if block.normalize_y:
-        d_y = [_rms_backward(m_pre, g) for m_pre, g in zip(trace.y_raw, d_y)]
-    d_x = np.zeros_like(trace.x)           # the feature bank Y_i = A_i X B_i
-    for i, (a, b, g_y) in enumerate(zip(block.token_mixers, block.channel_mixers, d_y)):
-        xb = apply_mixer(b, trace.x)
-        mixer_grads[f"A{i + 1}"] = mixer_param_grad(a, xb, g_y)
-        g_xb = apply_mixer_transpose(a, g_y)
-        mixer_grads[f"B{i + 1}"] = mixer_param_grad(b, trace.x, g_xb)
-        d_x += apply_mixer_transpose(b, g_xb)
+    d_x = None                             # the feature bank Y_i = A_i X B_i
+    for i, (a, b) in enumerate(zip(block.token_mixers, block.channel_mixers)):
+        g, d_y[i] = d_y[i], None
+        if block.normalize_y:
+            g = _rms_backward(trace.y_raw[i], g)
+        mixer_grads[f"A{i + 1}"] = mixer_param_grad(a, apply_mixer(b, trace.x), g)
+        g = apply_mixer_transpose(a, g)
+        mixer_grads[f"B{i + 1}"] = mixer_param_grad(b, trace.x, g)
+        g = apply_mixer_transpose(b, g)
+        d_x = g if d_x is None else np.add(d_x, g, out=d_x)
     return GradBundle(d_x=d_x, mixers=mixer_grads, d_w=d_w, d_l=d_l, d_u=d_u, d_v=d_v)
 
 

@@ -42,8 +42,9 @@ MAGIC = b"PADREW01"
 RAW_TENSOR_TAG = 200
 MANIFEST_TAG = 201
 
-#: output bytes per band of a convolution (and of its kernel gradient's tap
-#: loop); a band's output and padded input should fit in a core's L2 cache
+#: output bytes per band of a convolution's tiled GEMMs (and of its kernel
+#: gradient's adjoint products); a band's output and padded input should fit
+#: in a core's L2 cache
 BAND_BYTES = 256 * 1024
 
 #: outputs per tile of a convolution's last axis; each tile is one small
@@ -308,29 +309,10 @@ def _conv_padded(m: Mixer, x: np.ndarray, transpose: bool,
     return xv, xp, axes
 
 
-def _windows(xp: np.ndarray, axes: tuple[int, ...], kshape: tuple[int, ...]):
-    """Yield ``(tap, view)`` in row-major tap order: ``xp`` shifted by each tap."""
-    sl = [slice(None)] * xp.ndim
-    for tap in itertools.product(*map(range, kshape)):
-        for ax, t, k in zip(axes, tap, kshape):
-            sl[ax] = slice(t, t + xp.shape[ax] - k + 1)
-        yield tap, xp[tuple(sl)]
-
-
-def _bands(xv: np.ndarray, xp: np.ndarray, axes: tuple[int, ...], k0: int):
-    """Yield ``(rows, xp_rows)``: a band of the view's leading axis and its padded input.
-
-    A band is ``BAND_BYTES`` of view rows (at least one); ``xp_rows`` is the
-    slice of the padded copy its taps read, which carries ``k0 - 1`` more
-    halo rows when the leading axis is convolved (a batched view leads with
-    a batch axis, which never is).  Plain integer arithmetic only: tiny
-    inputs run one band and pay this on every call.
-    """
-    halo = k0 - 1 if axes[0] == 0 else 0
-    n = len(xv)
-    rows = max(1, BAND_BYTES * n // max(1, xv.nbytes))
-    for r0 in range(0, n, rows):     # slicing clips the last, partial band
-        yield slice(r0, r0 + rows), xp[r0:r0 + rows + halo]
+def _diagonals(t: np.ndarray) -> np.ndarray:
+    """The view ``v[a, i, j] = t[a, i + j, i]`` of a ``(kh, tile + kw - 1, tile)`` stack."""
+    (kh, rows, tile), (s0, s1, s2) = t.shape, t.strides
+    return np.ndarray((kh, tile, rows - tile + 1), t.dtype, t, 0, (s0, s1 + s2, s1))
 
 
 def _toeplitz(kern: np.ndarray, tile: int) -> np.ndarray:
@@ -338,14 +320,59 @@ def _toeplitz(kern: np.ndarray, tile: int) -> np.ndarray:
 
     Shape ``(kh, tile + kw - 1, tile)``: a row of ``tile + kw - 1`` padded
     inputs times ``t[a]`` is ``tile`` outputs of the correlation with kernel
-    row ``a``.  The taps are written through one strided view of ``t``'s
-    diagonals, with no loop over taps.
+    row ``a``.  The taps go in through the ``_diagonals`` view, with no loop.
     """
     kh, kw = kern.shape
     t = np.zeros((kh, tile + kw - 1, tile))
-    s0, s1, s2 = t.strides
-    np.ndarray((kh, tile, kw), t.dtype, t, 0, (s0, s1 + s2, s1))[...] = kern[:, None, :]
+    _diagonals(t)[...] = kern[:, None, :]
     return t
+
+
+def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None):
+    """The Toeplitz route's tiles and windows: ``(grid, view, perm, windows)``.
+
+    ``grid`` is ``_conv_view``'s view (conv1d gets a unit leading convolution
+    axis) with the last convolution axis cut into ``(n_tiles, TILE)``: empty,
+    or ``g`` zero-extended to whole tiles.  ``view`` is ``grid`` cut back to
+    the view's shape.  ``windows`` yields ``(band, a, win)``: ``win``, shaped
+    ``(..., rows, TILE + kw - 1)``, is the strided view of the padded copy
+    that the tiles ``grid[band].transpose(perm)``, ``(..., rows, TILE)``,
+    read through kernel row ``a``.  A band is ``BAND_BYTES`` of the view's
+    leading axis (at least one row) plus ``kh - 1`` halo rows when that axis
+    is convolved (a batched view leads with a batch axis, which never is).
+    """
+    n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
+    xv, xp, axes = _conv_padded(m, x, transpose, extra=-n % TILE)
+    if m.kind == MixerKind.CONV1D:
+        r = axes[0]
+        xv, xp = (a.reshape(a.shape[:r] + (1,) + a.shape[r:]) for a in (xv, xp))
+        axes = (r, r + 1)
+    r, ax = axes
+    kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
+    n_tiles = -(-n // TILE)
+    shape = xv.shape[:ax] + (n_tiles, TILE) + xv.shape[ax + 1:]
+    extend = g is not None and n % TILE
+    grid = np.zeros(shape) if extend else np.empty(shape) if g is None else g.reshape(shape)
+    view = grid.reshape(xv.shape[:ax] + (n_tiles * TILE,) + xv.shape[ax + 1:])
+    view = view[(slice(None),) * ax + (slice(n),)]
+    if extend:
+        view[...] = g.reshape(view.shape)
+    step = xp.strides[ax]
+    xt = np.ndarray(xp.shape[:ax] + (n_tiles, TILE + kw - 1) + xp.shape[ax + 1:], xp.dtype, xp,
+                    0, xp.strides[:ax] + (TILE * step, step) + xp.strides[ax + 1:])
+    rows = grid.ndim - 1 if m.side == Side.TOKEN else r - 1
+    perm = [i for i in range(grid.ndim) if i not in (rows, ax + 1)] + [rows, ax + 1]
+    lead, halo = (slice(None),) * r, kh - 1 if r == 0 else 0
+    band_rows = max(1, BAND_BYTES * len(xv) // max(1, xv.nbytes))
+
+    def windows():
+        for r0 in range(0, len(xv), band_rows):     # slicing clips the last band
+            band, xb = slice(r0, r0 + band_rows), xt[r0:r0 + band_rows + halo]
+            span = xv[band].shape[r]
+            for a in range(kh):
+                yield band, a, xb[lead + (slice(a, a + span),)].transpose(perm)
+
+    return grid, view, perm, windows()
 
 
 @functools.lru_cache(maxsize=64)
@@ -416,15 +443,13 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     unpadded view.  An input inf or NaN then reaches only the outputs whose
     taps read it.
 
-    Longer axes run as tiled Toeplitz GEMMs.  The last convolution axis is
-    cut into tiles of ``TILE`` outputs, and a tile of an output row is
-    ``sum_a window_a @ t[a]`` over the kernel rows ``a``: ``t`` holds the
-    banded matrices of ``_toeplitz`` and ``window_a`` is a strided view of
-    the padded copy, so no input is copied per tile.  A conv1d is the
-    one-kernel-row case, over a unit axis.  The GEMMs run band by band
-    (``_bands``) into the output and one band-sized buffer, which stay in
-    cache across the kernel rows.  Against a tap-by-tap sum only rounding
-    differs, within ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
+    Longer axes run as tiled Toeplitz GEMMs (``_tiled``): a tile of
+    ``TILE`` outputs is ``sum_a window_a @ t[a]`` over the kernel rows ``a``,
+    with the banded matrices ``t`` of ``_toeplitz``; a conv1d is the
+    one-kernel-row case.  The GEMMs run band by band into the output and one
+    band-sized buffer, which stay in cache across the kernel rows.  Against
+    a tap-by-tap sum only rounding differs, within
+    ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
     A non-finite input reaches every output of the tiles that read it
     (``0 * inf`` is NaN).
 
@@ -435,59 +460,37 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
     if n <= TILE:
         return _tap_sum(m, x, kern, transpose)
-    xv, xp, axes = _conv_padded(m, x, transpose, extra=-n % TILE)
-    if kern.ndim == 1:
-        r = axes[0]
-        xv = xv.reshape(xv.shape[:r] + (1,) + xv.shape[r:])
-        xp = xp.reshape(xp.shape[:r] + (1,) + xp.shape[r:])
-        axes, kern = (r, r + 1), kern[None]
-    r, ax = axes
-    kh, kw = kern.shape
-    n_tiles = -(-n // TILE)
-    # tiles of the last conv axis: outputs (..., n_tiles, TILE, ...) and the
-    # overlapping windows (..., n_tiles, TILE + kw - 1, ...) they read
-    out = np.empty(xv.shape[:ax] + (n_tiles, TILE) + xv.shape[ax + 1:], dtype=xv.dtype)
-    step = xp.strides[ax]
-    xt = np.ndarray(xp.shape[:ax] + (n_tiles, TILE + kw - 1) + xp.shape[ax + 1:], xp.dtype, xp,
-                    0, xp.strides[:ax] + (TILE * step, step) + xp.strides[ax + 1:])
-    # each GEMM is (channels on the token side, tokens on the channel side)
-    # by tile: move that axis and the tile axis last
-    rows = out.ndim - 1 if m.side == Side.TOKEN else r - 1
-    perm = [i for i in range(out.ndim) if i not in (rows, ax + 1)] + [rows, ax + 1]
-    t = _toeplitz(kern, TILE)
-    lead = (slice(None),) * r
+    out, view, perm, windows = _tiled(m, x, transpose)
+    t = _toeplitz(kern.reshape(-1, kern.shape[-1]), TILE)
     buf = None
-    for band, xb in _bands(xv, xt, axes, kh):
+    for band, a, win in windows:
         ob = out[band]
-        if buf is None:
-            buf = np.empty_like(ob)
-        tb = buf[:len(ob)]
-        for a in range(kh):
-            win = xb[lead + (slice(a, a + ob.shape[r]),)]
-            np.matmul(win.transpose(perm), t[a], out=(tb if a else ob).transpose(perm))
-            if a:
-                ob += tb
-    if n_tiles * TILE > n:
-        out = out.reshape(xv.shape[:ax] + (n_tiles * TILE,) + xv.shape[ax + 1:])
-        out = out[(slice(None),) * ax + (slice(n),)]
-    return out.reshape(x.shape)
+        buf = np.empty_like(ob) if buf is None else buf
+        dst = buf[:len(ob)] if a else ob
+        np.matmul(win, t[a], out=dst.transpose(perm))
+        if a:
+            ob += dst
+    return view.reshape(x.shape)
 
 
 def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of sum(g * apply_mixer(m, x)) w.r.t. the convolution kernel.
 
-    Each tap's sum of ``g * window`` is accumulated band by band (``_bands``)
-    as one dot product per band, so it differs from a single whole-tensor
-    sum only in rounding: within 1e-13 * sum(|g * window|) per tap.
+    The adjoint of ``_apply_conv``'s tiled route, on every axis length: ``g``
+    is zero-extended to whole tiles, the gradient of each banded matrix is
+    ``dt[a] = sum win_a^T @ g_tile`` over the windows that the forward
+    multiplies by ``t[a]``, and ``dk[a, j] = sum_i dt[a, i + j, i]`` reads
+    the diagonals that ``_toeplitz`` writes.  Against each tap's whole-tensor
+    ``sum(g * window)`` only rounding differs, within
+    ``1e-13 * sum(|g * window|)`` per tap.
     """
-    xv, xp, axes = _conv_padded(m, x, transpose=False)
-    gv = g.reshape(xv.shape)
-    dk = np.zeros(m.kernel.shape)
-    for rows, xb in _bands(xv, xp, axes, dk.shape[0]):
-        gb = gv[rows]
-        for tap, win in _windows(xb, axes, dk.shape):
-            dk[tap] += np.vdot(gb, win)
-    return dk
+    gt, _, perm, windows = _tiled(m, x, transpose=False, g=g)
+    kw = m.kernel.shape[-1]
+    dt = np.zeros((m.kernel.size // kw, TILE + kw - 1, TILE))
+    for band, a, win in windows:
+        prods = np.matmul(win.swapaxes(-1, -2), gt[band].transpose(perm))
+        dt[a] += prods.reshape(-1, *dt.shape[1:]).sum(axis=0)
+    return _diagonals(dt).sum(axis=1).reshape(m.kernel.shape)
 
 
 def _check_side_dim(m: Mixer, x: np.ndarray) -> None:

@@ -198,6 +198,13 @@ class TestGradcheckCommand:
             assert "probes=60" in ln and "max_rel_err=" in ln
             assert ln.endswith(" pass")
 
+    def test_non_finite_perturbed_forward_is_a_failing_line(self, capsys):
+        # a step of 1e300 overflows the perturbed forwards: each case fails, naming a stage
+        assert main(["gradcheck", "--step", "1e300", "--probes", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and all(ln.endswith(" fail") for ln in lines)
+        assert "gradcheck scheme=conv-seq-d3 seed=0 probes=5 non_finite_stage=Z[2] fail" in lines
+
     def test_seed_four_passes_with_criterion_three(self, capsys):
         # at the default probes and step the lines reproduce the ``gradients`` check
         assert main(["gradcheck", "--seed", "4"]) == 0
@@ -219,12 +226,25 @@ class TestApproxAttn:
 
     @pytest.mark.parametrize("argv,last_bound", [
         (["--max-degree", "400"], 0.0),
-        (["--l-bound", "1000"], float("inf")),
-    ], ids=["factorial-beyond-float", "exp-beyond-float"])
+    ], ids=["factorial-beyond-float"])
     def test_bound_beyond_float_range(self, argv, last_bound, capsys):
         assert main(["approx-attn", *argv]) == 0
         last = capsys.readouterr().out.splitlines()[-1].split(",")
         assert float(last[2]) == last_bound
+
+    def test_sweep_stops_at_first_infinite_bound(self, capsys):
+        # at logits near 690 the bound leaves the float range at degree 3
+        assert main(["approx-attn", "--l-bound", "704"]) == 0
+        out, err = capsys.readouterr()
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [0, 1, 2]
+        assert all(float(r[2]) < float("inf") for r in rows)
+        assert "stopped, the degree 3 remainder bound" in err
+
+    def test_infinite_bound_at_degree_zero_is_a_usage_error(self, capsys):
+        assert main(["approx-attn", "--l-bound", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--l-bound" in err
 
 
 class TestBenchCommand:

@@ -1,5 +1,7 @@
 """Reverse-mode gradients against hand results and central differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,33 @@ class TestBackwardExamples:
             other = a.by_label()[label] + b.by_label()[label]
             assert np.max(np.abs(arr - other)) <= 1e-12 * max(1, np.max(np.abs(arr)))
         assert np.max(np.abs(joint.d_x - a.d_x - b.d_x)) <= 1e-12
+
+
+class TestBackwardMemory:
+    """``backward`` starts each gradient buffer at its first contribution and
+    frees it, and each recomputed tensor, once used.  tracemalloc counts
+    numpy's allocations exactly."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n,layout", [(256, Seq1d()), (1024, Grid(32, 32))],
+                             ids=["seq", "grid"])
+    def test_peak_above_trace(self, rng, n, layout, d):
+        block = build_conv_instance(n, 24, d, layout, seed=d)
+        x = rng.uniform(-1, 1, (n, 24))
+        _, trace = forward(block, x)
+        g = rng.uniform(-1, 1, x.shape)
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backward(block, trace, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert peak <= (d + 5) * x.nbytes
 
 
 class TestConvKernelGrad:

@@ -200,6 +200,16 @@ def assert_within_rounding(got, xv, kern, axes, circular, transpose):
     assert np.all(np.abs(got.reshape(ref.shape) - ref) <= 1e-13 * scale)
 
 
+def assert_kernel_grad_within_rounding(rng, m, x, xv, kern, axes, circular):
+    """``conv_kernel_grad`` for a random ``g`` matches each tap's whole-tensor sum:
+    ``|got[tap] - sum(g * window)| <= 1e-13 * sum(|g * window|)``."""
+    gv = rng.uniform(-1, 1, xv.shape)
+    got = tensor.conv_kernel_grad(m, x, gv.reshape(x.shape))
+    xp = pad_view(xv, kern.shape, axes, circular)
+    for tap, win in shifted_windows(xp, axes, kern.shape, xv.shape):
+        assert abs(got[tap] - np.sum(gv * win)) <= 1e-13 * np.sum(np.abs(gv * win))
+
+
 def conv_cases(test, *more):
     """Parametrize ``test`` over conv kind and side, padding, then the ``more`` marks."""
     for mark in (
@@ -220,7 +230,7 @@ def banded_cases(test):
 
 
 class TestBandedConv:
-    """Inputs span three full bands of ``_bands`` plus a partial one."""
+    """Inputs span three full bands (``BAND_BYTES``) plus a partial one."""
 
     LEAD, GRID_H = 14, 10     # leading axis of the conv view; 4 rows per band
 
@@ -261,14 +271,10 @@ class TestBandedConv:
 
     @banded_cases
     def test_kernel_grad_matches_whole_tensor_sums(self, rng, kind, side, padding, even):
-        # banding splits each tap's sum, so only the rounding may differ:
-        # |banded - whole| <= 1e-13 * sum(|g * window|) for every tap
+        # banding splits each tap's sum, so only the rounding may differ
         m, x, xv, kern, axes = self.case(rng, kind, side, padding, even)
-        gv = rng.uniform(-1, 1, xv.shape)
-        got = tensor.conv_kernel_grad(m, x, gv.reshape(x.shape))
-        xp = pad_view(xv, kern.shape, axes, padding == PadMode.CIRCULAR)
-        for tap, win in shifted_windows(xp, axes, kern.shape, xv.shape):
-            assert abs(got[tap] - np.sum(gv * win)) <= 1e-13 * np.sum(np.abs(gv * win))
+        assert_kernel_grad_within_rounding(rng, m, x, xv, kern, axes,
+                                           padding == PadMode.CIRCULAR)
 
 
 def conv_case(rng, kind, side, padding, n, k):
@@ -311,6 +317,14 @@ class TestConvTiles:
         got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
         assert len(tap_sums) == (n <= tensor.TILE)
         assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
+
+    @SIZES
+    @conv_cases
+    def test_kernel_grad_within_rounding_of_tap_sums(self, rng, kind, side, padding, n, k):
+        # the tiled route's adjoint on every axis length: g zero-extended to whole tiles
+        m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
+        assert_kernel_grad_within_rounding(rng, m, x, xv, kern, axes,
+                                           padding == PadMode.CIRCULAR)
 
     @SIZES
     @conv_cases
