@@ -12,11 +12,12 @@ Conventions used throughout the package:
   one tile (at most ``TILE`` outputs) runs as a tap-by-tap sum over slices
   of the unpadded input; an inf or NaN there reaches only the outputs whose
   taps read it.  Longer axes run as tiled Toeplitz GEMMs: each tile of
-  ``TILE`` outputs is one small matrix product per kernel row, with a
-  banded matrix holding that row's taps, and a non-finite input reaches
-  every output of the tiles that read it.  Only rounding separates either
-  route from a tap-by-tap sum, within
-  ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
+  ``TILE`` outputs is one GEMM of its whole window, read in place where it
+  can be and never from a padded copy of the input, against the kernel's
+  stacked banded matrices; a non-finite input reaches every output of the
+  tiles that read it.  Only rounding separates either route from a
+  tap-by-tap sum, within ``1e-13 * sum_tap |kernel[tap] * window|``
+  elementwise.
 * Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
   sample and multiplied by the batch size.  A convolution counts the
   operator's MACs, not the zeros inside its banded matrices, and excludes
@@ -42,13 +43,8 @@ MAGIC = b"PADREW01"
 RAW_TENSOR_TAG = 200
 MANIFEST_TAG = 201
 
-#: output bytes per band of a convolution's tiled GEMMs (and of its kernel
-#: gradient's adjoint products); a band's output and padded input should fit
-#: in a core's L2 cache
-BAND_BYTES = 256 * 1024
-
-#: outputs per tile of a convolution's last axis; each tile is one small
-#: GEMM per kernel row, and an axis no longer than one tile runs as a tap sum
+#: outputs per tile of a convolution's last axis; each tile is one GEMM over
+#: its whole window, and an axis no longer than one tile runs as a tap sum
 TILE = 8
 
 
@@ -279,36 +275,6 @@ def _anchor(k: int, transpose: bool) -> int:
     return k - 1 - k // 2 if transpose else k // 2
 
 
-def _conv_padded(m: Mixer, x: np.ndarray, transpose: bool,
-                 extra: int = 0) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The view and axes of ``_conv_view``, and the view's padded copy.
-
-    The copy is built directly: zeros with the view copied into the
-    interior, or a modular ``take`` per axis for circular padding.  With
-    ``transpose`` the anchor is mirrored.  The last convolution axis gets
-    ``extra`` more padding values at its end, which only outputs past the
-    view's end read.
-    """
-    xv, axes = _conv_view(m, x)
-    widths = [k - 1 for k in m.kernel.shape]
-    widths[-1] += extra
-    pads = [(ax, width, _anchor(k, transpose))
-            for ax, width, k in zip(axes, widths, m.kernel.shape)]
-    if m.padding == PadMode.CIRCULAR:
-        xp = xv
-        for ax, width, before in pads:
-            size = xv.shape[ax]
-            xp = xp.take(np.arange(-before, size + width - before) % size, axis=ax)
-        return xv, xp, axes
-    shape, interior = list(xv.shape), [slice(None)] * xv.ndim
-    for ax, width, before in pads:
-        shape[ax] += width
-        interior[ax] = slice(before, before + xv.shape[ax])
-    xp = np.zeros(shape, dtype=xv.dtype)
-    xp[tuple(interior)] = xv
-    return xv, xp, axes
-
-
 def _diagonals(t: np.ndarray) -> np.ndarray:
     """The view ``v[a, i, j] = t[a, i + j, i]`` of a ``(kh, tile + kw - 1, tile)`` stack."""
     (kh, rows, tile), (s0, s1, s2) = t.shape, t.strides
@@ -328,51 +294,100 @@ def _toeplitz(kern: np.ndarray, tile: int) -> np.ndarray:
     return t
 
 
-def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None):
-    """The Toeplitz route's tiles and windows: ``(grid, view, perm, windows)``.
+def _runs(start: int, length: int, anchor: int, n: int,
+          circular: bool) -> list[tuple[slice, slice | None]]:
+    """Padded positions ``start .. start + length - 1`` of an ``n``-long axis
+    as ``(position, source)`` slice pairs.  Position ``p`` holds input
+    ``p - anchor``, taken modulo ``n`` under circular padding; a ``None``
+    source is zero padding."""
+    runs, i = [], 0
+    while i < length:
+        p = start + i - anchor
+        if circular or 0 <= p < n:
+            p %= n
+            size = min(length - i, n - p)
+            runs.append((slice(i, i + size), slice(p, p + size)))
+        else:
+            size = min(length - i, -p) if p < 0 else length - i
+            runs.append((slice(i, i + size), None))
+        i += size
+    return runs
 
-    ``grid`` is ``_conv_view``'s view (conv1d gets a unit leading convolution
-    axis) with the last convolution axis cut into ``(n_tiles, TILE)``: empty,
-    or ``g`` zero-extended to whole tiles.  ``view`` is ``grid`` cut back to
-    the view's shape.  ``windows`` yields ``(band, a, win)``: ``win``, shaped
-    ``(..., rows, TILE + kw - 1)``, is the strided view of the padded copy
-    that the tiles ``grid[band].transpose(perm)``, ``(..., rows, TILE)``,
-    read through kernel row ``a``.  A band is ``BAND_BYTES`` of the view's
-    leading axis (at least one row) plus ``kh - 1`` halo rows when that axis
-    is convolved (a batched view leads with a batch axis, which never is).
+
+def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None):
+    """The Toeplitz route's tiles and their windows: ``(view, slabs)``.
+
+    A grid holds ``_conv_view``'s view (conv1d gets a unit leading
+    convolution axis) with the last convolution axis cut into ``(n_tiles,
+    TILE)``: empty, or ``g`` zero-extended to whole tiles.  ``view`` is the
+    grid cut back to the view's shape.  ``slabs`` yields ``(tiles, slab)``
+    for groups of tiles: ``tiles``, shaped ``(..., lanes, TILE)``, is the
+    grid's group, and ``slab``, shaped ``(..., lanes, kh * (TILE + kw -
+    1))``, the whole window of each of its tiles.  The lanes are the axis
+    that is not convolved: channels on the token side, tokens on the
+    channel side.
+
+    No padded copy of the view is built.  With one kernel row (conv1d, or a
+    ``kh = 1`` conv2d) the slabs of the tiles whose windows stay inside the
+    view are one strided view of ``x``, and the tiles on either side read a
+    padded piece just wide enough for them.  With ``kh > 1`` each tile
+    column, with its ``kh - 1`` halo rows of zeros or wrapped values, is
+    copied into one strip of ``(rows + kh - 1) x (TILE + kw - 1)`` view
+    entries, reused for every column, where a tile's window rows are one run.
     """
     n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
-    xv, xp, axes = _conv_padded(m, x, transpose, extra=-n % TILE)
+    xv, axes = _conv_view(m, x)
+    r = axes[0]
     if m.kind == MixerKind.CONV1D:
-        r = axes[0]
-        xv, xp = (a.reshape(a.shape[:r] + (1,) + a.shape[r:]) for a in (xv, xp))
-        axes = (r, r + 1)
-    r, ax = axes
+        xv = xv.reshape(xv.shape[:r] + (1,) + xv.shape[r:])
+    ax, lead, circular = r + 1, (slice(None),) * r, m.padding == PadMode.CIRCULAR
     kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
-    n_tiles = -(-n // TILE)
+    ah, aw = _anchor(kh, transpose), _anchor(kw, transpose)
+    span, n_tiles = TILE + kw - 1, -(-n // TILE)
     shape = xv.shape[:ax] + (n_tiles, TILE) + xv.shape[ax + 1:]
     extend = g is not None and n % TILE
     grid = np.zeros(shape) if extend else np.empty(shape) if g is None else g.reshape(shape)
     view = grid.reshape(xv.shape[:ax] + (n_tiles * TILE,) + xv.shape[ax + 1:])
-    view = view[(slice(None),) * ax + (slice(n),)]
+    view = view[lead + (slice(None), slice(n))]
     if extend:
         view[...] = g.reshape(view.shape)
-    step = xp.strides[ax]
-    xt = np.ndarray(xp.shape[:ax] + (n_tiles, TILE + kw - 1) + xp.shape[ax + 1:], xp.dtype, xp,
-                    0, xp.strides[:ax] + (TILE * step, step) + xp.strides[ax + 1:])
-    rows = grid.ndim - 1 if m.side == Side.TOKEN else r - 1
-    perm = [i for i in range(grid.ndim) if i not in (rows, ax + 1)] + [rows, ax + 1]
-    lead, halo = (slice(None),) * r, kh - 1 if r == 0 else 0
-    band_rows = max(1, BAND_BYTES * len(xv) // max(1, xv.nbytes))
+    lanes = grid.ndim - 1 if m.side == Side.TOKEN else r - 1
+    perm = [i for i in range(grid.ndim) if i not in (lanes, ax + 1)] + [lanes, ax + 1]
 
-    def windows():
-        for r0 in range(0, len(xv), band_rows):     # slicing clips the last band
-            band, xb = slice(r0, r0 + band_rows), xt[r0:r0 + band_rows + halo]
-            span = xv[band].shape[r]
-            for a in range(kh):
-                yield band, a, xb[lead + (slice(a, a + span),)].transpose(perm)
+    def group(c0: int, c1: int, src: np.ndarray, start: int):
+        # tiles c0 .. c1 - 1 and their windows, the first from column start of
+        # src; the kh window rows merge with the columns when src's rows are
+        # span apart
+        s = src.strides
+        src = src[lead + (slice(None), slice(start, None))]
+        slab = np.lib.stride_tricks.as_strided(
+            src, src.shape[:r] + (xv.shape[r], c1 - c0, kh * span) + src.shape[ax + 1:],
+            s[:r] + (s[r], TILE * s[ax], s[ax]) + s[ax + 1:], writeable=False)
+        tiles = grid[lead + (slice(None), slice(c0, c1))]
+        return tiles.transpose(perm), slab.transpose(perm)
 
-    return grid, view, perm, windows()
+    def slabs():
+        # with one kernel row, tiles lo .. hi - 1 read only the view's own columns
+        lo = min(n_tiles, -(-aw // TILE)) if kh == 1 else n_tiles
+        hi = max(lo, min(n_tiles, (n + aw - span) // TILE + 1))
+        if hi > lo:
+            yield group(lo, hi, xv, lo * TILE - aw)
+        # the others read padded pieces: the tiles before lo and from hi on,
+        # or one column at a time, all through one reused buffer
+        cols = ((0, lo), (hi, n_tiles)) if kh == 1 else ((c, c + 1) for c in range(n_tiles))
+        rows, piece = _runs(0, xv.shape[r] + kh - 1, ah, xv.shape[r], circular), None
+        for c0, c1 in cols:
+            if c1 == c0:
+                continue
+            width = (c1 - c0 - 1) * TILE + span
+            if piece is None or piece.shape[ax] != width:
+                piece = np.empty(xv.shape[:r] + (xv.shape[r] + kh - 1, width) + xv.shape[ax + 1:])
+            for (dr, sr), (dc, sc) in itertools.product(rows, _runs(c0 * TILE, width, aw, n,
+                                                                    circular)):
+                piece[lead + (dr, dc)] = 0 if sr is None or sc is None else xv[lead + (sr, sc)]
+            yield group(c0, c1, piece, 0)
+
+    return view, slabs()
 
 
 @functools.lru_cache(maxsize=64)
@@ -381,24 +396,15 @@ def _tap_plan(sizes: tuple[int, ...], kshape: tuple[int, ...], transpose: bool,
     """Per tap, in row-major order, ``(tap, pieces)``: the index pairs it adds.
 
     On an axis of size ``n``, tap ``t`` adds ``x[i + t - anchor]`` into
-    ``out[i]``.  One slice pair covers the outputs whose input lies inside
-    the axis (zero padding); under circular padding a second pair wraps
-    around, so every output is covered.  A piece ``(out_index, in_index)``
-    takes one slice pair per axis.  Cached per shape, since tiny inputs
-    would pay for this on every call.
+    ``out[i]``: the runs (``_runs``) of padded positions ``t`` to ``t + n - 1``.
+    One slice pair covers the outputs whose input lies inside the axis (zero
+    padding); under circular padding a second pair wraps around, so every
+    output is covered.  A piece ``(out_index, in_index)`` takes one slice
+    pair per axis.  Cached per shape, since tiny inputs would pay for this on
+    every call.
     """
-    per_axis = []
-    for n, k in zip(sizes, kshape):
-        pairs = []
-        for t in range(k):
-            o = t - _anchor(k, transpose)
-            if not circular:
-                pairs.append([(slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o)))])
-                continue
-            o %= n      # outputs below n - o read x[o:], the rest wrap round to x[:o]
-            wrap = [(slice(n - o, n), slice(0, o))] if o else []
-            pairs.append([(slice(0, n - o), slice(o, n))] + wrap)
-        per_axis.append(pairs)
+    per_axis = [[[(o, i) for o, i in _runs(t, n, _anchor(k, transpose), n, circular)
+                  if i is not None] for t in range(k)] for n, k in zip(sizes, kshape)]
     plan = []
     for tap in itertools.product(*map(range, kshape)):
         pieces = itertools.product(*(pairs[t] for pairs, t in zip(per_axis, tap)))
@@ -443,33 +449,24 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     unpadded view.  An input inf or NaN then reaches only the outputs whose
     taps read it.
 
-    Longer axes run as tiled Toeplitz GEMMs (``_tiled``): a tile of
-    ``TILE`` outputs is ``sum_a window_a @ t[a]`` over the kernel rows ``a``,
-    with the banded matrices ``t`` of ``_toeplitz``; a conv1d is the
-    one-kernel-row case.  The GEMMs run band by band into the output and one
-    band-sized buffer, which stay in cache across the kernel rows.  Against
-    a tap-by-tap sum only rounding differs, within
-    ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
-    A non-finite input reaches every output of the tiles that read it
-    (``0 * inf`` is NaN).
+    Longer axes run as one GEMM per tile of ``TILE`` outputs: the tile's
+    whole ``kh x (TILE + kw - 1)`` window, its slab (``_tiled``, which
+    builds no padded copy of the input), times the stacked banded matrices
+    of ``_toeplitz``.  Against a tap-by-tap sum only rounding differs, within
+    ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A non-finite
+    input reaches every output of the tiles that read it (``0 * inf`` is NaN).
 
     ``apply_mixer``'s ledger counts the operator's MACs on both routes, not
-    the zeros inside ``t``.
+    the zeros inside the banded matrices.
     """
     kern = np.flip(m.kernel) if transpose else m.kernel
     n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
     if n <= TILE:
         return _tap_sum(m, x, kern, transpose)
-    out, view, perm, windows = _tiled(m, x, transpose)
-    t = _toeplitz(kern.reshape(-1, kern.shape[-1]), TILE)
-    buf = None
-    for band, a, win in windows:
-        ob = out[band]
-        buf = np.empty_like(ob) if buf is None else buf
-        dst = buf[:len(ob)] if a else ob
-        np.matmul(win, t[a], out=dst.transpose(perm))
-        if a:
-            ob += dst
+    view, slabs = _tiled(m, x, transpose)
+    t = _toeplitz(kern.reshape(-1, kern.shape[-1]), TILE).reshape(-1, TILE)
+    for tiles, slab in slabs:
+        np.matmul(slab, t, out=tiles)
     return view.reshape(x.shape)
 
 
@@ -477,20 +474,26 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of sum(g * apply_mixer(m, x)) w.r.t. the convolution kernel.
 
     The adjoint of ``_apply_conv``'s tiled route, on every axis length: ``g``
-    is zero-extended to whole tiles, the gradient of each banded matrix is
-    ``dt[a] = sum win_a^T @ g_tile`` over the windows that the forward
-    multiplies by ``t[a]``, and ``dk[a, j] = sum_i dt[a, i + j, i]`` reads
-    the diagonals that ``_toeplitz`` writes.  Against each tap's whole-tensor
-    ``sum(g * window)`` only rounding differs, within
-    ``1e-13 * sum(|g * window|)`` per tap.
+    is zero-extended to whole tiles, the gradient of the stacked banded
+    matrices is ``dt = sum slab^T @ g_tile`` over the slabs that the forward
+    multiplies by them, and ``dk[a, j] = sum_i dt[a, i + j, i]`` reads the
+    diagonals that ``_toeplitz`` writes.  The products are summed chunk by
+    chunk, a chunk's products holding at most ``x.size / TILE`` values.
+    Against each tap's whole-tensor ``sum(g * window)`` only rounding
+    differs, within ``1e-13 * sum(|g * window|)`` per tap.
     """
-    gt, _, perm, windows = _tiled(m, x, transpose=False, g=g)
-    kw = m.kernel.shape[-1]
-    dt = np.zeros((m.kernel.size // kw, TILE + kw - 1, TILE))
-    for band, a, win in windows:
-        prods = np.matmul(win.swapaxes(-1, -2), gt[band].transpose(perm))
-        dt[a] += prods.reshape(-1, *dt.shape[1:]).sum(axis=0)
-    return _diagonals(dt).sum(axis=1).reshape(m.kernel.shape)
+    kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
+    dt = np.zeros((kh * (TILE + kw - 1), TILE))
+    _, slabs = _tiled(m, x, transpose=False, g=g)
+    for tiles, slab in slabs:
+        *_, rows, count, _, _ = slab.shape
+        cap = max(1, x.size // (TILE * TILE * len(dt)))      # tiles per chunk
+        step = max(1, cap // count), min(count, cap)
+        for r0, c0 in itertools.product(range(0, rows, step[0]), range(0, count, step[1])):
+            part = (..., slice(r0, r0 + step[0]), slice(c0, c0 + step[1]), slice(None), slice(None))
+            prods = np.matmul(slab[part].swapaxes(-1, -2), tiles[part])
+            dt += prods.reshape(-1, *dt.shape).sum(axis=0)
+    return _diagonals(dt.reshape(kh, -1, TILE)).sum(axis=1).reshape(m.kernel.shape)
 
 
 def _check_side_dim(m: Mixer, x: np.ndarray) -> None:

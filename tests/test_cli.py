@@ -198,12 +198,14 @@ class TestGradcheckCommand:
             assert "probes=60" in ln and "max_rel_err=" in ln
             assert ln.endswith(" pass")
 
-    def test_non_finite_perturbed_forward_is_a_failing_line(self, capsys):
+    def test_non_finite_perturbed_forward_is_a_failing_line(self, capsys, recwarn):
         # a step of 1e300 overflows the perturbed forwards: each case fails, naming a stage
         assert main(["gradcheck", "--step", "1e300", "--probes", "5"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6 and all(ln.endswith(" fail") for ln in lines)
         assert "gradcheck scheme=conv-seq-d3 seed=0 probes=5 non_finite_stage=Z[2] fail" in lines
+        # the fail lines say what overflowed; numpy's warnings would only repeat it
+        assert not any(issubclass(w.category, RuntimeWarning) for w in recwarn)
 
     def test_seed_four_passes_with_criterion_three(self, capsys):
         # at the default probes and step the lines reproduce the ``gradients`` check

@@ -14,7 +14,15 @@ from padre.block import (
     random_block,
 )
 from padre.grad import backward, gradcheck, mixer_param_grad
-from padre.tensor import Mixer, MixerKind, PadMode, ShapeError, Side, apply_mixer
+from padre.tensor import (
+    Mixer,
+    MixerKind,
+    PadMode,
+    ShapeError,
+    Side,
+    apply_mixer,
+    conv_kernel_grad,
+)
 from padre.verify import conditioned_norm_block
 
 from test_block import identity_block
@@ -67,10 +75,25 @@ class TestBackwardExamples:
         assert np.max(np.abs(joint.d_x - a.d_x - b.d_x)) <= 1e-12
 
 
+def peak_bytes(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates above what is live when it starts;
+    tracemalloc counts numpy's allocations exactly."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
 class TestBackwardMemory:
     """``backward`` starts each gradient buffer at its first contribution and
-    frees it, and each recomputed tensor, once used.  tracemalloc counts
-    numpy's allocations exactly."""
+    frees it, and each recomputed tensor, once used."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n,layout", [(256, Seq1d()), (1024, Grid(32, 32))],
@@ -80,18 +103,24 @@ class TestBackwardMemory:
         x = rng.uniform(-1, 1, (n, 24))
         _, trace = forward(block, x)
         g = rng.uniform(-1, 1, x.shape)
-        outer = tracemalloc.is_tracing()
-        if not outer:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            backward(block, trace, g)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not outer:
-                tracemalloc.stop()
-        assert peak <= (d + 5) * x.nbytes
+        assert peak_bytes(backward, block, trace, g) <= (d + 5) * x.nbytes
+
+    # the measured peaks over |x| are 2.73 (conv2d) and 0.34 (conv1d) on both
+    # sides and paddings; an adjoint that holds every tile's product at once
+    # peaks at 4.5 and 1.9
+    @pytest.mark.parametrize("kind,peak", [("conv2d", 2.8), ("conv1d", 0.35)])
+    @pytest.mark.parametrize("padding", list(PadMode), ids=lambda p: p.name.lower())
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.name.lower())
+    def test_conv_kernel_grad_peak(self, rng, kind, peak, padding, side):
+        # D = 24 lanes against an 11-wide kernel: a tile's product is large
+        # beside its share of x, so the products are summed chunk by chunk
+        if kind == "conv2d":
+            m = Mixer.conv2d(side, rng.uniform(-1, 1, (11, 11)), 16, 16, padding)
+        else:
+            m = Mixer.conv1d(side, rng.uniform(-1, 1, 11), 256, padding)
+        shape = (256, 24) if side == Side.TOKEN else (24, 256)
+        x, g = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+        assert peak_bytes(conv_kernel_grad, m, x, g) <= peak * x.nbytes
 
 
 class TestConvKernelGrad:

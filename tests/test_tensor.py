@@ -230,18 +230,17 @@ def banded_cases(test):
 
 
 class TestBandedConv:
-    """Inputs span three full bands (``BAND_BYTES``) plus a partial one."""
+    """Fixed inputs, a 14-long leading axis by 10 x 819: conv1d axes of 14
+    and 8,190 outputs and conv2d grids of 14 x 10 and 10 x 819, each ending
+    in a partial tile, with kernels that reach across most of a short axis."""
 
-    LEAD, GRID_H = 14, 10     # leading axis of the conv view; 4 rows per band
+    LEAD, GRID_H, GRID_W = 14, 10, 819
 
     def case(self, rng, kind, side, padding, even):
         """A conv mixer, its input ``x``, the conv view ``xv`` of ``x``, kernel and axes."""
-        lead, h = self.LEAD, self.GRID_H
-        w = tensor.BAND_BYTES // (8 * 4 * h)
-        rows = tensor.BAND_BYTES // (8 * h * w)
-        assert lead > 3 * rows and lead % rows, "inputs must end in a partial band"
+        lead, h, w = self.LEAD, self.GRID_H, self.GRID_W
         xv = rng.uniform(-1, 1, (lead, h, w))
-        # odd kernels reach past a whole band; even ones exercise the anchor
+        # odd kernels reach across most of a grid; even ones exercise the anchor
         kshape = (4, 2) if even else (9, 3)
         if kind == MixerKind.CONV1D:
             xv = xv.reshape(lead, h * w)
@@ -271,22 +270,25 @@ class TestBandedConv:
 
     @banded_cases
     def test_kernel_grad_matches_whole_tensor_sums(self, rng, kind, side, padding, even):
-        # banding splits each tap's sum, so only the rounding may differ
+        # tiling splits each tap's sum, so only the rounding may differ
         m, x, xv, kern, axes = self.case(rng, kind, side, padding, even)
         assert_kernel_grad_within_rounding(rng, m, x, xv, kern, axes,
                                            padding == PadMode.CIRCULAR)
 
 
 def conv_case(rng, kind, side, padding, n, k):
-    """A conv mixer over convolved axes all ``n`` long with ``k``-wide kernel axes.
+    """A conv mixer over convolved axes ``n`` long with ``k``-wide kernel axes.
 
-    Returns the mixer, its input ``x`` (3 vectors), the conv view of ``x``,
-    the kernel and the view's convolved axes.
+    ``n`` and ``k`` are one size for every axis or an ``(h, w)`` pair, of
+    which a conv1d takes the last.  Returns the mixer, its input ``x`` (3
+    vectors), the conv view of ``x``, the kernel and the view's convolved axes.
     """
-    conv = (n,) if kind == MixerKind.CONV1D else (n, n)
-    kern = rng.uniform(-1, 1, (k,) * len(conv))
-    m = (Mixer.conv1d(side, kern, n, padding) if kind == MixerKind.CONV1D
-         else Mixer.conv2d(side, kern, n, n, padding))
+    conv, kshape = (tuple(np.broadcast_to(v, 2).tolist()) for v in (n, k))
+    if kind == MixerKind.CONV1D:
+        conv, kshape = conv[1:], kshape[1:]
+    kern = rng.uniform(-1, 1, kshape)
+    m = (Mixer.conv1d(side, kern, *conv, padding) if kind == MixerKind.CONV1D
+         else Mixer.conv2d(side, kern, *conv, padding))
     if side == Side.TOKEN:
         xv = rng.uniform(-1, 1, conv + (3,))
         return m, xv.reshape(-1, 3), xv, kern, tuple(range(len(conv)))
@@ -297,13 +299,19 @@ def conv_case(rng, kind, side, padding, n, k):
 class TestConvTiles:
     """Convolved axes cut into ``TILE``-output tiles: whole, partial and single
     tiles.  An axis of ``n <= TILE`` outputs runs as a tap sum instead
-    (``_tap_sum``); ``TILE + 1`` is the shortest axis on the Toeplitz route."""
+    (``_tap_sum``); ``TILE + 1`` is the shortest axis on the Toeplitz route.
+    One kernel row (conv1d, or a ``kh = 1`` conv2d) reads its slabs in
+    place; a taller kernel reads them from a strip with ``kh - 1`` halo rows,
+    which wrap under circular padding, all of them when ``kh`` is the grid's
+    height."""
 
     SIZES = pytest.mark.parametrize("n,k", [
         (16, 3), (13, 4), (5, 3), (13, 11), (tensor.TILE, 3), (tensor.TILE, 4),
         (tensor.TILE + 1, 3), (tensor.TILE + 1, 4),
+        ((3, 13), 3), ((13, 3), 3), ((6, 24), (1, 5)), ((6, 24), (5, 1)), ((4, 13), (4, 3)),
     ], ids=["whole-tiles", "partial-tile", "shorter-than-tile", "kernel-wider-than-tile",
-            "one-tile", "one-tile-even", "tile-plus-one", "tile-plus-one-even"])
+            "one-tile", "one-tile-even", "tile-plus-one", "tile-plus-one-even",
+            "grid-3x13", "grid-13x3", "kernel-1x5", "kernel-5x1", "halo-rows-wrap"])
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
     @SIZES
@@ -315,7 +323,7 @@ class TestConvTiles:
         monkeypatch.setattr(tensor, "_tap_sum", lambda *a: tap_sums.append(a) or real(*a))
         m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
         got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
-        assert len(tap_sums) == (n <= tensor.TILE)
+        assert len(tap_sums) == (np.ravel(n)[-1] <= tensor.TILE)     # the last axis picks
         assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
 
     @SIZES
@@ -364,11 +372,8 @@ class TestBatch:
     """Leading batch axes: each sample is mixed exactly as it is alone."""
 
     @pytest.mark.parametrize("batch", [(6,), (2, 3)], ids=["batch-6", "batch-2x3"])
-    @pytest.mark.parametrize("band_bytes", [tensor.BAND_BYTES, 512], ids=["one-band", "banded"])
     @pytest.mark.parametrize("side", [Side.TOKEN, Side.CHANNEL], ids=["token", "channel"])
-    def test_every_kind_and_padding_stacks(self, rng, monkeypatch, side, band_bytes, batch):
-        # 512-byte bands split the batch's leading axis across bands
-        monkeypatch.setattr(tensor, "BAND_BYTES", band_bytes)
+    def test_every_kind_and_padding_stacks(self, rng, side, batch):
         x = rng.uniform(-1, 1, batch + ((9, 4) if side == Side.TOKEN else (4, 9)))
         samples = x.reshape(6, *x.shape[-2:])
         for m in random_mixers(rng, 9, side):
