@@ -246,19 +246,3 @@ def emit_csv(items: list[BenchRecord] | list[ScalingFit], path: str) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(row) + "\n")
-
-
-def read_csv(path: str) -> list[BenchRecord]:
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0].split(",") != RECORD_COLUMNS:
-        raise ValueError(f"{path} does not carry the benchmark record schema")
-    out = []
-    for ln in lines[1:]:
-        c = ln.split(",")
-        out.append(BenchRecord(
-            scheme=c[0], n_tokens=int(c[1]), n_channels=int(c[2]), degree=int(c[3]),
-            flops=int(c[4]), median_s=float(c[5]), p10_s=float(c[6]),
-            p90_s=float(c[7]), reps=int(c[8]), seed=int(c[9]),
-        ))
-    return out

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (MAX_CONFIG_DEGREE, MAX_CONFIG_VALUES, _config_int, _is_int, _uniform,
-                    cascade, features, random_mixer)
-from .tensor import Mixer, ShapeError, Side, SizeCapError
+from .block import _uniform, cascade, features, random_mixer
+from .tensor import Mixer, ShapeError, Side
 
 
 class TrivialSequenceError(ValueError):
@@ -137,55 +136,3 @@ def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out:
         sequences=list(sequences),
         weights={i: _uniform(rng, (d_out, degree), 1) for i in range(len(sequences))},
     )
-
-
-def multimodal_config(block: MultimodalBlock, seed: int | None = None) -> dict:
-    cfg = {
-        "degree": block.degree,
-        "target": [block.n_out, block.d_out],
-        "modes": {m: [s.n_in, s.d_in] for m, s in block.modes.items()},
-        "sequences": list(block.sequences),
-    }
-    if seed is not None:
-        cfg["seed"] = seed
-    return cfg
-
-
-def _config_shape(value, what: str) -> tuple[int, int]:
-    """``[n, d]``: two exact integers >= 1, else ``ShapeError``."""
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_int(v) and v >= 1 for v in value)):
-        raise ShapeError(f"config {what} {value!r} is not [n, d] with integers >= 1")
-    return int(value[0]), int(value[1])
-
-
-def multimodal_from_config(cfg: dict) -> MultimodalBlock:
-    """Rebuild a multimodal block from its config document.
-
-    ``degree`` is a required integer >= 1, ``seed`` an integer >= 0,
-    ``target`` and each entry of the ``modes`` mapping an ``[n, d]`` pair of
-    integers >= 1, and ``sequences`` a list of strings; a missing or
-    malformed field raises ``ShapeError``.  A degree above
-    ``MAX_CONFIG_DEGREE`` or more than ``MAX_CONFIG_VALUES`` float64 values
-    raises ``SizeCapError`` before anything is allocated.
-    """
-    degree = _config_int(cfg, "degree", 1)
-    seed = _config_int(cfg, "seed", 0, default=0)
-    n_out, d_out = _config_shape(cfg.get("target"), "target")
-    modes = cfg.get("modes")
-    if not isinstance(modes, dict):
-        raise ShapeError(f"config modes {modes!r} is not a mapping of mode names to [n, d]")
-    shapes = {m: _config_shape(v, f"mode {m!r}") for m, v in modes.items()}
-    sequences = cfg.get("sequences")
-    if not isinstance(sequences, (list, tuple)) or not all(isinstance(q, str) for q in sequences):
-        raise ShapeError(f"config sequences {sequences!r} is not a list of strings")
-    # every mixer holds at most two dim x dim factors (a full-rank low-rank one)
-    slot = 2 * (n_out * n_out + d_out * d_out)
-    values = ((len(shapes) * degree + degree - 1) * slot
-              + sum(n_out * n + d * d_out for n, d in shapes.values())
-              + len(sequences) * d_out * degree)
-    if degree > MAX_CONFIG_DEGREE or values > MAX_CONFIG_VALUES:
-        raise SizeCapError(f"a degree-{degree} {n_out} x {d_out} multimodal block is beyond "
-                           f"the config caps (degree {MAX_CONFIG_DEGREE}, "
-                           f"{MAX_CONFIG_VALUES} values)")
-    return build_multimodal(shapes, n_out, d_out, degree, list(sequences), seed=seed)

@@ -7,17 +7,17 @@ Conventions used throughout the package:
   is mixed exactly as it would be alone, bit for bit.
 * A token-side mixer is a linear operator acting on the left (an implicit
   N x N matrix); a channel-side mixer acts on the right (D x D).
-* Same-size convolutions (``_apply_conv``) take one of two routes, chosen
-  by the length of the last convolution axis alone.  An axis that fits in
-  one tile (at most ``TILE`` outputs) runs as a tap-by-tap sum over slices
-  of the unpadded input; an inf or NaN there reaches only the outputs whose
-  taps read it.  Longer axes run as tiled Toeplitz GEMMs: each tile of
-  ``TILE`` outputs is one GEMM of its whole window, read in place where it
+* Same-size convolutions take one of two routes, chosen by the operator's
+  size ``dim`` alone.  One of at most ``TILE`` outputs is a dense mixer: its
+  exact matrix, gathered from the live kernel (``_matrix``), multiplies the
+  input as a dense mixer's does.  Larger ones run as tiled Toeplitz GEMMs
+  (``_apply_conv``): each tile of ``TILE`` outputs along the last
+  convolution axis is one GEMM of its whole window, read in place where it
   can be and never from a padded copy of the input, against the kernel's
-  stacked banded matrices; a non-finite input reaches every output of the
-  tiles that read it.  Only rounding separates either route from a
-  tap-by-tap sum, within ``1e-13 * sum_tap |kernel[tap] * window|``
-  elementwise.
+  stacked banded matrices.  On either route an inf or NaN input reaches
+  every output whose taps read it, and may reach others (``0 * inf`` is
+  NaN).  Only rounding separates either route from a tap-by-tap sum, within
+  ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
 * Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
   sample and multiplied by the batch size.  A convolution counts the
   operator's MACs, not the zeros inside its banded matrices, and excludes
@@ -44,7 +44,8 @@ RAW_TENSOR_TAG = 200
 MANIFEST_TAG = 201
 
 #: outputs per tile of a convolution's last axis; each tile is one GEMM over
-#: its whole window, and an axis no longer than one tile runs as a tap sum
+#: its whole window, and a convolution of at most this many outputs runs as
+#: its dense matrix
 TILE = 8
 
 
@@ -166,8 +167,8 @@ class Mixer:
             if self.kernel.shape[0] > self.dim:
                 raise ShapeError("conv1d kernel longer than the mixed dimension")
         elif k == MixerKind.CONV2D:
-            if self.kernel is None or self.kernel.ndim != 2:
-                raise ShapeError("conv2d mixer needs a 2-D kernel")
+            if self.kernel is None or self.kernel.ndim != 2 or not self.kernel.size:
+                raise ShapeError("conv2d mixer needs a 2-D kernel with no empty axis")
             if self.grid_h * self.grid_w != self.dim:
                 raise LayoutError(
                     f"conv2d grid {self.grid_h}x{self.grid_w} does not cover dim {self.dim}"
@@ -390,79 +391,25 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
     return view, slabs()
 
 
-@functools.lru_cache(maxsize=64)
-def _tap_plan(sizes: tuple[int, ...], kshape: tuple[int, ...], transpose: bool,
-              circular: bool) -> tuple:
-    """Per tap, in row-major order, ``(tap, pieces)``: the index pairs it adds.
-
-    On an axis of size ``n``, tap ``t`` adds ``x[i + t - anchor]`` into
-    ``out[i]``: the runs (``_runs``) of padded positions ``t`` to ``t + n - 1``.
-    One slice pair covers the outputs whose input lies inside the axis (zero
-    padding); under circular padding a second pair wraps around, so every
-    output is covered.  A piece ``(out_index, in_index)`` takes one slice
-    pair per axis.  Cached per shape, since tiny inputs would pay for this on
-    every call.
-    """
-    per_axis = [[[(o, i) for o, i in _runs(t, n, _anchor(k, transpose), n, circular)
-                  if i is not None] for t in range(k)] for n, k in zip(sizes, kshape)]
-    plan = []
-    for tap in itertools.product(*map(range, kshape)):
-        pieces = itertools.product(*(pairs[t] for pairs, t in zip(per_axis, tap)))
-        plan.append((tap, tuple(tuple(zip(*piece)) for piece in pieces)))
-    return tuple(plan)
-
-
-def _tap_sum(m: Mixer, x: np.ndarray, kern: np.ndarray, transpose: bool) -> np.ndarray:
-    """The correlation as a sum of each tap's product, in row-major tap order.
-
-    Each tap adds ``kern[tap]`` times slices of the unpadded view into the
-    output (``_tap_plan``).  No padded copy is built and no tap reads a
-    padding value.  The sum runs on a copy of the view with the convolution
-    axes first, so that every slice is one contiguous run per leading index.
-    """
-    xv, axes = _conv_view(m, x)
-    perm = axes + tuple(i for i in range(xv.ndim) if i not in axes)
-    xs = xv.transpose(perm).copy()
-    out, prod = np.zeros(xs.shape), np.empty(xs.shape)
-    plan = _tap_plan(xs.shape[:len(axes)], kern.shape, transpose,
-                     m.padding == PadMode.CIRCULAR)
-    for tap, pieces in plan:
-        w = kern[tap]
-        for dst, src in pieces:
-            o = out[dst]
-            o += np.multiply(xs[src], w, out=prod[dst])
-    back = np.empty_like(xv)
-    back.transpose(perm)[...] = out
-    return back.reshape(x.shape)
-
-
 def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     """Same-size correlation out[i] = sum_j kernel[j] * x[i + j - anchor].
 
     The transpose of a same-size correlation is correlation with the flipped
     kernel at the mirrored anchor, under both padding modes.
 
-    The route depends only on the length ``n`` of the last convolution axis,
-    so each sample of a batch runs the same operations as alone and batching
-    changes no bit.  When the axis fits in one tile (``n <= TILE``) the
-    correlation is ``_tap_sum``: a tap-by-tap sum over slices of the
-    unpadded view.  An input inf or NaN then reaches only the outputs whose
-    taps read it.
-
-    Longer axes run as one GEMM per tile of ``TILE`` outputs: the tile's
-    whole ``kh x (TILE + kw - 1)`` window, its slab (``_tiled``, which
-    builds no padded copy of the input), times the stacked banded matrices
-    of ``_toeplitz``.  Against a tap-by-tap sum only rounding differs, within
+    This is the Toeplitz route, for convolutions of more than ``TILE``
+    outputs (``apply_mixer`` multiplies smaller ones by their dense matrix,
+    ``_matrix``): one GEMM per tile of ``TILE`` outputs, of the tile's
+    whole ``kh x (TILE + kw - 1)`` window, its slab (``_tiled``, which builds
+    no padded copy of the input), times the stacked banded matrices of
+    ``_toeplitz``.  Against a tap-by-tap sum only rounding differs, within
     ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A non-finite
     input reaches every output of the tiles that read it (``0 * inf`` is NaN).
 
-    ``apply_mixer``'s ledger counts the operator's MACs on both routes, not
-    the zeros inside the banded matrices.
+    ``apply_mixer``'s ledger counts the operator's MACs, not the zeros inside
+    the banded matrices.
     """
     kern = np.flip(m.kernel) if transpose else m.kernel
-    n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
-    if n <= TILE:
-        return _tap_sum(m, x, kern, transpose)
     view, slabs = _tiled(m, x, transpose)
     t = _toeplitz(kern.reshape(-1, kern.shape[-1]), TILE).reshape(-1, TILE)
     for tiles, slab in slabs:
@@ -470,10 +417,54 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     return view.reshape(x.shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _conv_index(sizes: tuple[int, ...], kshape: tuple[int, ...], circular: bool,
+                side: Side) -> np.ndarray:
+    """Where a convolution's dense matrix reads its kernel: read-only ``idx``.
+
+    ``idx[i, j]`` is the row-major tap by which output ``i`` reads input
+    ``j``, or the kernel's size where no tap links them; the channel side's
+    matrix is the transpose.  On an ``n``-long axis output ``i`` reads input
+    ``j`` through tap ``j - i + k // 2``, taken modulo ``n`` under circular
+    padding, so as ``k <= n`` at most one tap links a pair.
+    """
+    idx, linked = np.zeros((1, 1), np.intp), np.ones((1, 1), bool)
+    for n, k in zip(sizes, kshape):
+        i = np.arange(n)
+        t = i - i[:, None] + k // 2
+        if circular:
+            t %= n
+        # row (a, i) and column (b, j) of the grid's matrix, from (a, b) and (i, j)
+        idx = (idx[:, None, :, None] * k + t[:, None]).reshape(len(idx) * n, -1)
+        linked = (linked[:, None, :, None] & ((0 <= t) & (t < k))[:, None]).reshape(idx.shape)
+    idx[~linked] = math.prod(kshape)
+    if side == Side.CHANNEL:
+        idx = idx.T
+    idx.setflags(write=False)
+    return idx
+
+
+def _matrix(m: Mixer) -> np.ndarray | None:
+    """The matrix that ``apply_mixer`` multiplies by, if it takes one.
+
+    A dense mixer's own, or, for a convolution of at most ``TILE`` outputs,
+    its exact dense matrix, gathered from the live kernel on every call
+    (``vjp_gradcheck`` perturbs kernels in place).  The route depends on
+    ``m.dim`` alone, so batching changes no bit.
+    """
+    if m.kind == MixerKind.DENSE:
+        return m.matrix
+    if m.kind in (MixerKind.CONV1D, MixerKind.CONV2D) and m.dim <= TILE:
+        sizes = (m.dim,) if m.kind == MixerKind.CONV1D else (m.grid_h, m.grid_w)
+        idx = _conv_index(sizes, m.kernel.shape, m.padding == PadMode.CIRCULAR, m.side)
+        return np.append(m.kernel.ravel(), 0.0)[idx]
+    return None
+
+
 def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of sum(g * apply_mixer(m, x)) w.r.t. the convolution kernel.
 
-    The adjoint of ``_apply_conv``'s tiled route, on every axis length: ``g``
+    The adjoint of ``_apply_conv``'s tiled route, for every size: ``g``
     is zero-extended to whole tiles, the gradient of the stacked banded
     matrices is ``dt = sum slab^T @ g_tile`` over the slabs that the forward
     multiplies by them, and ``dk[a, j] = sum_i dt[a, i + j, i]`` reads the
@@ -518,8 +509,8 @@ def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np
     k = m.kind
     if k == MixerKind.IDENTITY:
         out = x.copy()
-    elif k == MixerKind.DENSE:
-        out = m.matrix @ x if m.side == Side.TOKEN else x @ m.matrix
+    elif (mat := _matrix(m)) is not None:
+        out = mat @ x if m.side == Side.TOKEN else x @ mat
     elif k == MixerKind.DIAGONAL:
         out = m.diag[:, None] * x if m.side == Side.TOKEN else x * m.diag[None, :]
     elif k == MixerKind.LOW_RANK:
@@ -541,8 +532,8 @@ def apply_mixer_transpose(m: Mixer, g: np.ndarray) -> np.ndarray:
     k = m.kind
     if k == MixerKind.IDENTITY:
         return g.copy()
-    if k == MixerKind.DENSE:
-        return m.matrix.T @ g if m.side == Side.TOKEN else g @ m.matrix.T
+    if (mat := _matrix(m)) is not None:
+        return mat.T @ g if m.side == Side.TOKEN else g @ mat.T
     if k == MixerKind.DIAGONAL:
         return m.diag[:, None] * g if m.side == Side.TOKEN else g * m.diag[None, :]
     if k == MixerKind.LOW_RANK:

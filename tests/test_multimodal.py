@@ -1,7 +1,5 @@
 """Cross-modal cascades: joint homogeneity and sequence validation."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -10,11 +8,9 @@ from padre.multimodal import (
     MissingModeError,
     TrivialSequenceError,
     build_multimodal,
-    multimodal_config,
     multimodal_forward,
-    multimodal_from_config,
 )
-from padre.tensor import NumericError, ShapeError, SizeCapError
+from padre.tensor import NumericError, ShapeError
 
 from conftest import rel_dev
 
@@ -92,50 +88,3 @@ class TestValidation:
     def test_sequence_length_must_match_degree(self):
         with pytest.raises(ShapeError):
             build_multimodal({"a": (4, 3), "b": (4, 3)}, 4, 3, 3, ["ab"], seed=0)
-
-
-class TestConfig:
-    def test_round_trip_rebuilds_identical_block(self, two_mode_block, inputs):
-        cfg = multimodal_config(two_mode_block, seed=0)
-        rebuilt = multimodal_from_config(cfg)
-        a, _ = multimodal_forward(two_mode_block, inputs)
-        b, _ = multimodal_forward(rebuilt, inputs)
-        assert np.array_equal(a, b)
-        assert cfg["sequences"] == ["aab"]
-        assert cfg["modes"] == {"a": [6, 3], "b": [4, 5]}
-
-    GOOD = {"degree": 3, "target": [6, 3], "modes": {"a": [6, 3], "b": [4, 5]},
-            "sequences": ["aab"]}
-
-    @pytest.mark.parametrize("change", [
-        {"degree": None},
-        {"degree": "x"},
-        {"degree": 3.7},
-        {"degree": True, "modes": {"a": [6, 3]}, "sequences": ["a"]},
-        {"seed": -1},
-        {"target": [4]},
-        {"target": [4, 3.9]},
-        {"target": None},
-        {"modes": [1, 2]},
-        {"modes": {"a": [6, 3], "b": 4}},
-        {"modes": {"a": [6, 0], "b": [4, 5]}},
-        {"degree": 1, "sequences": "ab"},
-        {"sequences": [["a", "a", "b"]]},
-    ], ids=["missing-degree", "degree-str", "degree-float", "degree-bool", "seed-negative",
-            "target-one-extent", "target-float", "missing-target", "modes-list",
-            "mode-scalar", "mode-zero", "sequences-str", "sequence-list"])
-    def test_malformed_field_raises_shape_error(self, change):
-        cfg = {k: v for k, v in {**self.GOOD, **change}.items() if v is not None}
-        with pytest.raises(ShapeError):
-            multimodal_from_config(cfg)
-
-    @pytest.mark.parametrize("change", [
-        {"degree": 2 ** 40},
-        {"target": [10 ** 6, 3]},
-        {"modes": {"a": [6, 3], "b": [10 ** 9, 10 ** 9]}},
-    ], ids=["degree-2**40", "target-1e6", "mode-1e9"])
-    def test_oversized_config_fails_fast(self, change):
-        start = time.perf_counter()
-        with pytest.raises(SizeCapError):
-            multimodal_from_config({**self.GOOD, **change})
-        assert time.perf_counter() - start < 0.1

@@ -238,6 +238,8 @@ class TestContainerFormat:
         pytest.param(1, (3, 0, 4, [5.0, 2.0, 1.0, 1.0]), id="conv1d-pad-tag-5"),
         pytest.param(1, (2, 0, 4, [np.nan] + [1.0] * 8), id="low-rank-rank-nan"),
         pytest.param(1, (3, 0, 4, [0.0, np.nan, 1.0]), id="conv1d-kernel-size-nan"),
+        pytest.param(1, (4, 0, 4, [0.0, 0.0, 2.0, 2.0, 2.0]), id="conv2d-kernel-0x2"),
+        pytest.param(1, (4, 0, 4, [0.0, 2.0, 0.0, 2.0, 2.0]), id="conv2d-kernel-2x0"),
         pytest.param(-1, (RAW_TENSOR_TAG, 0, 12, [2.0, 1.0]), id="weights-1-of-24-values"),
         pytest.param(-1, (RAW_TENSOR_TAG, 1, 12, None), id="weights-side-1"),
         pytest.param(-1, (MANIFEST_TAG, 0, 12, None), id="weights-tagged-manifest"),

@@ -149,6 +149,15 @@ class TestApplyMixer:
                 ref = dense.T @ g if side == Side.TOKEN else g @ dense.T
                 np.testing.assert_allclose(apply_mixer_transpose(m, g), ref, atol=1e-12)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Mixer.conv1d(Side.TOKEN, np.zeros(0), 4),
+        lambda: Mixer.conv2d(Side.TOKEN, np.zeros((0, 3)), 3, 12),
+        lambda: Mixer.conv2d(Side.TOKEN, np.zeros((3, 0)), 3, 12),
+    ], ids=["conv1d-empty", "conv2d-kernel-0x3", "conv2d-kernel-3x0"])
+    def test_empty_kernel_rejected(self, build):
+        with pytest.raises(ShapeError):
+            build()
+
     def test_shape_and_layout_errors(self, rng):
         x = rng.uniform(-1, 1, (5, 3))
         with pytest.raises(ShapeError):
@@ -298,10 +307,10 @@ def conv_case(rng, kind, side, padding, n, k):
 
 class TestConvTiles:
     """Convolved axes cut into ``TILE``-output tiles: whole, partial and single
-    tiles.  An axis of ``n <= TILE`` outputs runs as a tap sum instead
-    (``_tap_sum``); ``TILE + 1`` is the shortest axis on the Toeplitz route.
-    One kernel row (conv1d, or a ``kh = 1`` conv2d) reads its slabs in
-    place; a taller kernel reads them from a strip with ``kh - 1`` halo rows,
+    tiles.  A convolution of ``dim <= TILE`` outputs runs as its dense matrix
+    instead, whatever its axes; one of ``TILE + 1`` outputs, or a grid whose
+    rows are shorter than a tile, is on the Toeplitz route.  One kernel row
+    (conv1d, or a ``kh = 1`` conv2d) reads its slabs in place; a taller kernel reads them from a strip with ``kh - 1`` halo rows,
     which wrap under circular padding, all of them when ``kh`` is the grid's
     height."""
 
@@ -309,21 +318,23 @@ class TestConvTiles:
         (16, 3), (13, 4), (5, 3), (13, 11), (tensor.TILE, 3), (tensor.TILE, 4),
         (tensor.TILE + 1, 3), (tensor.TILE + 1, 4),
         ((3, 13), 3), ((13, 3), 3), ((6, 24), (1, 5)), ((6, 24), (5, 1)), ((4, 13), (4, 3)),
+        ((2, 4), (2, 3)), ((2, 2), 2), ((3, 3), 3),
     ], ids=["whole-tiles", "partial-tile", "shorter-than-tile", "kernel-wider-than-tile",
             "one-tile", "one-tile-even", "tile-plus-one", "tile-plus-one-even",
-            "grid-3x13", "grid-13x3", "kernel-1x5", "kernel-5x1", "halo-rows-wrap"])
+            "grid-3x13", "grid-13x3", "kernel-1x5", "kernel-5x1", "halo-rows-wrap",
+            "dense-grid-2x4", "dense-grid-2x2", "grid-3x3"])
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
     @SIZES
     @conv_cases
     def test_within_rounding_of_reference(self, rng, monkeypatch, kind, side, padding, n, k,
                                           transpose):
-        tap_sums = []
-        real = tensor._tap_sum
-        monkeypatch.setattr(tensor, "_tap_sum", lambda *a: tap_sums.append(a) or real(*a))
+        tiled = []
+        real = tensor._tiled
+        monkeypatch.setattr(tensor, "_tiled", lambda *a: tiled.append(a) or real(*a))
         m, x, xv, kern, axes = conv_case(rng, kind, side, padding, n, k)
         got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
-        assert len(tap_sums) == (np.ravel(n)[-1] <= tensor.TILE)     # the last axis picks
+        assert len(tiled) == (m.dim > tensor.TILE)     # the operator's size picks
         assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
 
     @SIZES
@@ -353,8 +364,10 @@ class TestConvTiles:
     @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
     @pytest.mark.parametrize("k", [3, 4], ids=["odd", "even"])
     @conv_cases
-    def test_one_tile_inf_reaches_only_outputs_whose_taps_read_it(self, rng, kind, side,
-                                                                  padding, k, transpose):
+    def test_inf_reaches_every_output_whose_taps_read_it(self, rng, kind, side, padding, k,
+                                                         transpose):
+        # an 8-long conv1d runs as a dense matrix, an 8 x 8 conv2d in Toeplitz tiles;
+        # both spread an inf further (0 * inf is NaN), so only this much holds
         m, x, xv, kern, axes = conv_case(rng, kind, side, padding, tensor.TILE, k)
         circular = padding == PadMode.CIRCULAR
         for pos in ((0,) * xv.ndim, tuple(s // 2 for s in xv.shape)):
@@ -363,9 +376,10 @@ class TestConvTiles:
             xi = xv.copy()
             xi[pos] = np.inf
             xi = xi.reshape(x.shape)
-            got = apply_mixer_transpose(m, xi) if transpose else apply_mixer(m, xi)
+            with np.errstate(invalid="ignore"):
+                got = apply_mixer_transpose(m, xi) if transpose else apply_mixer(m, xi)
             reads = padded_correlation(hit, np.ones(kern.shape), axes, circular, transpose)
-            assert np.array_equal(~np.isfinite(got.reshape(xv.shape)), reads > 0)
+            assert not np.isfinite(got.reshape(xv.shape)[reads > 0]).any()
 
 
 class TestBatch:
