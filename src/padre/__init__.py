@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     **dict.fromkeys(("FlopLedger", "LayoutError", "Mixer", "MixerKind", "NumericError",
                      "PadMode", "ShapeError", "Side", "apply_mixer", "apply_mixer_transpose",
-                     "hadamard", "mixer_as_dense"), "tensor"),
+                     "hadamard"), "tensor"),
     **dict.fromkeys(("Grid", "PadreBlock", "PadreTrace", "Seq1d", "WMode",
                      "build_conv_instance", "forward", "load_block", "param_count",
                      "random_block", "rms_normalize_rows", "save_block"), "block"),

@@ -268,7 +268,6 @@ def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Lay
         w_mode=w_mode,
         weights=_uniform(rng, weight_shape(w_mode, n_tokens, n_channels, degree), 1),
         degree_mask=frozenset(range(2, degree + 1)),
-        bias=None,
         layout=layout,
     )
 
@@ -278,15 +277,14 @@ MIXER_MENU = (MixerKind.DENSE, MixerKind.DIAGONAL, MixerKind.LOW_RANK,
               MixerKind.CONV1D, MixerKind.CONV2D, MixerKind.IDENTITY)
 
 
-def random_mixer(rng: np.random.Generator, side: Side, dim: int,
-                 menu=MIXER_MENU) -> Mixer:
-    """Draw a kind uniformly from ``menu``, then its seeded parameters.
+def random_mixer(rng: np.random.Generator, side: Side, dim: int) -> Mixer:
+    """Draw a kind uniformly from ``MIXER_MENU``, then its seeded parameters.
 
     CONV2D is legal only when ``dim > 1`` is a perfect square (a square grid).
     """
     g = math.isqrt(dim)
     square = g * g == dim and dim > 1
-    legal = [k for k in menu if k != MixerKind.CONV2D or square]
+    legal = [k for k in MIXER_MENU if k != MixerKind.CONV2D or square]
     kind = legal[int(rng.integers(len(legal)))]
     if kind == MixerKind.IDENTITY:
         return Mixer.identity(side, dim)
@@ -308,23 +306,20 @@ def random_mixer(rng: np.random.Generator, side: Side, dim: int,
 
 def random_block(n_tokens: int, n_channels: int, degree: int, seed: int,
                  w_mode: WMode = WMode.FULL, degree_mask: frozenset[int] | None = None,
-                 with_bias: bool = False, normalize_y: bool = False,
-                 kinds: list[MixerKind] | None = None) -> PadreBlock:
+                 with_bias: bool = False, normalize_y: bool = False) -> PadreBlock:
     """A seeded block drawing every mixer slot from the structured-kind menu.
 
     Used by verification suites; conv2d appears only when the acted dimension
     is a square grid (see ``random_mixer``).
     """
     rng = np.random.default_rng(seed)
-    menu = kinds or MIXER_MENU
     d = degree
     return PadreBlock(
         degree=d, n_tokens=n_tokens, n_channels=n_channels,
-        token_mixers=[random_mixer(rng, Side.TOKEN, n_tokens, menu) for _ in range(d)],
-        channel_mixers=[random_mixer(rng, Side.CHANNEL, n_channels, menu) for _ in range(d)],
-        inter_token=[random_mixer(rng, Side.TOKEN, n_tokens, menu) for _ in range(d - 1)],
-        inter_channel=[random_mixer(rng, Side.CHANNEL, n_channels, menu)
-                       for _ in range(d - 1)],
+        token_mixers=[random_mixer(rng, Side.TOKEN, n_tokens) for _ in range(d)],
+        channel_mixers=[random_mixer(rng, Side.CHANNEL, n_channels) for _ in range(d)],
+        inter_token=[random_mixer(rng, Side.TOKEN, n_tokens) for _ in range(d - 1)],
+        inter_channel=[random_mixer(rng, Side.CHANNEL, n_channels) for _ in range(d - 1)],
         w_mode=w_mode,
         weights=_uniform(rng, weight_shape(w_mode, n_tokens, n_channels, d), 1),
         degree_mask=degree_mask or frozenset(range(1, d + 1)),

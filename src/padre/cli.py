@@ -182,18 +182,21 @@ def _cmd_approx_attn(args) -> int:
     from . import adapters
     p, x = verify_mod.attention_instance(args.seed, 0.98 * args.l_bound)
     exact = adapters.softmax_attention(p, x)
-    rows = []
+    rows, stop = [], None
     for deg in range(0, args.max_degree + 1):
         approx, bound = adapters.attention_rational_approx(p, x, deg)
         if bound == math.inf:                # beyond the float range: no approximation
+            stop = f"the degree {deg} remainder bound is beyond the float range"
             break
         rows.append(f"{deg},{float(np.max(np.abs(approx - exact)))!r},{bound!r}")
-    beyond = f"degree {len(rows)} remainder bound is beyond the float range"
+        if bound == 0.0 and deg < args.max_degree:   # later terms underflow: same rows
+            stop = f"the degree {deg} remainder bound is 0, and higher degrees add nothing"
+            break
     if not rows:
-        return _usage_error("approx-attn", f"--l-bound {args.l_bound!r}: the {beyond}")
+        return _usage_error("approx-attn", f"--l-bound {args.l_bound!r}: {stop}")
     print("degree,max_error,remainder_bound", *rows, sep="\n")
-    if len(rows) <= args.max_degree:
-        print(f"padre approx-attn: stopped, the {beyond}", file=sys.stderr)
+    if stop:
+        print(f"padre approx-attn: stopped, {stop}", file=sys.stderr)
     return 0
 
 

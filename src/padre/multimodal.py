@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _uniform, cascade, features, random_mixer
+from .block import _require_finite, _uniform, cascade, features, random_mixer
 from .tensor import Mixer, ShapeError, Side
 
 
@@ -48,7 +48,6 @@ class MultimodalBlock:
     inter_channel: list[Mixer]
     sequences: list[str]              # one mode label per level, e.g. "aab"
     weights: dict[int, np.ndarray]    # per sequence index: D' x d combine weights
-    bias: np.ndarray | None = None
 
     def __post_init__(self):
         d = self.degree
@@ -71,14 +70,12 @@ class MultimodalBlock:
 
 @dataclass
 class MultimodalTrace:
-    projected: dict[str, np.ndarray]
-    features: dict[str, list[np.ndarray]]
     taps: list[list[np.ndarray]]     # per sequence: Z_1..Z_d
-    output: np.ndarray
 
 
 def multimodal_forward(block: MultimodalBlock,
                        inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, MultimodalTrace]:
+    """Combine every sequence's cascade; a non-finite sum raises ``NumericError("P")``."""
     missing = set(block.modes) - set(inputs)
     if missing:
         raise MissingModeError(f"missing inputs for modes {sorted(missing)}")
@@ -108,9 +105,8 @@ def multimodal_forward(block: MultimodalBlock,
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):
             out += w[None, :, i] * zi
-    if block.bias is not None:
-        out = out + block.bias
-    return out, MultimodalTrace(projected=projected, features=banks, taps=taps, output=out)
+    _require_finite(out, "P")
+    return out, MultimodalTrace(taps=taps)
 
 
 def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out: int,

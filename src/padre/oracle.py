@@ -262,9 +262,11 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
 
 
 def rel_dev(got, ref) -> float:
-    """Matrix-level relative deviation: max |got - ref| / max(|ref|)."""
+    """Matrix-level relative deviation: max |got - ref| / max(|ref|), or
+    ``inf`` when either side holds an inf or NaN (which ``max`` would drop)."""
+    diff = np.abs(np.asarray(got) - np.asarray(ref))
     scale = max(float(np.max(np.abs(ref))), 1e-12)
-    return float(np.max(np.abs(np.asarray(got) - np.asarray(ref)))) / scale
+    return float(np.max(diff)) / scale if np.isfinite(diff).all() else math.inf
 
 
 class HomogeneityVerdict(NamedTuple):

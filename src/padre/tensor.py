@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import io
 import itertools
 import math
 import struct
@@ -177,7 +178,7 @@ class Mixer:
             if kh > self.grid_h or kw > self.grid_w:
                 raise ShapeError("conv2d kernel larger than the grid")
         elif k != MixerKind.IDENTITY:
-            raise ValueError(f"unknown mixer kind {k}")
+            raise ShapeError(f"unknown mixer kind {k}")
         for arr in (self.matrix, self.diag, self.left, self.right, self.kernel):
             if arr is not None and not np.isfinite(arr).all():
                 raise NumericError("mixer-params", "mixer parameters must be finite")
@@ -500,26 +501,30 @@ def _check_side_dim(m: Mixer, x: np.ndarray) -> None:
         raise ShapeError(f"mixer dim {m.dim} does not match tensor side of size {need}")
 
 
+def _apply(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """The one dispatch by kind: ``m``'s operator, or its transpose, applied to ``x``."""
+    _check_side_dim(m, x)
+    k = m.kind
+    if k == MixerKind.IDENTITY:
+        return x.copy()
+    if (mat := _matrix(m)) is not None:
+        mat = mat.T if transpose else mat
+        return mat @ x if m.side == Side.TOKEN else x @ mat
+    if k == MixerKind.DIAGONAL:
+        return m.diag[:, None] * x if m.side == Side.TOKEN else x * m.diag[None, :]
+    if k == MixerKind.LOW_RANK:
+        # (L R)^T = R^T L^T: the transpose swaps and transposes the factors
+        left, right = (m.right.T, m.left.T) if transpose else (m.left, m.right)
+        return left @ (right @ x) if m.side == Side.TOKEN else (x @ left) @ right
+    return _apply_conv(m, x, transpose)
+
+
 def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
     """Apply ``m`` to ``x``: token side computes M @ x, channel side x @ M.
 
     Leading batch axes of ``x`` broadcast; the ledger counts every sample.
     """
-    _check_side_dim(m, x)
-    k = m.kind
-    if k == MixerKind.IDENTITY:
-        out = x.copy()
-    elif (mat := _matrix(m)) is not None:
-        out = mat @ x if m.side == Side.TOKEN else x @ mat
-    elif k == MixerKind.DIAGONAL:
-        out = m.diag[:, None] * x if m.side == Side.TOKEN else x * m.diag[None, :]
-    elif k == MixerKind.LOW_RANK:
-        if m.side == Side.TOKEN:
-            out = m.left @ (m.right @ x)
-        else:
-            out = (x @ m.left) @ m.right
-    else:
-        out = _apply_conv(m, x, transpose=False)
+    out = _apply(m, x, transpose=False)
     if ledger is not None:
         cat = "token_mix" if m.side == Side.TOKEN else "channel_mix"
         ledger.add(cat, m.macs_per_vector() * (x.size // m.dim))   # vectors mixed
@@ -528,31 +533,7 @@ def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np
 
 def apply_mixer_transpose(m: Mixer, g: np.ndarray) -> np.ndarray:
     """Apply the transpose of the implicit operator (token: M.T @ g)."""
-    _check_side_dim(m, g)
-    k = m.kind
-    if k == MixerKind.IDENTITY:
-        return g.copy()
-    if (mat := _matrix(m)) is not None:
-        return mat.T @ g if m.side == Side.TOKEN else g @ mat.T
-    if k == MixerKind.DIAGONAL:
-        return m.diag[:, None] * g if m.side == Side.TOKEN else g * m.diag[None, :]
-    if k == MixerKind.LOW_RANK:
-        if m.side == Side.TOKEN:
-            return m.right.T @ (m.left.T @ g)
-        return (g @ m.right.T) @ m.left.T
-    return _apply_conv(m, g, transpose=True)
-
-
-def mixer_as_dense(m: Mixer) -> np.ndarray:
-    """Materialize the implicit matrix by probing with basis vectors.
-
-    Oracle-only: refuses dims above 64.  Token side returns M with
-    apply(m, x) == M @ x; channel side returns M with apply(m, x) == x @ M.
-    """
-    if m.dim > 64:
-        raise SizeCapError(f"mixer_as_dense is capped at dim 64, got {m.dim}")
-    eye = np.eye(m.dim)
-    return apply_mixer(m, eye)
+    return _apply(m, g, transpose=True)
 
 
 def hadamard(a: np.ndarray, b: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
@@ -602,14 +583,12 @@ _HEAD_SIZE = {MixerKind.LOW_RANK: 1, MixerKind.CONV1D: 2, MixerKind.CONV2D: 5}
 
 
 def _mixer_head(m: Mixer) -> list[int]:
-    """The integral fields at the head of a mixer's payload."""
+    """The integral fields at the head of a payload of a kind in ``_HEAD_SIZE``."""
     if m.kind == MixerKind.LOW_RANK:
         return [m.left.shape[1]]
     if m.kind == MixerKind.CONV1D:
         return [int(m.padding), m.kernel.shape[0]]
-    if m.kind == MixerKind.CONV2D:
-        return [int(m.padding), *m.kernel.shape, m.grid_h, m.grid_w]
-    return []
+    return [int(m.padding), *m.kernel.shape, m.grid_h, m.grid_w]
 
 
 def mixer_to_record(m: Mixer) -> Record:
@@ -727,6 +706,9 @@ def read_records(f: BinaryIO | str) -> list[Record]:
     if isinstance(f, str):
         with open(f, "rb") as fh:
             return read_records(fh)
+    # parse from memory: a buffered file's read(n) allocates n bytes first, so a
+    # payload declared 2**32 values long would raise MemoryError instead
+    f = io.BytesIO(f.read())
     if f.read(8) != MAGIC:
         raise SerializationError("bad magic; not a weight container")
     head = f.read(4)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from padre.oracle import rel_dev  # noqa: F401  (re-exported for the test modules)
+from padre.tensor import apply_mixer
 
 
 @pytest.fixture
@@ -19,3 +20,8 @@ def rng():
 def stacked(f):
     """``f`` of one (N, D) input, lifted to the (P, N, D) stacks extract_coeffs passes."""
     return lambda xs: np.stack([f(x) for x in xs])
+
+
+def dense_of(m):
+    """``m``'s implicit matrix: token side ``apply_mixer(m, x) == M @ x``, channel side ``x @ M``."""
+    return apply_mixer(m, np.eye(m.dim))

@@ -58,6 +58,11 @@ class TestSima:
         dev = A.verify_plan(lambda x: A.sima_forward(sima_params, x), plan, seed=2)
         assert dev <= 1e-10
 
+    def test_plan_against_a_nan_route_fails(self, sima_params):
+        plan = A.sima_as_padre(sima_params, n_tokens=7)
+        with pytest.raises(A.EquivalenceError):
+            A.verify_plan(lambda x: np.full(x.shape, np.nan), plan)
+
     def test_numerator_homogeneous_degree_three(self, sima_params):
         f = lambda x: A.sima_numerator(sima_params, x)
         assert assert_homogeneous(f, 3, trials=30, shape=(5, 4)).passed

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from padre import block as block_mod
 from padre.block import (
     MIXER_MENU,
     Grid,
@@ -106,21 +107,46 @@ class TestForward:
         assert led.resize == 2 * 4 * 3 + 2 * 3 * 5
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("change,error", [
+        (dict(degree=0), ShapeError),
+        (dict(layout=Grid(3, 3)), LayoutError),
+        (dict(token_mixers=[Mixer.identity(Side.TOKEN, 4)]), ShapeError),
+        (dict(inter_token=[]), ShapeError),
+        (dict(token_mixers=[Mixer.identity(Side.CHANNEL, 4)] * 2), ShapeError),
+        (dict(channel_mixers=[Mixer.identity(Side.CHANNEL, 4)] * 2), ShapeError),
+        (dict(weights=np.ones(2)), ShapeError),
+        (dict(degree_mask=frozenset({3})), ShapeError),
+        (dict(bias=np.ones((3, 4))), ShapeError),
+        (dict(resize_left=np.ones((2, 4))), ShapeError),
+        (dict(resize_left=np.ones((2, 3)), resize_right=np.ones((3, 2))), ShapeError),
+        (dict(weights=np.full((4, 3, 2), np.inf)), NumericError),
+    ], ids=["degree-0", "grid-not-n", "token-mixer-count", "inter-pair-count",
+            "token-mixer-side", "channel-mixer-dim", "weights-shape", "degree-mask",
+            "bias-shape", "resize-alone", "resize-shapes", "non-finite-weights"])
+    def test_rejects(self, change, error):
+        # one case per check in PadreBlock.__post_init__, each on a valid 4 x 3 block
+        block = random_block(4, 3, 2, seed=0)
+        with pytest.raises(error):
+            replace(block, **change)
+
+
 class TestBatchedForward:
     """A (2, 3) stack of inputs gives the stacked single-input outputs, bit for bit."""
 
     @pytest.mark.parametrize("w_mode", list(WMode), ids=lambda m: m.name)
     @pytest.mark.parametrize("kind", [*MIXER_MENU, None],
                              ids=[*(k.name for k in MIXER_MENU), "menu"])
-    def test_seeded_blocks_stack(self, kind, w_mode):
+    def test_seeded_blocks_stack(self, kind, w_mode, monkeypatch):
         # square sides on both ends, so conv2d draws on the token and channel side
+        if kind is not None:
+            monkeypatch.setattr(block_mod, "MIXER_MENU", (kind,))
         for seed, (n, dc) in enumerate([(4, 9), (9, 4), (16, 9), (9, 16)]):
             rng = np.random.default_rng(seed)
             block = random_block(n, dc, 3, seed=seed, w_mode=w_mode,
                                  degree_mask=[None, frozenset({3}), frozenset({1, 3}),
                                               frozenset({2, 3})][seed],
-                                 with_bias=seed % 2 == 0, normalize_y=seed >= 2,
-                                 kinds=None if kind is None else [kind])
+                                 with_bias=seed % 2 == 0, normalize_y=seed >= 2)
             if seed == 3:
                 block = replace(block, resize_left=rng.uniform(-1, 1, (5, n)),
                                 resize_right=rng.uniform(-1, 1, (dc, 2)))

@@ -155,6 +155,11 @@ class TestVerify:
         assert "[FAIL] scheme=hyena max_dev=1.000e+00" in out
         assert out.count("[FAIL]") == 1
 
+    def test_nan_direct_route_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(A, "sima_forward", lambda p, x: np.full(x.shape, np.nan))
+        assert main(["verify", "equivalence", "--scheme", "sima"]) == 1
+        assert "[FAIL] scheme=sima" in capsys.readouterr().out
+
     def test_plan_deviation_becomes_failing_record(self, monkeypatch):
         def deviating(*args, **kwargs):
             raise A.EquivalenceError(0.25, 1e-10)
@@ -233,6 +238,15 @@ class TestApproxAttn:
         assert main(["approx-attn", *argv]) == 0
         last = capsys.readouterr().out.splitlines()[-1].split(",")
         assert float(last[2]) == last_bound
+
+    def test_sweep_stops_at_first_zero_bound(self, capsys):
+        # from degree 176 on every row repeats: error 8.8e-17, bound 0.0
+        assert main(["approx-attn", "--max-degree", "100000"]) == 0
+        out, err = capsys.readouterr()
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(177))
+        assert float(rows[-1][2]) == 0.0 and float(rows[-2][2]) > 0.0
+        assert "stopped, the degree 176 remainder bound is 0" in err
 
     def test_sweep_stops_at_first_infinite_bound(self, capsys):
         # at logits near 690 the bound leaves the float range at degree 3

@@ -57,6 +57,15 @@ class TestForward:
             multimodal_forward(two_mode_block, huge)
         assert exc.value.stage == "Z[3]"
 
+    def test_combine_overflow_raises(self, two_mode_block, inputs):
+        # finite taps and finite weights, but the weighted sum leaves the float range
+        for w in two_mode_block.weights.values():
+            w[:] = 1e308
+        big = {mode: 100 * x for mode, x in inputs.items()}
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as exc:
+            multimodal_forward(two_mode_block, big)
+        assert exc.value.stage == "P"
+
     def test_single_mode_reduces_to_plain_block(self, rng):
         mm = build_multimodal({"a": (5, 3)}, 5, 3, 3, ["aaa"], seed=3)
         x = rng.uniform(-1, 1, (5, 3))

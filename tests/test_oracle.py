@@ -266,6 +266,13 @@ class TestHomogeneity:
         assert assert_homogeneous(tap, 1, trials=20, shape=(4, 3)).passed
         assert not assert_homogeneous(tap, 2, trials=20, shape=(4, 3)).passed
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_map_fails(self, value):
+        with np.errstate(invalid="ignore"):          # inf - inf
+            verdict = assert_homogeneous(lambda x: np.full(x.shape, value), 1, trials=3,
+                                         shape=(2, 2))
+        assert not verdict.passed and verdict.max_rel_err == math.inf
+
 
 class TestMaxEffectiveDegree:
     def test_top_degree_present(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import struct
 from datetime import timedelta
 
 import numpy as np
@@ -171,6 +172,16 @@ class TestContainerFormat:
         back = raw_tensor_from_record(read_records(buf)[0])
         assert np.array_equal(back, a)
         assert back.dtype == np.float64
+
+    @pytest.mark.parametrize("load", [load_block, load_rational])
+    def test_huge_declared_payload_in_a_file_rejected(self, load, tmp_path):
+        # one record declaring 2**32 - 1 values, followed by two: read from a
+        # file, the payload must not be allocated at its declared size
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + struct.pack("<I", 1)
+                         + struct.pack("<BBII", MANIFEST_TAG, 0, 0, 0xFFFFFFFF) + bytes(16))
+        with pytest.raises(SerializationError):
+            load(str(path))
 
     def test_truncated_record_count_rejected(self):
         with pytest.raises(SerializationError):

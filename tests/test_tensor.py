@@ -14,19 +14,20 @@ from padre.tensor import (
     LayoutError,
     Mixer,
     MixerKind,
+    NumericError,
     PadMode,
     ShapeError,
     Side,
-    SizeCapError,
     apply_mixer,
     apply_mixer_transpose,
     hadamard,
-    mixer_as_dense,
     mixer_from_record,
     mixer_to_record,
     read_records,
     write_records,
 )
+
+from conftest import dense_of
 
 
 def naive_conv1d_matrix(kernel, n, circular=False):
@@ -108,7 +109,7 @@ class TestApplyMixer:
         for dim in (4, 9, 16):
             for m in random_mixers(rng, dim, side):
                 shape = (dim, 5) if side == Side.TOKEN else (5, dim)
-                dense = mixer_as_dense(m)
+                dense = dense_of(m)
                 for _ in range(6):
                     x = rng.uniform(-1, 1, shape)
                     ref = dense @ x if side == Side.TOKEN else x @ dense
@@ -118,14 +119,14 @@ class TestApplyMixer:
     def test_conv_dense_oracle_is_independent(self, rng):
         kern = rng.uniform(-1, 1, 5)
         m = Mixer.conv1d(Side.TOKEN, kern, 8)
-        np.testing.assert_allclose(mixer_as_dense(m), naive_conv1d_matrix(kern, 8),
+        np.testing.assert_allclose(dense_of(m), naive_conv1d_matrix(kern, 8),
                                    atol=1e-14)
         kern2 = rng.uniform(-1, 1, (3, 3))
         m2 = Mixer.conv2d(Side.TOKEN, kern2, 3, 4)
-        np.testing.assert_allclose(mixer_as_dense(m2), naive_conv2d_matrix(kern2, 3, 4),
+        np.testing.assert_allclose(dense_of(m2), naive_conv2d_matrix(kern2, 3, 4),
                                    atol=1e-14)
         m3 = Mixer.conv2d(Side.TOKEN, kern2, 3, 4, PadMode.CIRCULAR)
-        np.testing.assert_allclose(mixer_as_dense(m3),
+        np.testing.assert_allclose(dense_of(m3),
                                    naive_conv2d_matrix(kern2, 3, 4, circular=True),
                                    atol=1e-14)
 
@@ -144,7 +145,7 @@ class TestApplyMixer:
     def test_transpose_matches_dense_transpose(self, rng):
         for side in (Side.TOKEN, Side.CHANNEL):
             for m in random_mixers(rng, 9, side):
-                dense = mixer_as_dense(m)
+                dense = dense_of(m)
                 g = rng.uniform(-1, 1, (9, 9))
                 ref = dense.T @ g if side == Side.TOKEN else g @ dense.T
                 np.testing.assert_allclose(apply_mixer_transpose(m, g), ref, atol=1e-12)
@@ -156,6 +157,30 @@ class TestApplyMixer:
     ], ids=["conv1d-empty", "conv2d-kernel-0x3", "conv2d-kernel-3x0"])
     def test_empty_kernel_rejected(self, build):
         with pytest.raises(ShapeError):
+            build()
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: Mixer.identity(Side.TOKEN, 0), ShapeError),
+        (lambda: Mixer.dense(Side.TOKEN, np.ones((2, 3))), ShapeError),
+        (lambda: Mixer(Side.TOKEN, MixerKind.DIAGONAL, 3, diag=np.ones(2)), ShapeError),
+        (lambda: Mixer(Side.TOKEN, MixerKind.LOW_RANK, 3, left=np.ones((3, 1))), ShapeError),
+        (lambda: Mixer.low_rank(Side.TOKEN, np.ones((3, 1)), np.ones((2, 3))), ShapeError),
+        (lambda: Mixer.low_rank(Side.TOKEN, np.ones((2, 3)), np.ones((3, 2))), ShapeError),
+        (lambda: Mixer.conv1d(Side.TOKEN, np.ones((2, 2)), 4), ShapeError),
+        (lambda: Mixer.conv1d(Side.TOKEN, np.ones(5), 4), ShapeError),
+        (lambda: Mixer.conv2d(Side.TOKEN, np.ones(3), 3, 3), ShapeError),
+        (lambda: Mixer(Side.TOKEN, MixerKind.CONV2D, 10, kernel=np.ones((2, 2)), grid_h=3,
+                       grid_w=3), LayoutError),
+        (lambda: Mixer.conv2d(Side.TOKEN, np.ones((4, 2)), 3, 3), ShapeError),
+        (lambda: Mixer(Side.TOKEN, 9, 3), ShapeError),
+        (lambda: Mixer.dense(Side.CHANNEL, [[np.nan]]), NumericError),
+    ], ids=["dim-0", "dense-2x3", "diagonal-length", "low-rank-no-right",
+            "low-rank-factor-shapes", "low-rank-rank-above-dim", "conv1d-2d-kernel",
+            "conv1d-kernel-too-long", "conv2d-1d-kernel", "conv2d-grid-not-dim",
+            "conv2d-kernel-above-grid", "unknown-kind", "non-finite-params"])
+    def test_constructor_rejects(self, build, error):
+        # one case per check in Mixer.__post_init__
+        with pytest.raises(error):
             build()
 
     def test_shape_and_layout_errors(self, rng):
@@ -466,18 +491,14 @@ class TestHadamard:
 
 
 class TestOracleCaps:
-    def test_dense_materialization_cap(self):
-        with pytest.raises(SizeCapError):
-            mixer_as_dense(Mixer.identity(Side.TOKEN, 65))
-
     def test_diag_and_delta_examples(self):
         np.testing.assert_array_equal(
-            mixer_as_dense(Mixer.diagonal(Side.TOKEN, [2.0, 3.0])),
+            dense_of(Mixer.diagonal(Side.TOKEN, [2.0, 3.0])),
             [[2.0, 0.0], [0.0, 3.0]])
         np.testing.assert_array_equal(
-            mixer_as_dense(Mixer.conv1d(Side.TOKEN, [1.0], 3)), np.eye(3))
+            dense_of(Mixer.conv1d(Side.TOKEN, [1.0], 3)), np.eye(3))
         np.testing.assert_array_equal(
-            mixer_as_dense(Mixer.low_rank(Side.TOKEN, [[1.0], [1.0]], [[1.0, -1.0]])),
+            dense_of(Mixer.low_rank(Side.TOKEN, [[1.0], [1.0]], [[1.0, -1.0]])),
             [[1.0, -1.0], [1.0, -1.0]])
 
 
