@@ -193,24 +193,35 @@ def cascade(ys: list[np.ndarray], inter_token: list[Mixer], inter_channel: list[
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(block: PadreBlock, x: np.ndarray,
             ledger: FlopLedger | None = None) -> tuple[np.ndarray, PadreTrace]:
     """Run the block; returns the output and the full stage trace.
 
     ``x`` is ``(..., N, D)``: each sample along the leading batch axes gives
     bit for bit what it gives alone, and the ledger counts every sample.
+    Bool and integer inputs are cast to float64 first, and the output is
+    float64 whatever the input's float dtype, like every trace tensor.  A
+    non-finite stage raises ``NumericError`` with no numpy warning before it.
     """
     if x.shape[-2:] != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "
                          f"{block.n_channels})")
+    if x.dtype.kind in "biu":
+        x = x.astype(np.float64)
     y_raw = features(block.token_mixers, block.channel_mixers, x, ledger)
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
     z = cascade(y, block.inter_token, block.inter_channel, ledger)
-    p = np.zeros_like(x)
-    for i in sorted(block.degree_mask):
-        p += combine_weight(block, i) * z[i - 1]
+    # P = 0 + sum W_i * Z_i, summed in place; adding 0.0 first keeps the
+    # zero-started sum's bits, as 0.0 + (-0.0) is +0.0
+    first, *rest = sorted(block.degree_mask)
+    p = combine_weight(block, first) * z[first - 1]
+    p += 0.0
+    term = np.empty_like(p) if rest else None
+    for i in rest:
+        p += np.multiply(combine_weight(block, i), z[i - 1], out=term)
     if block.bias is not None:
-        p = p + block.bias
+        p += block.bias
     if ledger is not None:
         ledger.add("combine", len(block.degree_mask) * x.size)
     _require_finite(p, "P")

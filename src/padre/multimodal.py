@@ -73,9 +73,11 @@ class MultimodalTrace:
     taps: list[list[np.ndarray]]     # per sequence: Z_1..Z_d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def multimodal_forward(block: MultimodalBlock,
                        inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, MultimodalTrace]:
-    """Combine every sequence's cascade; a non-finite sum raises ``NumericError("P")``."""
+    """Combine every sequence's cascade; a non-finite stage raises ``NumericError``
+    with no numpy warning before it."""
     missing = set(block.modes) - set(inputs)
     if missing:
         raise MissingModeError(f"missing inputs for modes {sorted(missing)}")

@@ -261,6 +261,7 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rel_dev(got, ref) -> float:
     """Matrix-level relative deviation: max |got - ref| / max(|ref|), or
     ``inf`` when either side holds an inf or NaN (which ``max`` would drop)."""

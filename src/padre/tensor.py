@@ -33,6 +33,7 @@ import io
 import itertools
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, TypeVar
 
@@ -316,6 +317,18 @@ def _runs(start: int, length: int, anchor: int, n: int,
     return runs
 
 
+_strips = threading.local()
+
+
+def _strip(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised ``shape`` view of this thread's strip buffer, grown to fit and kept."""
+    size = math.prod(shape)
+    buf = getattr(_strips, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _strips.buf = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None):
     """The Toeplitz route's tiles and their windows: ``(view, slabs)``.
 
@@ -335,7 +348,14 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
     padded piece just wide enough for them.  With ``kh > 1`` each tile
     column, with its ``kh - 1`` halo rows of zeros or wrapped values, is
     copied into one strip of ``(rows + kh - 1) x (TILE + kw - 1)`` view
-    entries, reused for every column, where a tile's window rows are one run.
+    entries, where a tile's window rows are one run.
+
+    Every padded piece is a view of one float64 buffer per thread
+    (``_strip``), kept across calls: it holds the largest piece asked for,
+    ``(rows + kh - 1) * (TILE + kw - 1) * lanes * 8`` bytes for a ``kh > 1``
+    strip (2.05 MB for an 11x11 kernel on a 64x64x192 grid).  A slab read
+    from a piece is valid only until the next slab is drawn or another
+    convolution runs on the same thread.
     """
     n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
     xv, axes = _conv_view(m, x)
@@ -375,15 +395,14 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
         if hi > lo:
             yield group(lo, hi, xv, lo * TILE - aw)
         # the others read padded pieces: the tiles before lo and from hi on,
-        # or one column at a time, all through one reused buffer
+        # or one column at a time, each a view of this thread's strip buffer
         cols = ((0, lo), (hi, n_tiles)) if kh == 1 else ((c, c + 1) for c in range(n_tiles))
-        rows, piece = _runs(0, xv.shape[r] + kh - 1, ah, xv.shape[r], circular), None
+        rows = _runs(0, xv.shape[r] + kh - 1, ah, xv.shape[r], circular)
         for c0, c1 in cols:
             if c1 == c0:
                 continue
             width = (c1 - c0 - 1) * TILE + span
-            if piece is None or piece.shape[ax] != width:
-                piece = np.empty(xv.shape[:r] + (xv.shape[r] + kh - 1, width) + xv.shape[ax + 1:])
+            piece = _strip(xv.shape[:r] + (xv.shape[r] + kh - 1, width) + xv.shape[ax + 1:])
             for (dr, sr), (dc, sc) in itertools.product(rows, _runs(c0 * TILE, width, aw, n,
                                                                     circular)):
                 piece[lead + (dr, dc)] = 0 if sr is None or sc is None else xv[lead + (sr, sc)]

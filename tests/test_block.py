@@ -1,6 +1,8 @@
 """Block forward semantics, the concrete instance builder, and homogeneity."""
 
 import time
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +92,15 @@ class TestForward:
             forward(block, x)
         assert exc.value.stage == "Y[1]"
 
+    def test_non_finite_raises_without_warning(self):
+        block = identity_block(2, 2, 2, [1.0, 1.0], {1, 2})
+        block.channel_mixers[0] = Mixer.dense(Side.CHANNEL, np.full((2, 2), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as exc:
+                forward(block, np.array([[1.0, 1.0], [1.0, 1e308]]))
+        assert exc.value.stage == "Y[1]"
+
     def test_shape_mismatch(self):
         block = random_block(4, 3, 2, seed=4)
         with pytest.raises(ShapeError):
@@ -105,6 +116,51 @@ class TestForward:
         np.testing.assert_allclose(
             out, block.resize_left @ trace.pre_resize @ block.resize_right)
         assert led.resize == 2 * 4 * 3 + 2 * 3 * 5
+
+
+class TestInputDtype:
+    """Bool and integer inputs run as their float64 cast; outputs are float64."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool])
+    @pytest.mark.parametrize("blocks", ["random", "identity"])
+    def test_same_bits_as_float64_cast(self, dtype, blocks):
+        # an identity chain would multiply in the integer dtype and wrap
+        # silently: 2**31 squared is 2**62, cubed 2**93
+        if blocks == "random":
+            block, x = random_block(4, 3, 2, seed=0), np.arange(12).reshape(4, 3) % 3
+        else:
+            block = identity_block(4, 3, 3, [1.0, 2.0, 3.0], {1, 2, 3})
+            x = np.full((4, 3), 2**31 if dtype == np.int64 else 2)
+        x = x.astype(dtype)
+        out, trace = forward(block, x)
+        want, want_trace = forward(block, x.astype(np.float64))
+        assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+        for got, ref in zip(trace.z, want_trace.z):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_float32_input_returns_float64(self, rng):
+        x = rng.uniform(-1, 1, (4, 3)).astype(np.float32)
+        out, trace = forward(random_block(4, 3, 2, seed=0), x)
+        assert out.dtype == np.float64 and trace.pre_resize.dtype == np.float64
+
+
+class TestForwardMemory:
+    def test_peak_above_retained_trace(self, rng):
+        # the combine sums in place and the convolutions' padded pieces reuse
+        # one per-thread buffer: measured 0.13 |x|, against 1.13 |x| with a
+        # zero-filled accumulator and a fresh strip per call
+        block = build_conv_instance(32 * 32, 64, 2, Grid(32, 32), seed=0)
+        x = rng.uniform(-1, 1, (32 * 32, 64))
+        forward(block, x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = forward(block, x)
+            retained, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert result[0].shape == x.shape
+        assert peak - retained <= x.nbytes / 4
 
 
 class TestConstructor:

@@ -1,5 +1,7 @@
 """Cross-modal cascades: joint homogeneity and sequence validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ class TestForward:
         big = {mode: 100 * x for mode, x in inputs.items()}
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as exc:
             multimodal_forward(two_mode_block, big)
+        assert exc.value.stage == "P"
+
+    def test_combine_overflow_raises_without_warning(self, two_mode_block, inputs):
+        for w in two_mode_block.weights.values():
+            w[:] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as exc:
+                multimodal_forward(two_mode_block, {m: 100 * x for m, x in inputs.items()})
         assert exc.value.stage == "P"
 
     def test_single_mode_reduces_to_plain_block(self, rng):

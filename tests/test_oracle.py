@@ -1,6 +1,7 @@
 """Coefficient extraction, degree certificates, and their failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,12 @@ class TestHomogeneity:
         tap = lambda x: forward(block, x)[1].z[0]
         assert assert_homogeneous(tap, 1, trials=20, shape=(4, 3)).passed
         assert not assert_homogeneous(tap, 2, trials=20, shape=(4, 3)).passed
+
+    def test_rel_dev_of_shared_inf_is_inf_without_warning(self):
+        a = np.array([[1.0, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rel_dev(a, a.copy()) == math.inf
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_map_fails(self, value):

@@ -1,5 +1,7 @@
 """Elementwise-ratio blocks: reduction, scale law, stabilization, gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ class TestForward:
         block.w_num[:] = 1e300
         with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
             rational_forward(block, np.full((4, 3), 1e10))
+        assert exc.value.stage == "num:P"
+
+    def test_non_finite_numerator_raises_without_warning(self):
+        block = random_rational_block(4, 3, 2, 1, seed=0)
+        block.w_num[:] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as exc:
+                rational_forward(block, np.full((4, 3), 1e10))
         assert exc.value.stage == "num:P"
 
     def test_non_finite_denominator_names_its_combine(self):

@@ -2,6 +2,8 @@
 
 import io
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from padre.tensor import (
     Side,
     apply_mixer,
     apply_mixer_transpose,
+    conv_kernel_grad,
     hadamard,
     mixer_from_record,
     mixer_to_record,
@@ -428,6 +431,60 @@ class TestBatch:
     def test_vectors_rejected(self):
         with pytest.raises(ShapeError):
             apply_mixer(Mixer.diagonal(Side.CHANNEL, np.ones(3)), np.ones(3))
+
+
+class TestStripBuffer:
+    """Every padded piece of the Toeplitz route is a view of one buffer per
+    thread, kept across calls: no convolution's result depends on which ran
+    before it, on its own thread or on another."""
+
+    @staticmethod
+    def calls(rng):
+        big = Mixer.conv2d(Side.TOKEN, rng.uniform(-1, 1, (11, 11)), 24, 24)
+        small = Mixer.conv2d(Side.CHANNEL, rng.uniform(-1, 1, (3, 5)), 4, 5, PadMode.CIRCULAR)
+        seq = Mixer.conv1d(Side.TOKEN, rng.uniform(-1, 1, 11), 100)     # one row: edge pieces
+        x_big, x_small = rng.uniform(-1, 1, (576, 16)), rng.uniform(-1, 1, (7, 20))
+        x_seq, g_big = rng.uniform(-1, 1, (100, 12)), rng.uniform(-1, 1, (576, 16))
+        return {"big": lambda: apply_mixer(big, x_big),
+                "small": lambda: apply_mixer(small, x_small),
+                "seq": lambda: apply_mixer_transpose(seq, x_seq),
+                "grad": lambda: conv_kernel_grad(big, x_big, g_big)}
+
+    def test_interleaved_shapes_on_one_thread(self, rng):
+        calls = self.calls(rng)
+        first = {name: call().tobytes() for name, call in calls.items()}
+        for name in ("big", "small", "seq", "big", "grad", "small", "seq", "big"):
+            assert calls[name]().tobytes() == first[name], name
+
+    def test_two_threads_match_serial(self, rng):
+        rounds = 30
+        cases = [(Mixer.conv2d(Side.TOKEN, rng.uniform(-1, 1, (11, 11)), 24, 24),
+                  rng.uniform(-1, 1, (576, 64))),
+                 (Mixer.conv2d(Side.TOKEN, rng.uniform(-1, 1, (5, 7)), 16, 20, PadMode.CIRCULAR),
+                  rng.uniform(-1, 1, (320, 48)))]
+        serial = [apply_mixer(m, x).tobytes() for m, x in cases]
+        results: list[list[bytes]] = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def work(j):
+            m, x = cases[j]
+            start.wait()
+            for _ in range(rounds):
+                results[j].append(apply_mixer(m, x).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for j in range(2):
+            assert results[j] == [serial[j]] * rounds, j
 
 
 class TestFlops:
