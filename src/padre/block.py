@@ -140,14 +140,27 @@ class PadreBlock:
 
 @dataclass
 class PadreTrace:
-    """Intermediates retained by ``forward`` for backprop and oracle taps."""
+    """Intermediates retained by ``forward`` for backprop and oracle taps.
+
+    The cascade is kept as its mixed terms ``t_i = C_i Z_i D_i``, which the
+    backward reads; the taps ``Z_i`` are derived from them.
+    """
 
     x: np.ndarray
     y_raw: list[np.ndarray]     # pre-normalization A_i X B_i
     y: list[np.ndarray]
-    z: list[np.ndarray]
+    t: list[np.ndarray]         # t_1..t_{d-1}
     pre_resize: np.ndarray
     output: np.ndarray
+
+    def z_at(self, i: int) -> np.ndarray:
+        """Z_i (from 1): Y_1, or ``t_{i-1} * Y_i``, the forward's own multiply."""
+        return self.y[0] if i == 1 else self.t[i - 2] * self.y[i - 1]
+
+    @property
+    def z(self) -> list[np.ndarray]:
+        """Z_1..Z_d, bit for bit what the forward made; each read recomputes them."""
+        return [self.z_at(i) for i in range(1, len(self.y) + 1)]
 
 
 def rms_normalize_rows(y: np.ndarray) -> np.ndarray:
@@ -182,15 +195,36 @@ def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarr
 
 
 def cascade(ys: list[np.ndarray], inter_token: list[Mixer], inter_channel: list[Mixer],
-            ledger: FlopLedger | None = None) -> list[np.ndarray]:
-    """The Hadamard cascade Z_1 = Y_1, Z_{i+1} = (C_i Z_i D_i) * Y_{i+1}."""
-    z = ys[:1]
+            ts: list[np.ndarray], ledger: FlopLedger | None = None):
+    """The Hadamard cascade Z_1 = Y_1, Z_{i+1} = t_i * Y_{i+1}, t_i = C_i Z_i D_i.
+
+    Yields Z_1..Z_d in order and appends each t_i to ``ts``.  Z_i is yielded
+    once ``Z_i D_i`` is made, and the cascade keeps no reference to it after,
+    so the consumer may overwrite a Z_i that it owns (i > 1) and free it.
+    """
+    z = ys[0]
     for i, (c, dm) in enumerate(zip(inter_token, inter_channel)):
-        t = apply_mixer(c, apply_mixer(dm, z[i], ledger), ledger)
-        t = hadamard(t, ys[i + 1], ledger)
-        _require_finite(t, f"Z[{i + 2}]")
-        z.append(t)
-    return z
+        zd = apply_mixer(dm, z, ledger)
+        yield z
+        del z
+        ts.append(apply_mixer(c, zd, ledger))
+        del zd
+        z = hadamard(ts[-1], ys[i + 1], ledger)
+        _require_finite(z, f"Z[{i + 2}]")
+    yield z
+
+
+def _add_term(p: np.ndarray | None, w, z: np.ndarray, own: bool) -> np.ndarray:
+    """``p + w * z`` in place, or ``0 + w * z`` when ``p`` is None; ``w * z``
+    goes into ``z`` when it is ``own``ed and no cast intervenes.  Adding 0.0
+    keeps the zero-started sum's bits, as ``0.0 + (-0.0)`` is ``+0.0``."""
+    fits = own and np.result_type(w, z) == z.dtype and (p is None or p.dtype == z.dtype)
+    if p is None:
+        p = np.multiply(w, z, out=z if fits else None)
+        p += 0.0
+    else:
+        p += np.multiply(w, z, out=z if fits else np.empty_like(p))
+    return p
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -211,15 +245,16 @@ def forward(block: PadreBlock, x: np.ndarray,
         x = x.astype(np.float64)
     y_raw = features(block.token_mixers, block.channel_mixers, x, ledger)
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
-    z = cascade(y, block.inter_token, block.inter_channel, ledger)
-    # P = 0 + sum W_i * Z_i, summed in place; adding 0.0 first keeps the
-    # zero-started sum's bits, as 0.0 + (-0.0) is +0.0
-    first, *rest = sorted(block.degree_mask)
-    p = combine_weight(block, first) * z[first - 1]
-    p += 0.0
-    term = np.empty_like(p) if rest else None
-    for i in rest:
-        p += np.multiply(combine_weight(block, i), z[i - 1], out=term)
+    # P = 0 + sum W_i * Z_i in ascending degree order, summed in place as the
+    # cascade runs; the trace keeps t_i, so each Z_i past Y_1 is dropped once
+    # summed (counted by hand: enumerate's reused tuple would keep it alive)
+    t: list[np.ndarray] = []
+    p, i = None, 0
+    for z in cascade(y, block.inter_token, block.inter_channel, t, ledger):
+        i += 1
+        if i in block.degree_mask:
+            p = _add_term(p, combine_weight(block, i), z, own=i > 1)
+        del z
     if block.bias is not None:
         p += block.bias
     if ledger is not None:
@@ -232,7 +267,7 @@ def forward(block: PadreBlock, x: np.ndarray,
             f, g = block.resize_left.shape[0], block.resize_right.shape[1]
             ledger.add("resize", f * p.size + f * (p.size // block.n_tokens) * g)
         _require_finite(out, "O")
-    return out, PadreTrace(x=x, y_raw=y_raw, y=y, z=z, pre_resize=p, output=out)
+    return out, PadreTrace(x=x, y_raw=y_raw, y=y, t=t, pre_resize=p, output=out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .tensor import (
     MixerKind,
     ShapeError,
     Side,
-    apply_mixer,
+    apply_mixer,  # noqa: F401 -- no caller here; perfbench's stage tracer rebinds grad.apply_mixer
     apply_mixer_transpose,
     conv_kernel_grad,
 )
@@ -82,19 +82,42 @@ def _rms_backward(m_pre: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g / s - m_pre * dot / (dch * s ** 3)
 
 
+def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int):
+    """``(dT, dM, dL/du)`` of one mixer pair ``F(u) = T u M``, from ``g = grads[i]``.
+
+    dM comes from ``(u, T^T g)``, and dT and ``dL/du = T^T h`` from
+    ``h = g M^T``: no ``u M`` is recomputed, as ``<g, T_p u M> = <g M^T, T_p u>``
+    for any T linear in its parameters p.  ``g`` is taken out of ``grads`` and
+    every buffer is freed at its last use, so at most two of x's size are live
+    besides u.
+    """
+    g, grads[i] = grads[i], None
+    w = apply_mixer_transpose(t, g)
+    d_m = mixer_param_grad(m, u, w)
+    del w
+    h = apply_mixer_transpose(m, g)
+    del g
+    return mixer_param_grad(t, u, h), d_m, apply_mixer_transpose(t, h)
+
+
 def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> GradBundle:
     """Vector-Jacobian products of the block output against x and all parameters.
 
-    Only an unbatched trace (a 2-D ``x``) is supported; a batched one raises
-    ShapeError.  Each gradient buffer starts at its first contribution and,
-    like each recomputed intermediate, is freed once used: the peak above the
-    trace stays near ``d + 5`` copies of ``x``.
+    Only an unbatched trace (a 2-D ``x``) is supported; a batched one, or an
+    upstream not shaped like the output, raises ShapeError.  The upstream is
+    cast to float64 first.  The feature bank's ``A_i X B_i`` and each
+    cascade stage's ``C_i Z_i D_i`` go through one pair backward.  The
+    degrees are walked from the top down, so each ``Z_i`` is recomputed
+    once; each gradient buffer starts at its first contribution and, like
+    each recomputed tensor, is freed once used: the peak above the trace
+    stays near ``d + 5`` copies of ``x``.
     """
     d = block.degree
     if trace.x.ndim != 2:
         raise ShapeError(f"backward needs an unbatched trace, got input shape {trace.x.shape}")
+    upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.output.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
+        raise ShapeError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
     mixer_grads: dict[str, dict[str, np.ndarray]] = {}
 
     d_u = d_v = None
@@ -108,44 +131,44 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
 
     d_l = g_p.copy() if block.bias is not None else None
     d_w = np.zeros_like(block.weights)
-    d_z: list[np.ndarray | None] = [None] * d
-    for i in block.degree_mask:
-        prod = g_p * trace.z[i - 1]
-        if block.w_mode == WMode.FULL:
-            d_w[:, :, i - 1] = prod
-        elif block.w_mode == WMode.CHANNEL_BROADCAST:
-            d_w[:, i - 1] = prod.sum(axis=0)
-        else:
-            d_w[i - 1] = prod.sum()
-        d_z[i - 1] = np.multiply(g_p, combine_weight(block, i), out=prod)
-    del prod
-
+    d_z: list[np.ndarray | None] = [None] * d      # dL/dZ_i
     d_y: list[np.ndarray | None] = [None] * d
-    for i in range(d - 1, 0, -1):          # stage producing Z_{i+1} (index i)
-        g, d_z[i] = d_z[i], None           # rebinding g frees each buffer once used
-        g = np.zeros_like(g_p) if g is None else g     # degree i + 1 may be masked out
-        zd = apply_mixer(block.inter_channel[i - 1], trace.z[i - 1])
-        d_y[i] = apply_mixer(block.inter_token[i - 1], zd)
-        d_y[i] *= g
-        g *= trace.y[i]
-        mixer_grads[f"C{i}"] = mixer_param_grad(block.inter_token[i - 1], zd, g)
-        del zd
-        g = apply_mixer_transpose(block.inter_token[i - 1], g)
-        mixer_grads[f"D{i}"] = mixer_param_grad(block.inter_channel[i - 1], trace.z[i - 1], g)
-        g = apply_mixer_transpose(block.inter_channel[i - 1], g)
-        d_z[i - 1] = g if d_z[i - 1] is None else np.add(d_z[i - 1], g, out=d_z[i - 1])
+    z = trace.z_at(d) if d in block.degree_mask else None
+    for i in range(d, 0, -1):
+        if i in block.degree_mask:
+            prod = g_p * z
+            del z
+            if block.w_mode == WMode.FULL:
+                d_w[:, :, i - 1] = prod
+            elif block.w_mode == WMode.CHANNEL_BROADCAST:
+                d_w[:, i - 1] = prod.sum(axis=0)
+            else:
+                d_w[i - 1] = prod.sum()
+            prod = np.multiply(g_p, combine_weight(block, i), out=prod)
+            d_z[i - 1] = prod if d_z[i - 1] is None else np.add(d_z[i - 1], prod, out=d_z[i - 1])
+            del prod
+        else:
+            del z
+        if i == 1:
+            break
+        # the stage Z_i = t_{i-1} * Y_i, where t_{i-1} = C_{i-1} Z_{i-1} D_{i-1}
+        if d_z[i - 1] is None:                     # degree i and all above masked out
+            d_z[i - 1] = np.zeros_like(g_p)
+        d_y[i - 1] = d_z[i - 1] * trace.t[i - 2]
+        d_z[i - 1] *= trace.y[i - 1]
+        z = trace.z_at(i - 1)
+        mixer_grads[f"C{i - 1}"], mixer_grads[f"D{i - 1}"], d_z[i - 2] = _pair_backward(
+            block.inter_token[i - 2], block.inter_channel[i - 2], z, d_z, i - 1)
     d_y[0], d_z[0] = d_z[0], None
 
     d_x = None                             # the feature bank Y_i = A_i X B_i
     for i, (a, b) in enumerate(zip(block.token_mixers, block.channel_mixers)):
-        g, d_y[i] = d_y[i], None
         if block.normalize_y:
-            g = _rms_backward(trace.y_raw[i], g)
-        mixer_grads[f"A{i + 1}"] = mixer_param_grad(a, apply_mixer(b, trace.x), g)
-        g = apply_mixer_transpose(a, g)
-        mixer_grads[f"B{i + 1}"] = mixer_param_grad(b, trace.x, g)
-        g = apply_mixer_transpose(b, g)
+            d_y[i] = _rms_backward(trace.y_raw[i], d_y[i])
+        mixer_grads[f"A{i + 1}"], mixer_grads[f"B{i + 1}"], g = _pair_backward(
+            a, b, trace.x, d_y, i)
         d_x = g if d_x is None else np.add(d_x, g, out=d_x)
+        del g
     return GradBundle(d_x=d_x, mixers=mixer_grads, d_w=d_w, d_l=d_l, d_u=d_u, d_v=d_v)
 
 

@@ -102,7 +102,7 @@ def multimodal_forward(block: MultimodalBlock,
     taps: list[list[np.ndarray]] = []
     for s_idx, seq in enumerate(block.sequences):
         ys = [banks[label][i] for i, label in enumerate(seq)]
-        chain = cascade(ys, block.inter_token, block.inter_channel)
+        chain = list(cascade(ys, block.inter_token, block.inter_channel, []))
         taps.append(chain)
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):

@@ -129,11 +129,11 @@ def check_homogeneity(seed, problems):
         missing -= {m.kind for m in block.token_mixers + block.channel_mixers
                     + block.inter_token + block.inter_channel}
         x = np.random.default_rng(seed + 2000 + i).uniform(-1, 1, (n, d_ch))
-        _, base = forward(block, x)
+        base = forward(block, x)[1].z
         for alpha in (0.5, 1.0, 2.0, -1.0):
-            _, scaled = forward(block, alpha * x)
+            scaled = forward(block, alpha * x)[1].z
             for d in range(degree):
-                worst = max(worst, rel_dev(scaled.z[d], alpha ** (d + 1) * base.z[d]))
+                worst = max(worst, rel_dev(scaled[d], alpha ** (d + 1) * base[d]))
     if missing:
         problems.append(f"mixer kinds missing: {sorted(k.name for k in missing)}")
     return worst, 1e-10, f"50 blocks, every mixer kind, max rel dev {worst:.2e}"
