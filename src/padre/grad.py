@@ -17,6 +17,7 @@ from .block import (
     PadreTrace,
     RMS_EPS,
     WMode,
+    _require_finite,
     combine_weight,
     forward,
     iter_parameters,
@@ -105,12 +106,13 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
 
     Only an unbatched trace (a 2-D ``x``) is supported; a batched one, or an
     upstream not shaped like the output, raises ShapeError.  The upstream is
-    cast to float64 first.  The feature bank's ``A_i X B_i`` and each
-    cascade stage's ``C_i Z_i D_i`` go through one pair backward.  The
-    degrees are walked from the top down, so each ``Z_i`` is recomputed
-    once; each gradient buffer starts at its first contribution and, like
-    each recomputed tensor, is freed once used: the peak above the trace
-    stays near ``d + 5`` copies of ``x``.
+    cast to float64 first; a non-finite one raises ``NumericError`` at stage
+    ``"upstream"``, with no numpy warning before it.  The feature bank's
+    ``A_i X B_i`` and each cascade stage's ``C_i Z_i D_i`` go through one
+    pair backward.  The degrees are walked from the top down, so each
+    ``Z_i`` is recomputed once; each gradient buffer starts at its first
+    contribution and, like each recomputed tensor, is freed once used: the
+    peak above the trace stays near ``d + 5`` copies of ``x``.
     """
     d = block.degree
     if trace.x.ndim != 2:
@@ -118,6 +120,7 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.output.shape:
         raise ShapeError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
+    _require_finite(upstream, "upstream")
     mixer_grads: dict[str, dict[str, np.ndarray]] = {}
 
     d_u = d_v = None

@@ -18,6 +18,12 @@ Conventions used throughout the package:
   every output whose taps read it, and may reach others (``0 * inf`` is
   NaN).  Only rounding separates either route from a tap-by-tap sum, within
   ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
+* The padded pieces that the tiled route reads are views of one float64
+  buffer per thread, which starts on a 64-byte cache line (``_strip``); at
+  D = 192 every row of a ``kh > 1`` slab then does too (a 1,536-byte pitch).
+  numpy and the allocator align only to 16 bytes, and a strip off its cache
+  line cost the 11x11 conv2d 20-25% whenever it lay on 4 KiB pages rather
+  than a huge page.
 * Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
   sample and multiplied by the batch size.  A convolution counts the
   operator's MACs, not the zeros inside its banded matrices, and excludes
@@ -321,11 +327,17 @@ _strips = threading.local()
 
 
 def _strip(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised ``shape`` view of this thread's strip buffer, grown to fit and kept."""
+    """An uninitialised ``shape`` view of this thread's strip buffer, grown to fit and kept.
+
+    The buffer starts on a 64-byte cache line: it is cut from an allocation
+    7 values longer, since numpy and the allocator guarantee only 16 bytes.
+    """
     size = math.prod(shape)
     buf = getattr(_strips, "buf", None)
     if buf is None or buf.size < size:
-        buf = _strips.buf = np.empty(size)
+        raw = np.empty(size + 7)
+        start = -raw.ctypes.data % 64 // 8
+        buf = _strips.buf = raw[start:start + size]
     return buf[:size].reshape(shape)
 
 

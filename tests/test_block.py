@@ -4,9 +4,12 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padre import block as block_mod
 from padre.block import (
@@ -435,3 +438,42 @@ class TestConfig:
     def test_empty_mask_means_every_degree(self):
         cfg = {"degree": 2, "N": 4, "D": 3, "degree_mask": []}
         assert block_from_config(cfg).degree_mask == frozenset({1, 2})
+
+
+#: values of every JSON type, sizes beyond the caps among them
+_CONFIG_JUNK = (st.integers(-2, 12) | st.sampled_from([65, 10 ** 6, 2 ** 40, 2 ** 64])
+                | st.booleans() | st.none() | st.floats(allow_nan=True) | st.text(max_size=4)
+                | st.lists(st.integers(-2, 5) | st.text(max_size=2), max_size=3))
+
+
+@st.composite
+def _configs(draw):
+    """A valid small config with up to three fields deleted or replaced by junk."""
+    n = draw(st.sampled_from([4, 6, 16]))
+    h = draw(st.sampled_from([h for h in range(1, n + 1) if n % h == 0]))
+    cfg = {"degree": draw(st.integers(1, 4)), "N": n, "D": draw(st.integers(1, 6)),
+           "seed": draw(st.integers(0, 2 ** 32)),
+           "layout": draw(st.sampled_from([["seq1d"], ["grid", h, n // h]])),
+           "w_mode": draw(st.sampled_from(list(WMode.__members__))),
+           "degree_mask": draw(st.lists(st.integers(1, 4), max_size=4)),
+           "normalize_y": draw(st.booleans())}
+    for key in draw(st.sets(st.sampled_from(sorted(cfg)), max_size=3)):
+        if draw(st.booleans()):
+            del cfg[key]
+        else:
+            cfg[key] = draw(_CONFIG_JUNK)
+    return cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=1000, deadline=timedelta(seconds=2), derandomize=True,
+              database=None)
+    @given(cfg=_configs())
+    def test_builds_the_configured_block_or_raises_a_typed_error(self, cfg):
+        try:
+            block = block_from_config(cfg)
+        except (ShapeError, LayoutError, SizeCapError):
+            return
+        assert (block.degree, block.n_tokens, block.n_channels) == (
+            cfg["degree"], cfg["N"], cfg["D"])
+        assert block.w_mode.name == cfg.get("w_mode", "CHANNEL_BROADCAST")

@@ -2,6 +2,7 @@
 
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from padre.grad import backward, gradcheck, mixer_param_grad
 from padre.tensor import (
     Mixer,
     MixerKind,
+    NumericError,
     PadMode,
     ShapeError,
     Side,
@@ -99,6 +101,18 @@ class TestUpstream:
         _, trace = forward(block, rng.uniform(-1, 1, (4, 3)))
         with pytest.raises(ShapeError, match="upstream shape"):
             backward(block, trace, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_without_warning(self, value, rng):
+        block = random_block(4, 3, 2, seed=0, with_bias=True)
+        _, trace = forward(block, rng.uniform(-1, 1, (4, 3)))
+        g = rng.uniform(-1, 1, (4, 3))
+        g[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                backward(block, trace, g)
+        assert err.value.stage == "upstream"
 
 
 def recompute_pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int):

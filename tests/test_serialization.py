@@ -348,3 +348,23 @@ class TestContainerFuzz:
         except SerializationError:
             return
         assert container_bytes(encode(loaded)) == bytes(corrupt)
+
+    @settings(max_examples=1500, deadline=timedelta(milliseconds=500), derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_mutated_bytes_load_as_a_block_or_raise(self, data):
+        """Bytes overwritten, inserted or deleted anywhere in a saved block: the
+        container loads as a block that saves back to the same bytes, or fails
+        with ``SerializationError``; no other exception escapes."""
+        _, _, blob = data.draw(st.sampled_from(FUZZ_CONTAINERS[:2]))
+        corrupt = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 4), label="edits")):
+            at = data.draw(st.integers(0, len(corrupt)), label="at")
+            new = data.draw(st.binary(min_size=0, max_size=12), label="bytes")
+            cut = data.draw(st.integers(0, 12), label="cut")
+            corrupt[at:at + cut] = new
+        try:
+            loaded = block_from_records(read_records(io.BytesIO(bytes(corrupt))))
+        except SerializationError:
+            return
+        assert container_bytes(block_to_records(loaded)) == bytes(corrupt)

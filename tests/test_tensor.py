@@ -1,5 +1,6 @@
 """Structured mixers against dense-matrix oracles, plus MAC accounting."""
 
+import hashlib
 import io
 import itertools
 import sys
@@ -485,6 +486,68 @@ class TestStripBuffer:
         assert not any(t.is_alive() for t in threads)
         for j in range(2):
             assert results[j] == [serial[j]] * rounds, j
+
+
+#: sha256 of ``conv2d_case_bytes()``, as the Toeplitz route computed it when
+#: the strip buffer was aligned to 16 bytes only
+CONV2D_SHA256 = "41aac692f41146af85100eb93559ec4d4986a53c9a5e3dc3f48562ccdf1c8c3d"
+
+
+def conv2d_case_bytes() -> bytes:
+    """Forward, transpose and kernel gradient of seeded conv2d mixers, back to
+    back: both sides, ``kh > 1`` and ``kh = 1``, zero and circular padding,
+    unbatched and batched, on a 12 x 20 grid (every route is the tiled one)."""
+    rng = np.random.default_rng(2323)
+    parts = []
+    for side, kshape, pad, batch in itertools.product(
+            Side, [(5, 7), (1, 5)], PadMode, [(), (2,)]):
+        m = Mixer.conv2d(side, rng.uniform(-1, 1, kshape), 12, 20, pad)
+        shape = batch + ((240, 6) if side == Side.TOKEN else (5, 240))
+        x, g = rng.uniform(-1, 1, (2,) + shape)
+        parts += [apply_mixer(m, x), apply_mixer_transpose(m, g), conv_kernel_grad(m, x, g)]
+    return b"".join(p.tobytes() for p in parts)
+
+
+class TestStripAlignment:
+    """The strip buffer starts on a 64-byte cache line, so the ``kh > 1``
+    slabs that the tile GEMMs read have cache-line-aligned rows; the bits
+    do not depend on where the buffer lies."""
+
+    @staticmethod
+    def offsets_while_growing() -> list[int]:
+        # a fresh thread starts with no buffer, so each larger shape reallocates
+        # it; every allocation is kept alive, so none reuses another's memory
+        offsets, owners = [], []
+
+        def grow():
+            for size in range(1000, 20_000, 1500):
+                view = tensor._strip((size // 10, 10))
+                offsets.append(view.ctypes.data % 64)
+                owners.append(view.base)
+        thread = threading.Thread(target=grow)
+        thread.start()
+        thread.join(timeout=60)
+        assert len(offsets) == len(set(map(id, owners))) == 13
+        return offsets
+
+    def test_every_view_starts_on_a_cache_line(self):
+        assert self.offsets_while_growing() == [0] * 13
+        assert self.offsets_while_growing() == [0] * 13      # a second thread's own buffer
+
+    def test_conv_pieces_start_on_a_cache_line(self, monkeypatch):
+        offsets = []
+        strip = tensor._strip
+
+        def recording(shape):
+            view = strip(shape)
+            offsets.append(view.ctypes.data % 64)
+            return view
+        monkeypatch.setattr(tensor, "_strip", recording)
+        conv2d_case_bytes()
+        assert len(offsets) > 100 and set(offsets) == {0}
+
+    def test_outputs_unchanged(self):
+        assert hashlib.sha256(conv2d_case_bytes()).hexdigest() == CONV2D_SHA256
 
 
 class TestFlops:
