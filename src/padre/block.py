@@ -143,7 +143,9 @@ class PadreTrace:
     """Intermediates retained by ``forward`` for backprop and oracle taps.
 
     The cascade is kept as its mixed terms ``t_i = C_i Z_i D_i``, which the
-    backward reads; the taps ``Z_i`` are derived from them.
+    backward reads; the taps ``Z_i`` are derived from them.  A trace serves
+    one ``grad.backward``, which consumes it: ``y``, ``y_raw`` and ``t``
+    end empty, so ``z`` returns ``[]``, and a second backward raises.
     """
 
     x: np.ndarray

@@ -101,6 +101,12 @@ def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int):
     return mixer_param_grad(t, u, h), d_m, apply_mixer_transpose(t, h)
 
 
+def _own(a: np.ndarray) -> np.ndarray | None:
+    """``a`` as the ``out=`` buffer of a float64 result, or None where writing
+    into it would cast (a float32 input through identity mixers keeps float32)."""
+    return a if a.dtype == np.float64 else None
+
+
 def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> GradBundle:
     """Vector-Jacobian products of the block output against x and all parameters.
 
@@ -111,12 +117,23 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     ``A_i X B_i`` and each cascade stage's ``C_i Z_i D_i`` go through one
     pair backward.  The degrees are walked from the top down, so each
     ``Z_i`` is recomputed once; each gradient buffer starts at its first
-    contribution and, like each recomputed tensor, is freed once used: the
-    peak above the trace stays near ``d + 5`` copies of ``x``.
+    contribution and, like each recomputed tensor, is freed once used.
+
+    A trace serves one backward: it is consumed, as autograd frees saved
+    tensors.  Each ``t_i``, ``Y_i`` and raw ``Y_i`` leaves ``trace.t``,
+    ``trace.y`` and ``trace.y_raw`` at its last use, and ``t_{i-1}``'s
+    buffer takes ``dL/dY_i``; the lists end empty, so ``trace.z`` is ``[]``.
+    A trace without exactly ``d`` features and ``d - 1`` mixed terms, such as
+    one already consumed, raises ShapeError before any arithmetic.
     """
     d = block.degree
     if trace.x.ndim != 2:
         raise ShapeError(f"backward needs an unbatched trace, got input shape {trace.x.shape}")
+    if len(trace.y) != d or len(trace.y_raw) != d or len(trace.t) != d - 1:
+        raise ShapeError(f"a degree-{d} backward needs {d} features and {d - 1} mixed terms, "
+                         f"the trace holds {len(trace.y)} and {len(trace.t)}"
+                         + ("" if trace.y else ": a trace serves one backward, and this one "
+                            "was consumed"))
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.output.shape:
         raise ShapeError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
@@ -139,7 +156,7 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     z = trace.z_at(d) if d in block.degree_mask else None
     for i in range(d, 0, -1):
         if i in block.degree_mask:
-            prod = g_p * z
+            prod = np.multiply(g_p, z, out=_own(z) if i > 1 else None)   # a recomputed Z_i is ours
             del z
             if block.w_mode == WMode.FULL:
                 d_w[:, :, i - 1] = prod
@@ -154,20 +171,24 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
             del z
         if i == 1:
             break
-        # the stage Z_i = t_{i-1} * Y_i, where t_{i-1} = C_{i-1} Z_{i-1} D_{i-1}
+        # the stage Z_i = t_{i-1} * Y_i, where t_{i-1} = C_{i-1} Z_{i-1} D_{i-1};
+        # both leave the trace here, t_{i-1}'s buffer taking dL/dY_i
         if d_z[i - 1] is None:                     # degree i and all above masked out
             d_z[i - 1] = np.zeros_like(g_p)
-        d_y[i - 1] = d_z[i - 1] * trace.t[i - 2]
-        d_z[i - 1] *= trace.y[i - 1]
+        t = trace.t.pop()
+        d_y[i - 1] = np.multiply(d_z[i - 1], t, out=_own(t))
+        del t
+        d_z[i - 1] *= trace.y.pop()
         z = trace.z_at(i - 1)
         mixer_grads[f"C{i - 1}"], mixer_grads[f"D{i - 1}"], d_z[i - 2] = _pair_backward(
             block.inter_token[i - 2], block.inter_channel[i - 2], z, d_z, i - 1)
+    trace.y.pop()                                  # Y_1, the last cascade read
     d_y[0], d_z[0] = d_z[0], None
 
     d_x = None                             # the feature bank Y_i = A_i X B_i
     for i, (a, b) in enumerate(zip(block.token_mixers, block.channel_mixers)):
         if block.normalize_y:
-            d_y[i] = _rms_backward(trace.y_raw[i], d_y[i])
+            d_y[i] = _rms_backward(trace.y_raw.pop(0), d_y[i])
         mixer_grads[f"A{i + 1}"], mixer_grads[f"B{i + 1}"], g = _pair_backward(
             a, b, trace.x, d_y, i)
         d_x = g if d_x is None else np.add(d_x, g, out=d_x)

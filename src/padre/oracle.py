@@ -82,8 +82,12 @@ class PolyCoeffs:
         return max(degs) if degs else 0
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n_tokens, self.n_channels))
-        flat = x.ravel()
+        """The fitted polynomial at ``x``; an ``x`` not shaped N x D raises ShapeError."""
+        shape = (self.n_tokens, self.n_channels)
+        if np.shape(x) != shape:
+            raise ShapeError(f"input shape {np.shape(x)} != {shape}")
+        out = np.zeros(shape)
+        flat = np.ravel(x)
         for (m, n), entry in self.terms.items():
             acc = 0.0
             for k, coeff in entry.items():

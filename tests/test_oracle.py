@@ -82,6 +82,14 @@ class TestExtractCoeffs:
             x = rng.uniform(-1, 1, (n, d_ch))
             assert rel_dev(coeffs.evaluate(x), forward(block, x)[0]) <= 1e-8
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 2), (4,), (2, 2, 1)], ids=str)
+    def test_evaluate_rejects_a_wrong_input_shape(self, shape):
+        # a 3 x 3 input once gave a 2 x 2 answer from its first four entries
+        block = random_block(2, 2, 2, seed=3)
+        coeffs = extract_coeffs(lambda x: forward(block, x)[0], 2, 2, 2)
+        with pytest.raises(ShapeError, match="input shape"):
+            coeffs.evaluate(np.zeros(shape))
+
     def test_support_matches_single_degree_mask(self):
         for j in (1, 2, 3):
             block = random_block(2, 2, 3, seed=j, degree_mask=frozenset({j}))
