@@ -237,8 +237,10 @@ def forward(block: PadreBlock, x: np.ndarray,
     ``x`` is ``(..., N, D)``: each sample along the leading batch axes gives
     bit for bit what it gives alone, and the ledger counts every sample.
     Bool and integer inputs are cast to float64 first, and the output is
-    float64 whatever the input's float dtype, like every trace tensor.  A
-    non-finite stage raises ``NumericError`` with no numpy warning before it.
+    float64 whatever the input's float dtype.  A trace tensor takes the dtype
+    that its mixers give it: a float32 input through identity mixers keeps
+    ``Y_i``, ``t_i`` and ``Z_i`` float32.  A non-finite stage raises
+    ``NumericError`` with no numpy warning before it.
     """
     if x.shape[-2:] != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "

@@ -11,19 +11,26 @@ Conventions used throughout the package:
   size ``dim`` alone.  One of at most ``TILE`` outputs is a dense mixer: its
   exact matrix, gathered from the live kernel (``_matrix``), multiplies the
   input as a dense mixer's does.  Larger ones run as tiled Toeplitz GEMMs
-  (``_apply_conv``): each tile of ``TILE`` outputs along the last
-  convolution axis is one GEMM of its whole window, read in place where it
-  can be and never from a padded copy of the input, against the kernel's
-  stacked banded matrices.  On either route an inf or NaN input reaches
-  every output whose taps read it, and may reach others (``0 * inf`` is
-  NaN).  Only rounding separates either route from a tap-by-tap sum, within
-  ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.
+  (``_apply_conv``): each tile of outputs along the last convolution axis
+  is one GEMM of its whole window against the kernel's stacked banded
+  matrices, never reading a padded copy of the input.  With one kernel row
+  a tile has ``TILE`` outputs and its window is read in place where it can
+  be.  With ``kh > 1`` a tile has ``STRIP_TILE`` outputs, and its window is
+  read from a strip: one block of its tile column, copied with its halo
+  rows, as few blocks of rows (token side) or lanes (channel side) as keep
+  each strip within ``STRIP_BYTES`` (1 MiB, so it stays in L2).  On the
+  token side such a tile is ``T^T @ window``, written straight into the
+  output's ``(STRIP_TILE, lanes)`` tile.  On either route an inf or NaN
+  input reaches every output whose taps read it, and may reach others
+  (``0 * inf`` is NaN).  Only rounding separates either route from a
+  tap-by-tap sum, within ``1e-13 * sum_tap |kernel[tap] * window|``
+  elementwise.
 * The padded pieces that the tiled route reads are views of one float64
   buffer per thread, which starts on a 64-byte cache line (``_strip``); at
-  D = 192 every row of a ``kh > 1`` slab then does too (a 1,536-byte pitch).
-  numpy and the allocator align only to 16 bytes, and a strip off its cache
-  line cost the 11x11 conv2d 20-25% whenever it lay on 4 KiB pages rather
-  than a huge page.
+  D = 192 every row of a ``kh > 1`` window then does too (1,536 bytes
+  apart).  numpy and the allocator align only to 16 bytes, and a strip off
+  its cache line cost the 11x11 conv2d 20-25% whenever it lay on 4 KiB
+  pages rather than a huge page.
 * Cost is tracked in multiply-accumulates; 1 MAC = 2 FLOPs, counted per
   sample and multiplied by the batch size.  A convolution counts the
   operator's MACs, not the zeros inside its banded matrices, and excludes
@@ -51,10 +58,16 @@ MAGIC = b"PADREW01"
 RAW_TENSOR_TAG = 200
 MANIFEST_TAG = 201
 
-#: outputs per tile of a convolution's last axis; each tile is one GEMM over
-#: its whole window, and a convolution of at most this many outputs runs as
-#: its dense matrix
+#: outputs per tile of a convolution's last axis with one kernel row; each
+#: tile is one GEMM over its whole window, and a convolution of at most this
+#: many outputs runs as its dense matrix
 TILE = 8
+#: outputs per tile with ``kh > 1`` kernel rows, whose windows are copied
+#: into strips: a narrower tile reads fewer of its banded matrix's zeros
+STRIP_TILE = 4
+#: bytes that one ``kh > 1`` strip may take, so that the tile GEMMs read it
+#: from L2; each tile column is cut into as few equal blocks as fit
+STRIP_BYTES = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -341,33 +354,41 @@ def _strip(shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def _width(kh: int) -> int:
+    """Outputs per tile: ``TILE`` with one kernel row, ``STRIP_TILE`` with more."""
+    return TILE if kh == 1 else STRIP_TILE
+
+
 def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None):
     """The Toeplitz route's tiles and their windows: ``(view, slabs)``.
 
     A grid holds ``_conv_view``'s view (conv1d gets a unit leading
     convolution axis) with the last convolution axis cut into ``(n_tiles,
-    TILE)``: empty, or ``g`` zero-extended to whole tiles.  ``view`` is the
-    grid cut back to the view's shape.  ``slabs`` yields ``(tiles, slab)``
-    for groups of tiles: ``tiles``, shaped ``(..., lanes, TILE)``, is the
-    grid's group, and ``slab``, shaped ``(..., lanes, kh * (TILE + kw -
-    1))``, the whole window of each of its tiles.  The lanes are the axis
-    that is not convolved: channels on the token side, tokens on the
+    w)``, ``w = _width(kh)``: empty, or ``g`` zero-extended to whole tiles.
+    ``view`` is the grid cut back to the view's shape.  ``slabs`` yields
+    ``(tiles, slab)`` for groups of tiles: ``tiles``, shaped ``(..., lanes,
+    w)``, is the grid's group, and ``slab``, shaped ``(..., lanes, kh * (w +
+    kw - 1))``, the whole window of each of its tiles.  The lanes are the
+    axis that is not convolved: channels on the token side, tokens on the
     channel side.
 
     No padded copy of the view is built.  With one kernel row (conv1d, or a
     ``kh = 1`` conv2d) the slabs of the tiles whose windows stay inside the
     view are one strided view of ``x``, and the tiles on either side read a
-    padded piece just wide enough for them.  With ``kh > 1`` each tile
-    column, with its ``kh - 1`` halo rows of zeros or wrapped values, is
-    copied into one strip of ``(rows + kh - 1) x (TILE + kw - 1)`` view
-    entries, where a tile's window rows are one run.
+    padded piece just wide enough for them.  With ``kh > 1`` each sample's
+    tile columns are cut into equal blocks, as few as keep a strip within
+    ``STRIP_BYTES``: blocks of rows on the token side, where the lanes are
+    the strip's inner axis, and of lanes on the channel side, where the
+    rows stay whole.  Each block, with its ``kh - 1`` halo rows of zeros or
+    wrapped values, is copied into one strip of ``(rows + kh - 1) x (w + kw
+    - 1)`` view entries, where a tile's window rows are one run.
 
     Every padded piece is a view of one float64 buffer per thread
     (``_strip``), kept across calls: it holds the largest piece asked for,
-    ``(rows + kh - 1) * (TILE + kw - 1) * lanes * 8`` bytes for a ``kh > 1``
-    strip (2.05 MB for an 11x11 kernel on a 64x64x192 grid).  A slab read
-    from a piece is valid only until the next slab is drawn or another
-    convolution runs on the same thread.
+    ``(rows + kh - 1) * (w + kw - 1) * lanes * 8`` bytes for a ``kh > 1``
+    strip (two blocks of 32 rows, 903 KB each, for an 11x11 kernel on a
+    64x64x192 grid).  A slab read from a piece is valid only until the next
+    slab is drawn or another convolution runs on the same thread.
     """
     n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
     xv, axes = _conv_view(m, x)
@@ -377,48 +398,68 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
     ax, lead, circular = r + 1, (slice(None),) * r, m.padding == PadMode.CIRCULAR
     kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
     ah, aw = _anchor(kh, transpose), _anchor(kw, transpose)
-    span, n_tiles = TILE + kw - 1, -(-n // TILE)
-    shape = xv.shape[:ax] + (n_tiles, TILE) + xv.shape[ax + 1:]
-    extend = g is not None and n % TILE
+    w = _width(kh)
+    span, n_tiles, rows = w + kw - 1, -(-n // w), xv.shape[r]
+    shape = xv.shape[:ax] + (n_tiles, w) + xv.shape[ax + 1:]
+    extend = g is not None and n % w
     grid = np.zeros(shape) if extend else np.empty(shape) if g is None else g.reshape(shape)
-    view = grid.reshape(xv.shape[:ax] + (n_tiles * TILE,) + xv.shape[ax + 1:])
+    view = grid.reshape(xv.shape[:ax] + (n_tiles * w,) + xv.shape[ax + 1:])
     view = view[lead + (slice(None), slice(n))]
     if extend:
         view[...] = g.reshape(view.shape)
     lanes = grid.ndim - 1 if m.side == Side.TOKEN else r - 1
     perm = [i for i in range(grid.ndim) if i not in (lanes, ax + 1)] + [lanes, ax + 1]
 
-    def group(c0: int, c1: int, src: np.ndarray, start: int):
-        # tiles c0 .. c1 - 1 and their windows, the first from column start of
-        # src; the kh window rows merge with the columns when src's rows are
-        # span apart
+    def group(tiles: np.ndarray, src: np.ndarray):
+        # the windows of tiles, the first from column 0 of src; the kh window
+        # rows merge with the columns when src's rows are span apart
         s = src.strides
-        src = src[lead + (slice(None), slice(start, None))]
         slab = np.lib.stride_tricks.as_strided(
-            src, src.shape[:r] + (xv.shape[r], c1 - c0, kh * span) + src.shape[ax + 1:],
-            s[:r] + (s[r], TILE * s[ax], s[ax]) + s[ax + 1:], writeable=False)
-        tiles = grid[lead + (slice(None), slice(c0, c1))]
+            src, tiles.shape[:ax + 1] + (kh * span,) + tiles.shape[ax + 2:],
+            s[:r] + (s[r], w * s[ax], s[ax]) + s[ax + 1:], writeable=False)
         return tiles.transpose(perm), slab.transpose(perm)
 
+    def pieces(at: tuple, r0: int, r1: int, c0: int, c1: int):
+        # tiles c0 .. c1 - 1 of rows r0 .. r1 - 1 of the samples (and lanes) at,
+        # and a piece of this thread's strip buffer holding their padded windows
+        tiles = grid[at + (slice(r0, r1), slice(c0, c1))]
+        width = (c1 - c0 - 1) * w + span
+        piece = _strip(tiles.shape[:r] + (r1 - r0 + kh - 1, width) + tiles.shape[ax + 2:])
+        for (dr, sr), (dc, sc) in itertools.product(
+                _runs(r0, r1 - r0 + kh - 1, ah, rows, circular),
+                _runs(c0 * w, width, aw, n, circular)):
+            piece[lead + (dr, dc)] = 0 if sr is None or sc is None else xv[at + (sr, sc)]
+        return group(tiles, piece)
+
     def slabs():
-        # with one kernel row, tiles lo .. hi - 1 read only the view's own columns
-        lo = min(n_tiles, -(-aw // TILE)) if kh == 1 else n_tiles
-        hi = max(lo, min(n_tiles, (n + aw - span) // TILE + 1))
+        if kh > 1:
+            # one sample, tile column and block at a time: a strip is cut along
+            # its outer axis, into blocks of rows, each with its own halo rows,
+            # on the token side and into blocks of lanes on the channel side
+            token, nb = m.side == Side.TOKEN, x.ndim - 2
+            if token:
+                size, cap = rows, STRIP_BYTES // (8 * span * max(1, x.shape[-1])) - (kh - 1)
+            else:
+                size, cap = x.shape[-2], STRIP_BYTES // (8 * span * (rows + kh - 1))
+            blocks = max(1, -(-size // max(1, cap)))        # as few equal blocks as fit
+            step = max(1, -(-size // blocks))
+            for sample in np.ndindex(x.shape[:nb]):
+                at = tuple(slice(i, i + 1) for i in sample)
+                for c, b0 in itertools.product(range(n_tiles), range(0, size, step)):
+                    b1 = min(size, b0 + step)
+                    yield (pieces(at, b0, b1, c, c + 1) if token
+                           else pieces(at + (slice(b0, b1),), 0, rows, c, c + 1))
+            return
+        # tiles lo .. hi - 1 read only the view's own columns, the others
+        # padded pieces just wide enough for them
+        lo = min(n_tiles, -(-aw // w))
+        hi = max(lo, min(n_tiles, (n + aw - span) // w + 1))
         if hi > lo:
-            yield group(lo, hi, xv, lo * TILE - aw)
-        # the others read padded pieces: the tiles before lo and from hi on,
-        # or one column at a time, each a view of this thread's strip buffer
-        cols = ((0, lo), (hi, n_tiles)) if kh == 1 else ((c, c + 1) for c in range(n_tiles))
-        rows = _runs(0, xv.shape[r] + kh - 1, ah, xv.shape[r], circular)
-        for c0, c1 in cols:
-            if c1 == c0:
-                continue
-            width = (c1 - c0 - 1) * TILE + span
-            piece = _strip(xv.shape[:r] + (xv.shape[r] + kh - 1, width) + xv.shape[ax + 1:])
-            for (dr, sr), (dc, sc) in itertools.product(rows, _runs(c0 * TILE, width, aw, n,
-                                                                    circular)):
-                piece[lead + (dr, dc)] = 0 if sr is None or sc is None else xv[lead + (sr, sc)]
-            yield group(c0, c1, piece, 0)
+            yield group(grid[lead + (slice(None), slice(lo, hi))],
+                        xv[lead + (slice(None), slice(lo * w - aw, None))])
+        for c0, c1 in ((0, lo), (hi, n_tiles)):
+            if c1 > c0:
+                yield pieces(lead, 0, rows, c0, c1)
 
     return view, slabs()
 
@@ -431,21 +472,31 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
 
     This is the Toeplitz route, for convolutions of more than ``TILE``
     outputs (``apply_mixer`` multiplies smaller ones by their dense matrix,
-    ``_matrix``): one GEMM per tile of ``TILE`` outputs, of the tile's
-    whole ``kh x (TILE + kw - 1)`` window, its slab (``_tiled``, which builds
-    no padded copy of the input), times the stacked banded matrices of
-    ``_toeplitz``.  Against a tap-by-tap sum only rounding differs, within
-    ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A non-finite
-    input reaches every output of the tiles that read it (``0 * inf`` is NaN).
+    ``_matrix``): one GEMM per tile of ``w = _width(kh)`` outputs, of the
+    tile's whole ``kh x (w + kw - 1)`` window, its slab (``_tiled``, which
+    builds no padded copy of the input), and the stacked banded matrices
+    ``T`` of ``_toeplitz``.  A token-side strip tile is ``T^T @ window``,
+    written straight into the grid's ``(w, lanes)`` tile; every other tile
+    is ``window @ T``.  Against a tap-by-tap sum only rounding differs,
+    within ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A
+    non-finite input reaches every output of the tiles that read it
+    (``0 * inf`` is NaN).
 
     ``apply_mixer``'s ledger counts the operator's MACs, not the zeros inside
     the banded matrices.
     """
     kern = np.flip(m.kernel) if transpose else m.kernel
+    kern = kern.reshape(-1, kern.shape[-1])
+    w = _width(len(kern))
     view, slabs = _tiled(m, x, transpose)
-    t = _toeplitz(kern.reshape(-1, kern.shape[-1]), TILE).reshape(-1, TILE)
-    for tiles, slab in slabs:
-        np.matmul(slab, t, out=tiles)
+    t = _toeplitz(kern, w).reshape(-1, w)
+    if len(kern) > 1 and m.side == Side.TOKEN:
+        tt = np.ascontiguousarray(t.T)
+        for tiles, slab in slabs:
+            np.matmul(tt, slab.swapaxes(-1, -2), out=tiles.swapaxes(-1, -2))
+    else:
+        for tiles, slab in slabs:
+            np.matmul(slab, t, out=tiles)
     return view.reshape(x.shape)
 
 
@@ -506,17 +557,18 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     differs, within ``1e-13 * sum(|g * window|)`` per tap.
     """
     kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
-    dt = np.zeros((kh * (TILE + kw - 1), TILE))
+    w = _width(kh)
+    dt = np.zeros((kh * (w + kw - 1), w))
     _, slabs = _tiled(m, x, transpose=False, g=g)
+    cap = max(1, x.size // (TILE * dt.size))      # tiles per chunk
     for tiles, slab in slabs:
         *_, rows, count, _, _ = slab.shape
-        cap = max(1, x.size // (TILE * TILE * len(dt)))      # tiles per chunk
         step = max(1, cap // count), min(count, cap)
         for r0, c0 in itertools.product(range(0, rows, step[0]), range(0, count, step[1])):
             part = (..., slice(r0, r0 + step[0]), slice(c0, c0 + step[1]), slice(None), slice(None))
             prods = np.matmul(slab[part].swapaxes(-1, -2), tiles[part])
             dt += prods.reshape(-1, *dt.shape).sum(axis=0)
-    return _diagonals(dt.reshape(kh, -1, TILE)).sum(axis=1).reshape(m.kernel.shape)
+    return _diagonals(dt.reshape(kh, -1, w)).sum(axis=1).reshape(m.kernel.shape)
 
 
 def _check_side_dim(m: Mixer, x: np.ndarray) -> None:

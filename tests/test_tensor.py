@@ -314,12 +314,13 @@ class TestBandedConv:
                                            padding == PadMode.CIRCULAR)
 
 
-def conv_case(rng, kind, side, padding, n, k):
+def conv_case(rng, kind, side, padding, n, k, lanes=3):
     """A conv mixer over convolved axes ``n`` long with ``k``-wide kernel axes.
 
     ``n`` and ``k`` are one size for every axis or an ``(h, w)`` pair, of
-    which a conv1d takes the last.  Returns the mixer, its input ``x`` (3
-    vectors), the conv view of ``x``, the kernel and the view's convolved axes.
+    which a conv1d takes the last.  Returns the mixer, its input ``x``
+    (``lanes`` vectors), the conv view of ``x``, the kernel and the view's
+    convolved axes.
     """
     conv, kshape = (tuple(np.broadcast_to(v, 2).tolist()) for v in (n, k))
     if kind == MixerKind.CONV1D:
@@ -328,10 +329,10 @@ def conv_case(rng, kind, side, padding, n, k):
     m = (Mixer.conv1d(side, kern, *conv, padding) if kind == MixerKind.CONV1D
          else Mixer.conv2d(side, kern, *conv, padding))
     if side == Side.TOKEN:
-        xv = rng.uniform(-1, 1, conv + (3,))
-        return m, xv.reshape(-1, 3), xv, kern, tuple(range(len(conv)))
-    xv = rng.uniform(-1, 1, (3,) + conv)
-    return m, xv.reshape(3, -1), xv, kern, tuple(range(1, len(conv) + 1))
+        xv = rng.uniform(-1, 1, conv + (lanes,))
+        return m, xv.reshape(-1, lanes), xv, kern, tuple(range(len(conv)))
+    xv = rng.uniform(-1, 1, (lanes,) + conv)
+    return m, xv.reshape(lanes, -1), xv, kern, tuple(range(1, len(conv) + 1))
 
 
 class TestConvTiles:
@@ -411,6 +412,85 @@ class TestConvTiles:
             assert not np.isfinite(got.reshape(xv.shape)[reads > 0]).any()
 
 
+def strip_requests(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the ``_strip`` requests made from now on, as they are made."""
+    shapes, strip = [], tensor._strip
+    monkeypatch.setattr(tensor, "_strip", lambda shape: shapes.append(shape) or strip(shape))
+    return shapes
+
+
+class TestStripBlocks:
+    """``kh > 1`` strips cut into several blocks, at 193 lanes on a 77 x 62
+    grid.  On the token side an 11 x 11 kernel's strips hold 26, 26 and 25
+    output rows, a 5 x 7 kernel's 39 and 38; on the channel side both hold
+    97 and 96 lanes of all 77 rows.  The last tile of each row holds 2 of
+    its ``STRIP_TILE`` outputs."""
+
+    CASES = pytest.mark.parametrize("k,rows", [((11, 11), {26, 25}), ((5, 7), {39, 38})],
+                                    ids=["11x11", "5x7"])
+    SIDES = pytest.mark.parametrize("side", list(Side), ids=["token", "channel"])
+    PADDINGS = pytest.mark.parametrize("padding", list(PadMode), ids=lambda p: p.name.lower())
+
+    @staticmethod
+    def case(rng, side, padding, k):
+        return conv_case(rng, MixerKind.CONV2D, side, padding, (77, 62), k, lanes=193)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["fwd", "transpose"])
+    @CASES
+    @SIDES
+    @PADDINGS
+    def test_within_rounding_of_reference(self, rng, monkeypatch, side, padding, k, rows,
+                                          transpose):
+        shapes = strip_requests(monkeypatch)
+        m, x, xv, kern, axes = self.case(rng, side, padding, k)
+        got = apply_mixer_transpose(m, x) if transpose else apply_mixer(m, x)
+        if side == Side.TOKEN:      # (rows + kh - 1, span, lanes)
+            assert {(s[0] - (k[0] - 1), s[2]) for s in shapes} == {(r, 193) for r in rows}
+        else:                       # (lanes, rows + kh - 1, span)
+            assert {s[:2] for s in shapes} == {(97, 77 + k[0] - 1), (96, 77 + k[0] - 1)}
+        assert_within_rounding(got, xv, kern, axes, padding == PadMode.CIRCULAR, transpose)
+
+    @CASES
+    @SIDES
+    @PADDINGS
+    def test_kernel_grad_within_rounding_of_tap_sums(self, rng, side, padding, k, rows):
+        m, x, xv, kern, axes = self.case(rng, side, padding, k)
+        assert_kernel_grad_within_rounding(rng, m, x, xv, kern, axes,
+                                           padding == PadMode.CIRCULAR)
+
+    @CASES
+    @SIDES
+    @PADDINGS
+    def test_batch_stacks(self, rng, side, padding, k, rows):
+        m, x, _, _, _ = self.case(rng, side, padding, k)
+        for batch in ((2,), (2, 1)):
+            xs = rng.uniform(-1, 1, batch + x.shape)
+            for apply in (apply_mixer, apply_mixer_transpose):
+                want = np.stack([apply(m, s) for s in xs.reshape(2, *x.shape)])
+                assert np.array_equal(apply(m, xs), want.reshape(xs.shape))
+
+    @SIDES
+    def test_no_lanes(self, side):
+        m = Mixer.conv2d(side, np.ones((3, 3)), 8, 8)
+        x = np.ones((64, 0) if side == Side.TOKEN else (0, 64))
+        assert apply_mixer(m, x).shape == apply_mixer_transpose(m, x).shape == x.shape
+        assert np.array_equal(conv_kernel_grad(m, x, x), np.zeros((3, 3)))
+
+    def test_strips_fit_in_a_mebibyte(self, rng, monkeypatch):
+        # grid-infer's 64 x 64 x 192 token grid: the forward, the transpose and
+        # the kernel gradient; then a channel grid of 4,096 tokens
+        shapes = strip_requests(monkeypatch)
+        m = Mixer.conv2d(Side.TOKEN, rng.uniform(-1, 1, (11, 11)), 64, 64)
+        x, g = rng.uniform(-1, 1, (2, 4096, 192))
+        apply_mixer(m, x)
+        apply_mixer_transpose(m, g)
+        conv_kernel_grad(m, x, g)
+        assert len(shapes) == 3 * 2 * 16        # per call, 2 row blocks of 16 tile columns
+        apply_mixer(Mixer.conv2d(Side.CHANNEL, rng.uniform(-1, 1, (11, 11)), 16, 12), x)
+        assert len(shapes) > 3 * 2 * 16
+        assert max(8 * np.prod(s) for s in shapes) <= 2 ** 20
+
+
 class TestBatch:
     """Leading batch axes: each sample is mixed exactly as it is alone."""
 
@@ -488,9 +568,9 @@ class TestStripBuffer:
             assert results[j] == [serial[j]] * rounds, j
 
 
-#: sha256 of ``conv2d_case_bytes()``, as the Toeplitz route computed it when
-#: the strip buffer was aligned to 16 bytes only
-CONV2D_SHA256 = "41aac692f41146af85100eb93559ec4d4986a53c9a5e3dc3f48562ccdf1c8c3d"
+#: sha256 of ``conv2d_case_bytes()``, as the Toeplitz route computes it with
+#: ``STRIP_TILE``-wide strip tiles; where the strip buffer lies changes no bit
+CONV2D_SHA256 = "05b88e7ac4dc05e42fa01c024729d64d87b7dc7d405073cd4bd34d59cbe1f208"
 
 
 def conv2d_case_bytes() -> bytes:
