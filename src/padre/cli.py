@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 when any verification fails, 2 on usage errors.
 Usage errors are found before any work is timed or printed: bad flag values,
 an unreadable or invalid ``expand --config`` document, a block beyond the
-oracle's caps, and ``bench`` schemes, N values or ``--fits-out`` requests
-that cannot all be met.
+oracle's caps, and ``bench`` schemes, N values, ``--fits-out`` requests or
+output paths that cannot all be met.
 ``PADRE_SEED`` in the environment overrides ``--seed`` everywhere; ``expand
 --config`` takes its seed from the config.
 """
@@ -108,6 +108,15 @@ def _cmd_bench(args) -> int:
     if args.fits_out and not fits_possible:
         return _usage_error("bench", f"--fits-out needs >= {MIN_FIT_POINTS} distinct "
                                      f"--n-list values, got {len(set(args.n_list))}")
+    for flag, path in (("--out", args.out), ("--fits-out", args.fits_out)):
+        made = path and not os.path.lexists(path)
+        try:            # appending writes nothing; a file that this makes is removed
+            if path:
+                open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _usage_error("bench", f"{flag} {path!r} cannot be written: {exc.strerror}")
+        if made:
+            os.remove(path)
     try:
         records = run_bench(args.schemes, args.n_list, d_ch=args.channels, reps=args.reps,
                             warmup=args.warmup, seed=args.seed)

@@ -35,27 +35,15 @@ from .tensor import (
 
 @dataclass
 class GradBundle:
-    """Vector-Jacobian products; each entry mirrors its primal's shape."""
+    """Vector-Jacobian products: ``d_x`` and one gradient per parameter label of
+    the block (``iter_parameters`` or ``iter_rational_parameters``), each shaped
+    like its primal."""
 
     d_x: np.ndarray
-    mixers: dict[str, dict[str, np.ndarray]]
-    d_w: np.ndarray
-    d_l: np.ndarray | None = None
-    d_u: np.ndarray | None = None
-    d_v: np.ndarray | None = None
+    grads: dict[str, np.ndarray]
 
     def by_label(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, parts in self.mixers.items():
-            for pname, arr in parts.items():
-                out[f"{name}.{pname}"] = arr
-        out["W"] = self.d_w
-        if self.d_l is not None:
-            out["L"] = self.d_l
-        if self.d_u is not None:
-            out["U"] = self.d_u
-            out["V"] = self.d_v
-        return out
+        return self.grads
 
 
 def mixer_param_grad(m: Mixer, x_in: np.ndarray, g_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -83,8 +71,10 @@ def _rms_backward(m_pre: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g / s - m_pre * dot / (dch * s ** 3)
 
 
-def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int):
-    """``(dT, dM, dL/du)`` of one mixer pair ``F(u) = T u M``, from ``g = grads[i]``.
+def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int,
+                   out: dict, tags: tuple[str, str]) -> np.ndarray:
+    """``dL/du`` of one mixer pair ``F(u) = T u M``, from ``g = grads[i]``; dT
+    and dM go into ``out`` under T's and M's labels ``tags``.
 
     dM comes from ``(u, T^T g)``, and dT and ``dL/du = T^T h`` from
     ``h = g M^T``: no ``u M`` is recomputed, as ``<g, T_p u M> = <g M^T, T_p u>``
@@ -98,7 +88,18 @@ def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int):
     del w
     h = apply_mixer_transpose(m, g)
     del g
-    return mixer_param_grad(t, u, h), d_m, apply_mixer_transpose(t, h)
+    for tag, parts in zip(tags, (mixer_param_grad(t, u, h), d_m)):
+        out.update((f"{tag}.{pname}", arr) for pname, arr in parts.items())
+    return apply_mixer_transpose(t, h)
+
+
+def _upstream(upstream, output: np.ndarray) -> np.ndarray:
+    """``upstream`` as float64, shaped like ``output`` and finite, or an error."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != output.shape:
+        raise ShapeError(f"upstream shape {upstream.shape} != output {output.shape}")
+    _require_finite(upstream, "upstream")
+    return upstream
 
 
 def _own(a: np.ndarray) -> np.ndarray | None:
@@ -108,7 +109,8 @@ def _own(a: np.ndarray) -> np.ndarray | None:
 
 
 def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> GradBundle:
-    """Vector-Jacobian products of the block output against x and all parameters.
+    """Vector-Jacobian products of the block output against x and all parameters:
+    a ``GradBundle`` whose labels are exactly those of ``iter_parameters(block)``.
 
     Only an unbatched trace (a 2-D ``x``) is supported; a batched one, or an
     upstream not shaped like the output, raises ShapeError.  The upstream is
@@ -134,23 +136,20 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
                          f"the trace holds {len(trace.y)} and {len(trace.t)}"
                          + ("" if trace.y else ": a trace serves one backward, and this one "
                             "was consumed"))
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != trace.output.shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != output {trace.output.shape}")
-    _require_finite(upstream, "upstream")
-    mixer_grads: dict[str, dict[str, np.ndarray]] = {}
+    upstream = _upstream(upstream, trace.output)
+    grads: dict[str, np.ndarray] = {}
 
-    d_u = d_v = None
     if block.resize_left is not None:
         pv = trace.pre_resize @ block.resize_right
-        d_u = upstream @ pv.T
-        d_v = (block.resize_left @ trace.pre_resize).T @ upstream
+        grads["U"] = upstream @ pv.T
+        grads["V"] = (block.resize_left @ trace.pre_resize).T @ upstream
         g_p = block.resize_left.T @ upstream @ block.resize_right.T
     else:
         g_p = upstream
 
-    d_l = g_p.copy() if block.bias is not None else None
-    d_w = np.zeros_like(block.weights)
+    if block.bias is not None:
+        grads["L"] = g_p.copy()
+    grads["W"] = d_w = np.zeros_like(block.weights)
     d_z: list[np.ndarray | None] = [None] * d      # dL/dZ_i
     d_y: list[np.ndarray | None] = [None] * d
     z = trace.z_at(d) if d in block.degree_mask else None
@@ -180,8 +179,8 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
         del t
         d_z[i - 1] *= trace.y.pop()
         z = trace.z_at(i - 1)
-        mixer_grads[f"C{i - 1}"], mixer_grads[f"D{i - 1}"], d_z[i - 2] = _pair_backward(
-            block.inter_token[i - 2], block.inter_channel[i - 2], z, d_z, i - 1)
+        d_z[i - 2] = _pair_backward(block.inter_token[i - 2], block.inter_channel[i - 2],
+                                    z, d_z, i - 1, grads, (f"C{i - 1}", f"D{i - 1}"))
     trace.y.pop()                                  # Y_1, the last cascade read
     d_y[0], d_z[0] = d_z[0], None
 
@@ -189,11 +188,10 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     for i, (a, b) in enumerate(zip(block.token_mixers, block.channel_mixers)):
         if block.normalize_y:
             d_y[i] = _rms_backward(trace.y_raw.pop(0), d_y[i])
-        mixer_grads[f"A{i + 1}"], mixer_grads[f"B{i + 1}"], g = _pair_backward(
-            a, b, trace.x, d_y, i)
+        g = _pair_backward(a, b, trace.x, d_y, i, grads, (f"A{i + 1}", f"B{i + 1}"))
         d_x = g if d_x is None else np.add(d_x, g, out=d_x)
         del g
-    return GradBundle(d_x=d_x, mixers=mixer_grads, d_w=d_w, d_l=d_l, d_u=d_u, d_v=d_v)
+    return GradBundle(d_x=d_x, grads=grads)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +215,9 @@ class GradReport:
 
 def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: int,
                   step: float, seed: int) -> GradReport:
-    """Check ``vjp_fn(block, trace, upstream)``, a label -> gradient dict that
-    includes "x", against central differences of ``forward_fn``.
+    """Check ``vjp_fn(block, trace, upstream)``, a backward that returns a
+    ``GradBundle`` labelled like ``params_fn(block)``, against central
+    differences of ``forward_fn``.
 
     The probed scalars are drawn uniformly from ``params_fn(block)`` and x,
     each perturbed in place on a copy of the block and restored.
@@ -227,9 +226,12 @@ def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: i
     work = copy.deepcopy(block)
     xw = np.array(x, dtype=np.float64, copy=True)
     out, trace = forward_fn(work, xw)
-    g_up = upstream_probe(rng, out.shape)
-    analytic = vjp_fn(work, trace, g_up)
-    targets = params_fn(work) + [("x", xw)]
+    # a small upstream: the check is scale-equivariant, and a small loss keeps
+    # difference noise on near-cancelled gradients inside the absolute floor
+    g_up = rng.uniform(-1.0, 1.0, size=out.shape) * (0.01 / out.size)
+    bundle = vjp_fn(work, trace, g_up)
+    targets = [(arr, bundle.by_label()[label]) for label, arr in params_fn(work)]
+    targets.append((xw, bundle.d_x))
     base = out.copy()
 
     # centered loss: subtracting the base output cancels the large constant
@@ -240,15 +242,13 @@ def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: i
             return float(np.sum(g_up * (forward_fn(work, xw)[0] - base)))
 
     rng = np.random.default_rng(seed + 1)
-    sizes = np.array([arr.size for _, arr in targets])
-    cum = np.cumsum(sizes)
-    total = int(cum[-1])
+    cum = np.cumsum([arr.size for arr, _ in targets])
     max_rel, failures = 0.0, 0
     for _ in range(probes):
-        flat = int(rng.integers(total))
+        flat = int(rng.integers(cum[-1]))
         t = int(np.searchsorted(cum, flat, side="right"))
         idx = flat - (cum[t - 1] if t else 0)
-        label, arr = targets[t]
+        arr, analytic = targets[t]
         orig = arr.flat[idx]
         arr.flat[idx] = orig + step
         hi = loss_fn()
@@ -256,29 +256,14 @@ def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: i
         lo = loss_fn()
         arr.flat[idx] = orig
         fd = (hi - lo) / (2 * step)
-        an = analytic[label].flat[idx]
+        an = analytic.flat[idx]
         rel = abs(fd - an) / max(1e-8, abs(fd) + abs(an))
         max_rel = max(max_rel, rel)
         failures += rel >= GRAD_TOL
     return GradReport(max_rel_err=max_rel, failures=failures, probes=probes)
 
 
-def upstream_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Small-magnitude upstream for finite-difference probing.
-
-    The VJP check is scale-equivariant, and a small loss keeps difference
-    noise on near-cancelled gradients inside the absolute floor of the
-    relative-error metric.
-    """
-    size = int(np.prod(shape))
-    return rng.uniform(-1.0, 1.0, size=shape) * (0.01 / size)
-
-
 def gradcheck(block: PadreBlock, x: np.ndarray, probes: int = 200, step: float = 1e-4,
               seed: int = 0) -> GradReport:
     """Compare ``backward`` against central differences on random scalars."""
-    def vjp(work: PadreBlock, trace: PadreTrace, g_up: np.ndarray) -> dict:
-        bundle = backward(work, trace, g_up)
-        return {**bundle.by_label(), "x": bundle.d_x}
-
-    return vjp_gradcheck(forward, vjp, iter_parameters, block, x, probes, step, seed)
+    return vjp_gradcheck(forward, backward, iter_parameters, block, x, probes, step, seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _require_finite, _uniform, cascade, features, random_mixer
+from .block import _add_term, _require_finite, _uniform, cascade, features, random_mixer
 from .tensor import Mixer, ShapeError, Side
 
 
@@ -55,6 +55,8 @@ class MultimodalBlock:
             raise ShapeError("degree must be >= 1")
         if len(self.inter_token) != d - 1 or len(self.inter_channel) != d - 1:
             raise ShapeError("need d-1 inter-degree mixer pairs")
+        if not self.sequences:
+            raise ShapeError("need at least one mode sequence")
         for mode, (tok, ch) in self.banks.items():
             if len(tok) != d or len(ch) != d:
                 raise ShapeError(f"mode {mode!r} needs {d} token and channel mixers")
@@ -98,7 +100,7 @@ def multimodal_forward(block: MultimodalBlock,
 
     banks = {mode: features(tok, ch, projected[mode])
              for mode, (tok, ch) in block.banks.items()}
-    out = np.zeros((block.n_out, block.d_out))
+    out = None
     taps: list[list[np.ndarray]] = []
     for s_idx, seq in enumerate(block.sequences):
         ys = [banks[label][i] for i, label in enumerate(seq)]
@@ -106,7 +108,7 @@ def multimodal_forward(block: MultimodalBlock,
         taps.append(chain)
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):
-            out += w[None, :, i] * zi
+            out = _add_term(out, w[None, :, i], zi, own=False)   # the trace keeps each tap
     _require_finite(out, "P")
     return out, MultimodalTrace(taps=taps)
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (PadreBlock, PadreTrace, WMode, _uniform, forward, mixer_parameters,
-                    random_mixer)
-from .grad import GradBundle, GradReport, backward, vjp_gradcheck
+from .block import (PadreBlock, PadreTrace, WMode, _uniform, forward, iter_parameters,
+                    mixer_parameters, random_mixer)
+from .grad import GradBundle, GradReport, _upstream, backward, vjp_gradcheck
 from .tensor import (Mixer, NumericError, Record, ShapeError, Side, pack_records,
                      read_records, unpack_records, write_records)
 
@@ -134,16 +134,12 @@ def rational_forward(block: RationalPadreBlock,
     return out, RationalTrace(num_trace=num_trace, den_trace=den_trace, den=den, output=out)
 
 
-def _chain_grads(bundle: GradBundle, offset: int) -> dict[str, np.ndarray]:
-    """A chain's mixer gradients keyed by the rational block's own A/B index;
-    its identity inter-degree mixers have none."""
-    return {f"{name[0]}{int(name[1:]) + offset}.{pname}": arr
-            for name, parts in bundle.mixers.items() for pname, arr in parts.items()}
-
-
 def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
-                      upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Vector-Jacobian products keyed like ``iter_rational_parameters`` (+ "x")."""
+                      upstream: np.ndarray) -> GradBundle:
+    """``backward``'s ``GradBundle`` for a rational block, labelled like
+    ``iter_rational_parameters``, with the same upstream checks.  The chains
+    hold the block's arrays, so a chain gradient takes its array's label."""
+    upstream = _upstream(upstream, trace.output)
     num = trace.num_trace.output
     if block.square_denominator:
         den_eff = trace.den * trace.den + block.epsilon
@@ -153,15 +149,20 @@ def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
         d_num = upstream / trace.den
         d_den = -upstream * num / (trace.den * trace.den)
 
-    num_block, den_block = chain_blocks(block)
-    g_num = backward(num_block, trace.num_trace, d_num)
-    grads = {**_chain_grads(g_num, 0), "Wn": g_num.d_w, "Vn": g_num.d_l,
-             "Qd": np.empty_like(block.w_den), "Pd": d_den.copy(), "x": g_num.d_x}
-    if den_block is not None:
-        g_den = backward(den_block, trace.den_trace, d_den)
-        grads.update(_chain_grads(g_den, block.num_degree), Qd=g_den.d_w, Pd=g_den.d_l,
-                     x=g_num.d_x + g_den.d_x)
-    return grads
+    labels: dict[int, list[str]] = {}      # by array; one array may sit at two places
+    for label, arr in iter_rational_parameters(block):
+        labels.setdefault(id(arr), []).append(label)
+    # at e = 0 the denominator is its bias alone, and there is no denominator chain
+    grads = {} if block.den_degree else {"Qd": np.empty_like(block.w_den), "Pd": d_den}
+    d_x = None
+    for chain, chain_trace, g in zip(chain_blocks(block), (trace.num_trace, trace.den_trace),
+                                     (d_num, d_den)):
+        if chain is not None:
+            bundle = backward(chain, chain_trace, g)
+            d_x = bundle.d_x if d_x is None else d_x + bundle.d_x
+            for label, arr in iter_parameters(chain):
+                grads[labels[id(arr)].pop(0)] = bundle.grads[label]
+    return GradBundle(d_x=d_x, grads=grads)
 
 
 def iter_rational_parameters(block: RationalPadreBlock) -> list[tuple[str, np.ndarray]]:

@@ -551,8 +551,8 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     is zero-extended to whole tiles, the gradient of the stacked banded
     matrices is ``dt = sum slab^T @ g_tile`` over the slabs that the forward
     multiplies by them, and ``dk[a, j] = sum_i dt[a, i + j, i]`` reads the
-    diagonals that ``_toeplitz`` writes.  The products are summed chunk by
-    chunk, a chunk's products holding at most ``x.size / TILE`` values.
+    diagonals that ``_toeplitz`` writes.  Products are summed in chunks of at most
+    ``max(x.size / TILE, kh * (w + kw - 1) * w)`` values, for tiles of ``w`` outputs.
     Against each tap's whole-tensor ``sum(g * window)`` only rounding
     differs, within ``1e-13 * sum(|g * window|)`` per tap.
     """

@@ -318,6 +318,22 @@ class TestBenchCommand:
         assert set_up == []
         assert not out.exists() and not fits.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--fits-out"])
+    def test_unwritable_path_checked_before_anything_is_timed(self, flag, tmp_path, capsys,
+                                                              monkeypatch):
+        from padre import bench
+        set_up = []
+        monkeypatch.setattr(bench, "setup_scheme", lambda *a: set_up.append(a))
+        paths = {"--out": str(tmp_path / "b.csv"), "--fits-out": str(tmp_path / "f.csv")}
+        paths[flag] = bad = str(tmp_path / "missing" / "x.csv")
+        assert main(["bench", "--schemes", "padre-2", "--n-list", "16", "25", "36", "49",
+                     "--channels", "8", "--reps", "5", "--warmup", "0",
+                     *(a for item in paths.items() for a in item)]) == 2
+        assert capsys.readouterr().err == (f"padre bench: error: {flag} {bad!r} cannot be "
+                                           "written: No such file or directory\n")
+        assert set_up == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):

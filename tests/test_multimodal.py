@@ -108,3 +108,7 @@ class TestValidation:
     def test_sequence_length_must_match_degree(self):
         with pytest.raises(ShapeError):
             build_multimodal({"a": (4, 3), "b": (4, 3)}, 4, 3, 3, ["ab"], seed=0)
+
+    def test_a_block_needs_a_sequence(self):
+        with pytest.raises(ShapeError, match="at least one mode sequence"):
+            build_multimodal({"a": (4, 3), "b": (4, 3)}, 4, 3, 2, [], seed=0)

@@ -1,5 +1,6 @@
 """Elementwise-ratio blocks: reduction, scale law, stabilization, gradients."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from padre.grad import backward
 from padre.rational import (
     DenominatorError,
     RationalPadreBlock,
+    iter_rational_parameters,
     random_rational_block,
     rational_backward,
     rational_forward,
@@ -17,7 +19,7 @@ from padre.rational import (
 )
 from padre.adapters import SimaParams, sima_as_padre, sima_forward
 from padre.oracle import assert_homogeneous
-from padre.tensor import Mixer, NumericError, Side
+from padre.tensor import Mixer, NumericError, ShapeError, Side
 from padre.verify import check_rational_scale_law
 
 from conftest import rel_dev
@@ -83,21 +85,21 @@ class TestForward:
         g = rng.uniform(-1, 1, (6, 3))
         r_g = rational_backward(rb, r_tr, g)
         num_g = backward(num_blk, num_tr, g / den)
-        expected = {"Wn": num_g.d_w, "Vn": num_g.d_l}
+        expected = {"Wn": num_g.by_label()["W"], "Vn": num_g.by_label()["L"]}
         expected.update((label, arr) for label, arr in num_g.by_label().items()
                         if label[0] in "AB")
         d_x_num, d_x_den = num_g.d_x, np.zeros_like(x)
         if e:
             den_g = backward(den_blk, den_tr, -g * num / (den * den))
-            expected.update(Qd=den_g.d_w, Pd=den_g.d_l)
+            expected.update(Qd=den_g.by_label()["W"], Pd=den_g.by_label()["L"])
             expected.update((f"{label[0]}{int(label[1]) + d}{label[2:]}", arr)
                             for label, arr in den_g.by_label().items() if label[0] in "AB")
             d_x_den = den_g.d_x
-        assert set(expected) | {"x", "Qd", "Pd"} == set(r_g)
+        assert set(expected) | {"Qd", "Pd"} == set(r_g.by_label())
         for label, arr in expected.items():
-            assert np.array_equal(r_g[label], arr), label
+            assert np.array_equal(r_g.by_label()[label], arr), label
         bound = 4 * np.finfo(float).eps * (np.abs(d_x_num) + np.abs(d_x_den))
-        assert np.all(np.abs(r_g["x"] - (d_x_num + d_x_den)) <= bound)
+        assert np.all(np.abs(r_g.d_x - (d_x_num + d_x_den)) <= bound)
 
     def test_non_finite_numerator_names_its_combine(self):
         block = random_rational_block(4, 3, 2, 1, seed=0)
@@ -182,7 +184,72 @@ class TestGradcheck:
         assert np.isfinite(rep.max_rel_err)
         out, tr = rational_forward(block, x)
         grads = rational_backward(block, tr, np.ones_like(out))
-        assert all(np.isfinite(g).all() for g in grads.values())
+        assert all(np.isfinite(g).all() for g in [grads.d_x, *grads.by_label().values()])
+
+
+class TestBackwardContract:
+    @pytest.mark.parametrize("square", [False, True], ids=["plain", "squared"])
+    @pytest.mark.parametrize("d,e", [(1, 0), (3, 0), (2, 1), (1, 3), (3, 2)])
+    def test_labels_and_shapes_are_the_blocks_own(self, d, e, square, rng):
+        block = random_rational_block(5, 4, d, e, seed=d + 3 * e, square_denominator=square)
+        x = rng.uniform(-1, 1, (5, 4))
+        out, trace = rational_forward(block, x)
+        bundle = rational_backward(block, trace, rng.uniform(-1, 1, out.shape))
+        params = dict(iter_rational_parameters(block))
+        grads = bundle.by_label()
+        assert set(grads) == set(params)
+        for label, arr in params.items():
+            assert grads[label].shape == arr.shape, label
+        assert bundle.d_x.shape == x.shape
+
+    def test_a_mixer_at_two_places_gets_each_places_gradient(self, rng):
+        # A1 (conv1d) also at A4, in the denominator; B1 (low-rank) also at B2
+        shared = random_rational_block(5, 4, 2, 2, seed=4)
+        shared.token_mixers[3] = shared.token_mixers[0]
+        shared.channel_mixers[1] = shared.channel_mixers[0]
+        apart = copy.deepcopy(shared)
+        apart.token_mixers[3] = copy.deepcopy(apart.token_mixers[0])
+        apart.channel_mixers[1] = copy.deepcopy(apart.channel_mixers[0])
+        x, g = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 4))
+        got = rational_backward(shared, rational_forward(shared, x)[1], g).by_label()
+        want = rational_backward(apart, rational_forward(apart, x)[1], g).by_label()
+        assert set(got) == set(want)
+        for label, arr in want.items():
+            assert got[label].tobytes() == arr.tobytes(), label
+
+
+class TestUpstream:
+    """``rational_backward`` checks its upstream as ``grad.backward`` does."""
+
+    @pytest.mark.parametrize("e", [0, 1])
+    @pytest.mark.parametrize("shape", [(1, 3), (), (3, 4)], ids=["row", "scalar", "transposed"])
+    def test_wrong_shape_raises_shape_error(self, shape, e, rng):
+        block = random_rational_block(4, 3, 2, e, seed=0)
+        _, trace = rational_forward(block, rng.uniform(-1, 1, (4, 3)))
+        with pytest.raises(ShapeError, match="upstream shape"):
+            rational_backward(block, trace, rng.uniform(-1, 1, shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_raises_without_warning(self, value, rng):
+        block = random_rational_block(4, 3, 2, 1, seed=0)
+        _, trace = rational_forward(block, rng.uniform(-1, 1, (4, 3)))
+        g = rng.uniform(-1, 1, (4, 3))
+        g[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                rational_backward(block, trace, g)
+        assert err.value.stage == "upstream"
+
+    def test_integer_upstream_gives_the_cast_bits(self, rng):
+        block = random_rational_block(4, 3, 2, 1, seed=0)
+        x = rng.uniform(-1, 1, (4, 3))
+        g = rng.integers(-3, 4, (4, 3))
+        got = rational_backward(block, rational_forward(block, x)[1], g)
+        want = rational_backward(block, rational_forward(block, x)[1], g.astype(np.float64))
+        for label, arr in want.by_label().items():
+            assert got.by_label()[label].tobytes() == arr.tobytes(), label
+        assert got.d_x.tobytes() == want.d_x.tobytes()
 
 
 class TestSimaInRationalForm:
