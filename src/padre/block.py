@@ -48,11 +48,13 @@ RMS_EPS = 1e-6
 
 
 class WMode(enum.IntEnum):
-    """Shape of the combine weights W.
+    """Shape of the combine weights W: a mode's value counts the leading
+    axes of ``(N, D, d)`` that W drops.
 
-    FULL keeps one weight per (token, channel, degree); CHANNEL_BROADCAST
-    shares weights across tokens (D x d), which is what a drop-in layer with
-    variable-length inputs needs; SCALAR_PER_DEGREE keeps d scalars.
+    FULL (0) keeps one weight per (token, channel, degree); CHANNEL_BROADCAST
+    (1) shares weights across tokens (D x d), which is what a drop-in layer
+    with variable-length inputs needs; SCALAR_PER_DEGREE (2) keeps d scalars.
+    Either way ``W[..., i - 1]`` broadcasts against an N x D tap.
     """
 
     FULL = 0
@@ -61,9 +63,9 @@ class WMode(enum.IntEnum):
 
 
 def weight_shape(w_mode: WMode, n: int, dc: int, d: int) -> tuple[int, ...]:
-    """The shape of the combine weights W of an N x D degree-d block."""
-    return {WMode.FULL: (n, dc, d), WMode.CHANNEL_BROADCAST: (dc, d),
-            WMode.SCALAR_PER_DEGREE: (d,)}[w_mode]
+    """The shape of the combine weights W of an N x D degree-d block:
+    ``(N, D, d)`` without its first ``w_mode`` axes."""
+    return (n, dc, d)[w_mode:]
 
 
 @dataclass(frozen=True)
@@ -176,15 +178,6 @@ def _require_finite(a: np.ndarray, stage: str) -> None:
         raise NumericError(stage)
 
 
-def combine_weight(block: PadreBlock, i: int):
-    """The broadcastable weight factor for degree i (1-based)."""
-    if block.w_mode == WMode.FULL:
-        return block.weights[:, :, i - 1]
-    if block.w_mode == WMode.CHANNEL_BROADCAST:
-        return block.weights[None, :, i - 1]
-    return block.weights[i - 1]
-
-
 def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
              ledger: FlopLedger | None = None) -> list[np.ndarray]:
     """The feature bank Y_i = A_i X B_i, channel map first."""
@@ -257,7 +250,7 @@ def forward(block: PadreBlock, x: np.ndarray,
     for z in cascade(y, block.inter_token, block.inter_channel, t, ledger):
         i += 1
         if i in block.degree_mask:
-            p = _add_term(p, combine_weight(block, i), z, own=i > 1)
+            p = _add_term(p, block.weights[..., i - 1], z, own=i > 1)
         del z
     if block.bias is not None:
         p += block.bias
@@ -283,6 +276,21 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-half, half, size=shape)
 
 
+def _drawn_block(rng: np.random.Generator, n: int, dc: int, d: int, draw, w_mode: WMode,
+                 with_bias: bool, **fields) -> PadreBlock:
+    """A block whose slots are drawn in one order: A_1..A_d, B_1..B_d, C_1..C_{d-1}
+    and D_1..D_{d-1} by ``draw(rng, side, dim)``, then W and L (when
+    ``with_bias``) uniformly; ``fields`` are the block's other fields."""
+    a, b, c, dm = ([draw(rng, side, dim) for _ in range(k)] for side, dim, k in
+                   ((Side.TOKEN, n, d), (Side.CHANNEL, dc, d),
+                    (Side.TOKEN, n, d - 1), (Side.CHANNEL, dc, d - 1)))
+    return PadreBlock(
+        degree=d, n_tokens=n, n_channels=dc, token_mixers=a, channel_mixers=b,
+        inter_token=c, inter_channel=dm, w_mode=w_mode,
+        weights=_uniform(rng, weight_shape(w_mode, n, dc, d), 1),
+        bias=_uniform(rng, (n, dc), 1) if with_bias else None, **fields)
+
+
 def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Layout,
                         seed: int = 0, w_mode: WMode = WMode.CHANNEL_BROADCAST) -> PadreBlock:
     """The concrete single-head instance used for scaling studies.
@@ -295,31 +303,18 @@ def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Lay
     """
     if degree < 2:
         raise ShapeError(f"this instance needs degree >= 2 (mask 2..d), got {degree}")
-    rng = np.random.default_rng(seed)
 
-    def token_mixer() -> Mixer:
+    def draw(rng: np.random.Generator, side: Side, dim: int) -> Mixer:
+        if side == Side.CHANNEL:
+            return Mixer.dense(side, _uniform(rng, (dim, dim), dim))
         if isinstance(layout, Grid):
-            kh = min(DEFAULT_KERNEL, layout.h)
-            kw = min(DEFAULT_KERNEL, layout.w)
-            kern = _uniform(rng, (kh, kw), kh * kw)
-            return Mixer.conv2d(Side.TOKEN, kern, layout.h, layout.w)
-        k = min(DEFAULT_KERNEL, n_tokens)
-        return Mixer.conv1d(Side.TOKEN, _uniform(rng, (k,), k), n_tokens)
+            kh, kw = min(DEFAULT_KERNEL, layout.h), min(DEFAULT_KERNEL, layout.w)
+            return Mixer.conv2d(side, _uniform(rng, (kh, kw), kh * kw), layout.h, layout.w)
+        k = min(DEFAULT_KERNEL, dim)
+        return Mixer.conv1d(side, _uniform(rng, (k,), k), dim)
 
-    def channel_mixer() -> Mixer:
-        return Mixer.dense(Side.CHANNEL, _uniform(rng, (n_channels, n_channels), n_channels))
-
-    return PadreBlock(
-        degree=degree, n_tokens=n_tokens, n_channels=n_channels,
-        token_mixers=[token_mixer() for _ in range(degree)],
-        channel_mixers=[channel_mixer() for _ in range(degree)],
-        inter_token=[token_mixer() for _ in range(degree - 1)],
-        inter_channel=[channel_mixer() for _ in range(degree - 1)],
-        w_mode=w_mode,
-        weights=_uniform(rng, weight_shape(w_mode, n_tokens, n_channels, degree), 1),
-        degree_mask=frozenset(range(2, degree + 1)),
-        layout=layout,
-    )
+    return _drawn_block(np.random.default_rng(seed), n_tokens, n_channels, degree, draw, w_mode,
+                        False, degree_mask=frozenset(range(2, degree + 1)), layout=layout)
 
 
 #: the structured-kind menu seeded blocks draw their mixers from
@@ -362,20 +357,9 @@ def random_block(n_tokens: int, n_channels: int, degree: int, seed: int,
     Used by verification suites; conv2d appears only when the acted dimension
     is a square grid (see ``random_mixer``).
     """
-    rng = np.random.default_rng(seed)
-    d = degree
-    return PadreBlock(
-        degree=d, n_tokens=n_tokens, n_channels=n_channels,
-        token_mixers=[random_mixer(rng, Side.TOKEN, n_tokens) for _ in range(d)],
-        channel_mixers=[random_mixer(rng, Side.CHANNEL, n_channels) for _ in range(d)],
-        inter_token=[random_mixer(rng, Side.TOKEN, n_tokens) for _ in range(d - 1)],
-        inter_channel=[random_mixer(rng, Side.CHANNEL, n_channels) for _ in range(d - 1)],
-        w_mode=w_mode,
-        weights=_uniform(rng, weight_shape(w_mode, n_tokens, n_channels, d), 1),
-        degree_mask=degree_mask or frozenset(range(1, d + 1)),
-        bias=_uniform(rng, (n_tokens, n_channels), 1) if with_bias else None,
-        normalize_y=normalize_y,
-    )
+    return _drawn_block(np.random.default_rng(seed), n_tokens, n_channels, degree,
+                        random_mixer, w_mode, with_bias, normalize_y=normalize_y,
+                        degree_mask=degree_mask or frozenset(range(1, degree + 1)))
 
 
 # ---------------------------------------------------------------------------

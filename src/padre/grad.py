@@ -16,9 +16,7 @@ from .block import (
     PadreBlock,
     PadreTrace,
     RMS_EPS,
-    WMode,
     _require_finite,
-    combine_weight,
     forward,
     iter_parameters,
 )
@@ -150,6 +148,7 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     if block.bias is not None:
         grads["L"] = g_p.copy()
     grads["W"] = d_w = np.zeros_like(block.weights)
+    lead = tuple(range(block.w_mode))              # the axes of (N, D) that W drops
     d_z: list[np.ndarray | None] = [None] * d      # dL/dZ_i
     d_y: list[np.ndarray | None] = [None] * d
     z = trace.z_at(d) if d in block.degree_mask else None
@@ -157,13 +156,8 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
         if i in block.degree_mask:
             prod = np.multiply(g_p, z, out=_own(z) if i > 1 else None)   # a recomputed Z_i is ours
             del z
-            if block.w_mode == WMode.FULL:
-                d_w[:, :, i - 1] = prod
-            elif block.w_mode == WMode.CHANNEL_BROADCAST:
-                d_w[:, i - 1] = prod.sum(axis=0)
-            else:
-                d_w[i - 1] = prod.sum()
-            prod = np.multiply(g_p, combine_weight(block, i), out=prod)
+            d_w[..., i - 1] = prod.sum(axis=lead) if lead else prod   # sum(axis=()) drops -0.0
+            prod = np.multiply(g_p, block.weights[..., i - 1], out=prod)
             d_z[i - 1] = prod if d_z[i - 1] is None else np.add(d_z[i - 1], prod, out=d_z[i - 1])
             del prod
         else:
@@ -219,8 +213,10 @@ def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: i
     ``GradBundle`` labelled like ``params_fn(block)``, against central
     differences of ``forward_fn``.
 
-    The probed scalars are drawn uniformly from ``params_fn(block)`` and x,
-    each perturbed in place on a copy of the block and restored.
+    The probed scalars are drawn uniformly from the distinct arrays of
+    ``params_fn(block)`` and x, each perturbed in place on a copy of the block
+    and restored.  An array at several places is compared against the sum of
+    its labels' gradients.
     """
     rng = np.random.default_rng(seed)
     work = copy.deepcopy(block)
@@ -230,8 +226,13 @@ def vjp_gradcheck(forward_fn, vjp_fn, params_fn, block, x: np.ndarray, probes: i
     # difference noise on near-cancelled gradients inside the absolute floor
     g_up = rng.uniform(-1.0, 1.0, size=out.shape) * (0.01 / out.size)
     bundle = vjp_fn(work, trace, g_up)
-    targets = [(arr, bundle.by_label()[label]) for label, arr in params_fn(work)]
-    targets.append((xw, bundle.d_x))
+    # a difference moves an array at every place it sits, so the analytic
+    # gradient of an array is the sum of its labels' gradients
+    by_array: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for label, arr in params_fn(work):
+        g = bundle.grads[label]
+        by_array[id(arr)] = (arr, by_array[id(arr)][1] + g if id(arr) in by_array else g)
+    targets = [*by_array.values(), (xw, bundle.d_x)]
     base = out.copy()
 
     # centered loss: subtracting the base output cancels the large constant

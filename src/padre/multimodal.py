@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import _add_term, _require_finite, _uniform, cascade, features, random_mixer
+from .block import (PadreBlock, WMode, _add_term, _require_finite, _uniform, cascade, features,
+                    random_mixer)
 from .tensor import Mixer, ShapeError, Side
 
 
@@ -51,16 +52,12 @@ class MultimodalBlock:
 
     def __post_init__(self):
         d = self.degree
-        if d < 1:
-            raise ShapeError("degree must be >= 1")
-        if len(self.inter_token) != d - 1 or len(self.inter_channel) != d - 1:
-            raise ShapeError("need d-1 inter-degree mixer pairs")
         if not self.sequences:
             raise ShapeError("need at least one mode sequence")
         for mode, (tok, ch) in self.banks.items():
             if len(tok) != d or len(ch) != d:
                 raise ShapeError(f"mode {mode!r} needs {d} token and channel mixers")
-        for seq in self.sequences:
+        for s_idx, seq in enumerate(self.sequences):
             if len(seq) != d:
                 raise ShapeError(f"sequence {seq!r} length != degree {d}")
             unknown = set(seq) - set(self.modes)
@@ -68,6 +65,15 @@ class MultimodalBlock:
                 raise ShapeError(f"sequence uses unregistered modes {sorted(unknown)}")
             if len(self.modes) > 1 and len(set(seq)) < 2:
                 raise TrivialSequenceError(f"sequence {seq} has no cross-terms")
+            # a sequence is a PadreBlock: level i's bank mixers from mode seq[i], the
+            # shared inter mixers and its CHANNEL_BROADCAST weights; building it checks them
+            PadreBlock(
+                degree=d, n_tokens=self.n_out, n_channels=self.d_out,
+                token_mixers=[self.banks[m][0][i] for i, m in enumerate(seq)],
+                channel_mixers=[self.banks[m][1][i] for i, m in enumerate(seq)],
+                inter_token=self.inter_token, inter_channel=self.inter_channel,
+                w_mode=WMode.CHANNEL_BROADCAST, weights=self.weights[s_idx],
+                degree_mask=frozenset(range(1, d + 1)))
 
 
 @dataclass
@@ -108,7 +114,7 @@ def multimodal_forward(block: MultimodalBlock,
         taps.append(chain)
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):
-            out = _add_term(out, w[None, :, i], zi, own=False)   # the trace keeps each tap
+            out = _add_term(out, w[..., i], zi, own=False)   # the trace keeps each tap
     _require_finite(out, "P")
     return out, MultimodalTrace(taps=taps)
 

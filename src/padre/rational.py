@@ -217,9 +217,8 @@ def load_rational(path: str) -> RationalPadreBlock:
     return rational_from_records(read_records(path))
 
 
-def random_rational_block(n_tokens: int, n_channels: int, num_degree: int,
-                          den_degree: int, seed: int, epsilon: float = DEFAULT_EPS,
-                          square_denominator: bool = False) -> RationalPadreBlock:
+def random_rational_block(n_tokens: int, n_channels: int, num_degree: int, den_degree: int,
+                          seed: int, square_denominator: bool = False) -> RationalPadreBlock:
     """Seeded instance; the denominator bias is lifted away from zero so the
     unstabilized division is well posed on inputs in [-1, 1]."""
     rng = np.random.default_rng(seed)
@@ -232,5 +231,5 @@ def random_rational_block(n_tokens: int, n_channels: int, num_degree: int,
         bias_num=_uniform(rng, (n_tokens, n_channels), 1),
         w_den=_uniform(rng, (n_tokens, n_channels, e), 1) * 0.1,
         bias_den=DEN_BIAS_FLOOR + rng.uniform(0, 1, (n_tokens, n_channels)),
-        epsilon=epsilon, square_denominator=square_denominator,
+        square_denominator=square_denominator,
     )

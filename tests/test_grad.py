@@ -392,18 +392,28 @@ class TestGradcheck:
     def test_every_kind_and_degree(self, rng):
         seen = set()
         worst = 0.0
-        for deg in (1, 2, 3, 4):
-            for seed in range(3):
-                block = random_block(9, 4, deg, seed=100 + 10 * deg + seed,
-                                     with_bias=bool(seed == 1))
-                for m in (block.token_mixers + block.channel_mixers
-                          + block.inter_token + block.inter_channel):
-                    seen.add(m.kind)
-                x = rng.uniform(-1, 1, (9, 4))
-                rep = gradcheck(block, x, probes=200, seed=seed)
-                worst = max(worst, rep.max_rel_err)
-                assert rep.max_rel_err < 1e-5, (deg, seed, rep.max_rel_err)
+        cases = [(deg, seed, None) for deg in (1, 2, 3, 4) for seed in range(3)]
+        # top degrees masked out: the backward starts below them from dL/dZ = 0
+        cases += [(3, 0, frozenset({1})), (3, 1, frozenset({2})), (4, 2, frozenset({1, 2}))]
+        for deg, seed, mask in cases:
+            block = random_block(9, 4, deg, seed=100 + 10 * deg + seed,
+                                 with_bias=bool(seed == 1), degree_mask=mask)
+            for m in (block.token_mixers + block.channel_mixers
+                      + block.inter_token + block.inter_channel):
+                seen.add(m.kind)
+            x = rng.uniform(-1, 1, (9, 4))
+            rep = gradcheck(block, x, probes=200, seed=seed)
+            worst = max(worst, rep.max_rel_err)
+            assert rep.max_rel_err < 1e-5, (deg, seed, mask, rep.max_rel_err)
         assert seen == set(MixerKind), f"kinds not all covered: {seen}"
+
+    def test_an_array_at_two_places_is_checked_against_its_summed_gradient(self, rng):
+        # A1 (low-rank) also at C2: a difference moves the array at both places
+        block = random_block(6, 4, 3, seed=1)
+        block.inter_token[1] = block.token_mixers[0]
+        assert block.token_mixers[0].kind == MixerKind.LOW_RANK
+        rep = gradcheck(block, rng.uniform(-1, 1, (6, 4)), probes=300)
+        assert rep.passed, rep
 
     def test_with_resize_operators(self, rng):
         block = random_block(6, 4, 2, seed=3)

@@ -1,6 +1,7 @@
 """Cross-modal cascades: joint homogeneity and sequence validation."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,3 +113,28 @@ class TestValidation:
     def test_a_block_needs_a_sequence(self):
         with pytest.raises(ShapeError, match="at least one mode sequence"):
             build_multimodal({"a": (4, 3), "b": (4, 3)}, 4, 3, 2, [], seed=0)
+
+    @pytest.mark.parametrize("weights,error", [
+        (np.ones((3, 3)), ShapeError),      # a third degree column, ignored by the forward
+        (np.ones((3, 1)), ShapeError),
+        (np.ones((4, 2)), ShapeError),      # token x degree
+        (np.ones(3), ShapeError),
+        (np.full((3, 2), np.nan), NumericError),
+    ], ids=["3x3", "3x1", "4x2", "1d", "nan"])
+    def test_misshaped_weights_rejected_at_construction(self, weights, error):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        with pytest.raises(error):
+            replace(mm, weights={0: weights})
+
+    def test_swapped_bank_rejected_at_construction(self):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        tok, ch = mm.banks["b"]
+        with pytest.raises(ShapeError, match="token side"):
+            replace(mm, banks={**mm.banks, "b": (ch, tok)})
+
+    def test_inter_mixers_checked(self):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 3, ["aab"], seed=0)
+        with pytest.raises(ShapeError, match="inter-degree"):
+            replace(mm, inter_token=mm.inter_token[:1])
+        with pytest.raises(ShapeError, match="channel side"):
+            replace(mm, inter_channel=mm.inter_token)

@@ -186,6 +186,14 @@ class TestGradcheck:
         grads = rational_backward(block, tr, np.ones_like(out))
         assert all(np.isfinite(g).all() for g in [grads.d_x, *grads.by_label().values()])
 
+    def test_a_mixer_at_two_places_passes(self, rng):
+        # A1 (conv1d) also at A4, in the denominator; B1 (low-rank) also at B2
+        block = random_rational_block(5, 4, 2, 2, seed=4)
+        block.token_mixers[3] = block.token_mixers[0]
+        block.channel_mixers[1] = block.channel_mixers[0]
+        rep = rational_gradcheck(block, rng.uniform(-1, 1, (5, 4)), probes=300)
+        assert rep.passed, rep
+
 
 class TestBackwardContract:
     @pytest.mark.parametrize("square", [False, True], ids=["plain", "squared"])
