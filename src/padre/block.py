@@ -145,17 +145,20 @@ class PadreTrace:
     """Intermediates retained by ``forward`` for backprop and oracle taps.
 
     The cascade is kept as its mixed terms ``t_i = C_i Z_i D_i``, which the
-    backward reads; the taps ``Z_i`` are derived from them.  A trace serves
-    one ``grad.backward``, which consumes it: ``y``, ``y_raw`` and ``t``
-    end empty, so ``z`` returns ``[]``, and a second backward raises.
+    backward reads; the taps ``Z_i`` are derived from them.  A composed trace
+    (see ``forward``) holds ``v1 = Y_1 D_1`` and no Y_1 or Z_1: its ``y[0]``,
+    ``y_raw[0]`` and ``z[0]`` are None.  A trace serves one ``grad.backward``,
+    which consumes it: ``y``, ``y_raw`` and ``t`` end empty and ``v1`` None,
+    so ``z`` returns ``[]``, and a second backward raises.
     """
 
     x: np.ndarray
-    y_raw: list[np.ndarray]     # pre-normalization A_i X B_i
-    y: list[np.ndarray]
+    y_raw: list[np.ndarray | None]     # pre-normalization A_i X B_i
+    y: list[np.ndarray | None]
     t: list[np.ndarray]         # t_1..t_{d-1}
     pre_resize: np.ndarray
     output: np.ndarray
+    v1: np.ndarray | None = None
 
     def z_at(self, i: int) -> np.ndarray:
         """Z_i (from 1): Y_1, or ``t_{i-1} * Y_i``, the forward's own multiply."""
@@ -179,34 +182,65 @@ def _require_finite(a: np.ndarray, stage: str) -> None:
 
 
 def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
-             ledger: FlopLedger | None = None) -> list[np.ndarray]:
-    """The feature bank Y_i = A_i X B_i, channel map first."""
+             ledger: FlopLedger | None = None, first: int = 1) -> list[np.ndarray]:
+    """The feature bank Y_i = A_i X B_i, channel map first, numbered from ``first``."""
     ys = []
-    for i, (a, b) in enumerate(zip(token_mixers, channel_mixers)):
+    for i, (a, b) in enumerate(zip(token_mixers, channel_mixers), first):
         y = apply_mixer(a, apply_mixer(b, x, ledger), ledger)
-        _require_finite(y, f"Y[{i + 1}]")
+        _require_finite(y, f"Y[{i}]")
         ys.append(y)
     return ys
 
 
-def cascade(ys: list[np.ndarray], inter_token: list[Mixer], inter_channel: list[Mixer],
-            ts: list[np.ndarray], ledger: FlopLedger | None = None):
+def cascade(ys: list[np.ndarray | None], inter_token: list[Mixer], inter_channel: list[Mixer],
+            ts: list[np.ndarray], ledger: FlopLedger | None = None,
+            v1: np.ndarray | None = None):
     """The Hadamard cascade Z_1 = Y_1, Z_{i+1} = t_i * Y_{i+1}, t_i = C_i Z_i D_i.
 
     Yields Z_1..Z_d in order and appends each t_i to ``ts``.  Z_i is yielded
     once ``Z_i D_i`` is made, and the cascade keeps no reference to it after,
     so the consumer may overwrite a Z_i that it owns (i > 1) and free it.
+    Given ``v1 = Z_1 D_1`` (a composed chain; ``ys[0]`` is None), t_1 is ``C_1 v1``.
     """
-    z = ys[0]
+    z, zd = ys[0], v1
     for i, (c, dm) in enumerate(zip(inter_token, inter_channel)):
-        zd = apply_mixer(dm, z, ledger)
+        if zd is None:
+            zd = apply_mixer(dm, z, ledger)
         yield z
         del z
         ts.append(apply_mixer(c, zd, ledger))
-        del zd
+        zd = None
         z = hadamard(ts[-1], ys[i + 1], ledger)
         _require_finite(z, f"Z[{i + 2}]")
     yield z
+
+
+def _composes(block: PadreBlock) -> bool:
+    """Whether ``forward`` composes degree 1: it is not summed, ``normalize_y`` is
+    off, B_1 and D_1 are dense and N > D (so the D^3 of ``B_1 D_1`` costs less
+    than the N D^2 it saves).  A rule of the block alone, so batching changes no bit."""
+    return (1 not in block.degree_mask and not block.normalize_y
+            and block.n_tokens > block.n_channels
+            and block.channel_mixers[0].kind == block.inter_channel[0].kind == MixerKind.DENSE)
+
+
+def _composed_v1(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None) -> np.ndarray | None:
+    """``V_1 = A_1 X (B_1 D_1)``, or None for the general route: when the block
+    does not compose, or ``B_1 D_1`` or V_1 is not finite.  The ledger counts
+    B_1, A_1 and D_1 as applied."""
+    if not _composes(block):
+        return None
+    a, b, dm = block.token_mixers[0], block.channel_mixers[0], block.inter_channel[0]
+    e = b.matrix @ dm.matrix
+    if not np.isfinite(e).all():
+        return None
+    v1 = apply_mixer(a, x @ e)
+    if not np.isfinite(v1).all():
+        return None
+    if ledger is not None:
+        for m, cat in ((b, "channel_mix"), (a, "token_mix"), (dm, "channel_mix")):
+            ledger.add(cat, m.macs_per_vector() * (x.size // m.dim))
+    return v1
 
 
 def _add_term(p: np.ndarray | None, w, z: np.ndarray, own: bool) -> np.ndarray:
@@ -234,20 +268,31 @@ def forward(block: PadreBlock, x: np.ndarray,
     that its mixers give it: a float32 input through identity mixers keeps
     ``Y_i``, ``t_i`` and ``Z_i`` float32.  A non-finite stage raises
     ``NumericError`` with no numpy warning before it.
+
+    A block that does not sum degree 1 reads Y_1 only through ``t_1``, so when
+    ``_composes(block)`` the forward runs ``t_1 = C_1 V_1``, ``V_1 = A_1 X
+    (B_1 D_1)``: one N x D x D product for two, and the trace holds V_1.
+    Each output entry is within ``1e-13 M`` of the general route's on the
+    tested blocks, M being that entry on the moduli of x and the parameters;
+    a non-finite ``B_1 D_1`` or V_1 reruns the general route.  The ledger
+    counts operators, not routes.
     """
     if x.shape[-2:] != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "
                          f"{block.n_channels})")
     if x.dtype.kind in "biu":
         x = x.astype(np.float64)
-    y_raw = features(block.token_mixers, block.channel_mixers, x, ledger)
+    v1 = _composed_v1(block, x, ledger)
+    k = 0 if v1 is None else 1                 # a composed chain forms no Y_1
+    y_raw = [None] * k + features(block.token_mixers[k:], block.channel_mixers[k:], x,
+                                  ledger, first=k + 1)
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
     # P = 0 + sum W_i * Z_i in ascending degree order, summed in place as the
     # cascade runs; the trace keeps t_i, so each Z_i past Y_1 is dropped once
     # summed (counted by hand: enumerate's reused tuple would keep it alive)
     t: list[np.ndarray] = []
     p, i = None, 0
-    for z in cascade(y, block.inter_token, block.inter_channel, t, ledger):
+    for z in cascade(y, block.inter_token, block.inter_channel, t, ledger, v1):
         i += 1
         if i in block.degree_mask:
             p = _add_term(p, block.weights[..., i - 1], z, own=i > 1)
@@ -264,7 +309,7 @@ def forward(block: PadreBlock, x: np.ndarray,
             f, g = block.resize_left.shape[0], block.resize_right.shape[1]
             ledger.add("resize", f * p.size + f * (p.size // block.n_tokens) * g)
         _require_finite(out, "O")
-    return out, PadreTrace(x=x, y_raw=y_raw, y=y, t=t, pre_resize=p, output=out)
+    return out, PadreTrace(x=x, y_raw=y_raw, y=y, t=t, pre_resize=p, output=out, v1=v1)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,31 @@ def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int,
     return apply_mixer_transpose(t, h)
 
 
+def _chain_backward(block: PadreBlock, trace: PadreTrace, grads: list, out: dict) -> np.ndarray:
+    """``dL/dx`` of a composed trace's chain ``t_1 = C_1 V_1``, ``V_1 = A_1 X E``,
+    ``E = B_1 D_1``, from ``g = grads[1]``; dA_1, dB_1, dC_1 and dD_1 go into ``out``.
+
+    ``w = C_1^T g`` gives dC_1 from ``(V_1, g)`` and ``dE = X^T A_1^T w``, so
+    ``dB_1 = dE D_1^T`` and ``dD_1 = B_1^T dE``; ``h = w E^T`` gives dA_1 from
+    ``(X, h)`` and ``dL/dx = A_1^T h``: two N x D x D products, where two pair
+    backwards take four.  ``g`` and V_1 leave ``grads`` and the trace here.
+    """
+    a, b, c, dm = (block.token_mixers[0], block.channel_mixers[0], block.inter_token[0],
+                   block.inter_channel[0])
+    g, grads[1] = grads[1], None
+    v1, trace.v1 = trace.v1, None
+    w = apply_mixer_transpose(c, g)
+    d_c = mixer_param_grad(c, v1, g)
+    del g, v1
+    d_e = trace.x.T @ apply_mixer_transpose(a, w)
+    h = w @ (b.matrix @ dm.matrix).T
+    del w
+    for tag, parts in (("A1", mixer_param_grad(a, trace.x, h)), ("B1", {"mat": d_e @ dm.matrix.T}),
+                       ("C1", d_c), ("D1", {"mat": b.matrix.T @ d_e})):
+        out.update((f"{tag}.{pname}", arr) for pname, arr in parts.items())
+    return apply_mixer_transpose(a, h)
+
+
 def _upstream(upstream, output: np.ndarray) -> np.ndarray:
     """``upstream`` as float64, shaped like ``output`` and finite, or an error."""
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -119,10 +144,16 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     ``Z_i`` is recomputed once; each gradient buffer starts at its first
     contribution and, like each recomputed tensor, is freed once used.
 
+    A trace holding ``v1`` (see ``forward``), whatever the block's rule says
+    now, takes its chain ``C_1 A_1 X B_1 D_1`` through one ``_chain_backward``
+    for two pair backwards; each gradient entry is then within ``1e-13 S`` of
+    the general route's on the tested blocks, S being that entry on the moduli.
+
     A trace serves one backward: it is consumed, as autograd frees saved
     tensors.  Each ``t_i``, ``Y_i`` and raw ``Y_i`` leaves ``trace.t``,
     ``trace.y`` and ``trace.y_raw`` at its last use, and ``t_{i-1}``'s
-    buffer takes ``dL/dY_i``; the lists end empty, so ``trace.z`` is ``[]``.
+    buffer takes ``dL/dY_i``; the lists end empty and ``trace.v1`` None, so
+    ``trace.z`` is ``[]``.
     A trace without exactly ``d`` features and ``d - 1`` mixed terms, such as
     one already consumed, raises ShapeError before any arithmetic.
     """
@@ -151,6 +182,7 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     lead = tuple(range(block.w_mode))              # the axes of (N, D) that W drops
     d_z: list[np.ndarray | None] = [None] * d      # dL/dZ_i
     d_y: list[np.ndarray | None] = [None] * d
+    d_x = None
     z = trace.z_at(d) if d in block.degree_mask else None
     for i in range(d, 0, -1):
         if i in block.degree_mask:
@@ -172,15 +204,19 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
         d_y[i - 1] = np.multiply(d_z[i - 1], t, out=_own(t))
         del t
         d_z[i - 1] *= trace.y.pop()
+        if i == 2 and trace.v1 is not None:
+            d_x = _chain_backward(block, trace, d_z, grads)
+            break
         z = trace.z_at(i - 1)
         d_z[i - 2] = _pair_backward(block.inter_token[i - 2], block.inter_channel[i - 2],
                                     z, d_z, i - 1, grads, (f"C{i - 1}", f"D{i - 1}"))
     trace.y.pop()                                  # Y_1, the last cascade read
     d_y[0], d_z[0] = d_z[0], None
 
-    d_x = None                             # the feature bank Y_i = A_i X B_i
     for i, (a, b) in enumerate(zip(block.token_mixers, block.channel_mixers)):
-        if block.normalize_y:
+        if d_y[i] is None:                 # Y_1 of a composed chain, differentiated with it
+            continue
+        if block.normalize_y:              # the feature bank Y_i = A_i X B_i
             d_y[i] = _rms_backward(trace.y_raw.pop(0), d_y[i])
         g = _pair_backward(a, b, trace.x, d_y, i, grads, (f"A{i + 1}", f"B{i + 1}"))
         d_x = g if d_x is None else np.add(d_x, g, out=d_x)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .block import (PadreBlock, WMode, _add_term, _require_finite, _uniform, cascade, features,
                     random_mixer)
-from .tensor import Mixer, ShapeError, Side
+from .tensor import Mixer, NumericError, ShapeError, Side
 
 
 class TrivialSequenceError(ValueError):
@@ -57,6 +57,15 @@ class MultimodalBlock:
         for mode, (tok, ch) in self.banks.items():
             if len(tok) != d or len(ch) != d:
                 raise ShapeError(f"mode {mode!r} needs {d} token and channel mixers")
+        for mode, spec in self.modes.items():
+            # an absent projection is the identity, so its sides must already agree
+            for proj, (rows, cols) in ((spec.proj_left, (self.n_out, spec.n_in)),
+                                       (spec.proj_right, (spec.d_in, self.d_out))):
+                if not (rows == cols if proj is None else np.shape(proj) == (rows, cols)):
+                    raise ShapeError(f"mode {mode!r} does not project ({spec.n_in}, {spec.d_in}) "
+                                     f"to ({self.n_out}, {self.d_out})")
+                if proj is not None and not np.isfinite(proj).all():
+                    raise NumericError(f"proj[{mode}]", f"mode {mode!r}'s projection must be finite")
         for s_idx, seq in enumerate(self.sequences):
             if len(seq) != d:
                 raise ShapeError(f"sequence {seq!r} length != degree {d}")
@@ -65,6 +74,8 @@ class MultimodalBlock:
                 raise ShapeError(f"sequence uses unregistered modes {sorted(unknown)}")
             if len(self.modes) > 1 and len(set(seq)) < 2:
                 raise TrivialSequenceError(f"sequence {seq} has no cross-terms")
+            if s_idx not in self.weights:
+                raise ShapeError(f"no combine weights for sequence {s_idx} ({seq!r})")
             # a sequence is a PadreBlock: level i's bank mixers from mode seq[i], the
             # shared inter mixers and its CHANNEL_BROADCAST weights; building it checks them
             PadreBlock(
@@ -99,9 +110,6 @@ def multimodal_forward(block: MultimodalBlock,
             x = spec.proj_left @ x
         if spec.proj_right is not None:
             x = x @ spec.proj_right
-        if x.shape != (block.n_out, block.d_out):
-            raise ShapeError(f"mode {mode!r} projects to {x.shape}, expected "
-                             f"({block.n_out}, {block.d_out})")
         projected[mode] = x
 
     banks = {mode: features(tok, ch, projected[mode])

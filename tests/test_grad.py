@@ -267,6 +267,50 @@ class TestPairBackward:
         assert differs      # the patch did swap in the other order
 
 
+class TestComposedBackward:
+    """A composed trace's degree-1 chain goes through one ``_chain_backward``.
+
+    Stated bound: each gradient entry of the composed and the general route
+    agrees within ``1e-13 * S``, S being that entry of ``moduli_grads`` (as in
+    ``test_block.TestComposedRoute``).  Measured over these cases: at most
+    2.5e-18 * S.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n,layout", [(48, Seq1d()), (64, Grid(8, 8))], ids=["seq", "grid"])
+    def test_within_the_moduli_bound(self, monkeypatch, rng, n, layout, d):
+        block = build_conv_instance(n, 12, d, layout, seed=d)
+        x, g = rng.uniform(-1, 1, (2, n, 12))
+        got = grads_of(monkeypatch, None, block, x, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(block_mod, "_composes", lambda b: False)
+            want = grads_of(monkeypatch, None, block, x, g)
+            moduli = moduli_grads(monkeypatch, block, x, g)
+        assert set(got) == set(want)
+        for label, arr in want.items():
+            assert np.all(np.abs(got[label] - arr) <= 1e-13 * moduli[label]), label
+
+    @pytest.mark.parametrize("composed", [True, False], ids=["composed", "general"])
+    def test_the_trace_picks_the_route(self, monkeypatch, rng, composed):
+        # a trace is differentiated the way its forward ran, whatever the rule says now
+        block = build_conv_instance(48, 12, 3, Seq1d(), seed=2)
+        x, g = rng.uniform(-1, 1, (2, 48, 12))
+        with monkeypatch.context() as patch:
+            patch.setattr(block_mod, "_composes", lambda b: composed)
+            trace = forward(block, x)[1]
+            want = backward(block, forward(block, x)[1], g)
+        assert (trace.v1 is not None) == composed
+        with monkeypatch.context() as patch:
+            patch.setattr(block_mod, "_composes", lambda b: not composed)
+            got = backward(block, trace, g)
+        assert (trace.y, trace.y_raw, trace.t, trace.v1) == ([], [], [], None)
+        for label, arr in want.by_label().items():
+            assert got.by_label()[label].tobytes() == arr.tobytes(), label
+        assert got.d_x.tobytes() == want.d_x.tobytes()
+        with pytest.raises(ShapeError, match="was consumed"):
+            backward(block, trace, g)
+
+
 def peak_bytes(fn, *args) -> int:
     """Peak bytes that ``fn(*args)`` allocates above what is live when it starts;
     tracemalloc counts numpy's allocations exactly."""
@@ -287,12 +331,13 @@ class TestBackwardMemory:
     """``backward`` starts each gradient buffer at its first contribution and
     frees it, each recomputed tensor and each trace tensor once used."""
 
-    # The trace holds 2d copies of x (Y_1..Y_d, t_1..t_{d-1}, P) and the
-    # backward adds at most 2.25 more (two working buffers and conv scratch):
-    # forward + backward measured 6.07 / 8.29 / 10.31 |x| (seq) and
-    # 5.35 / 8.15 / 10.14 (grid) at d = 2 / 3 / 4.  A backward that keeps the
-    # whole trace to its end peaks at 7.49 / 10.62 / 13.74 and 7.20 / 10.24 /
-    # 13.27, above this bound at every d.
+    # The trace holds 2d copies of x (V_1 or Y_1, Y_2..Y_d, t_1..t_{d-1}, P)
+    # and the backward adds at most 2.25 more (two working buffers and conv
+    # scratch): forward + backward on the composed route measured
+    # 6.09 / 8.32 / 10.34 |x| (seq) and 5.35 / 8.13 / 10.13 (grid) at
+    # d = 2 / 3 / 4.  A backward that keeps the whole trace to its end peaks
+    # at 7.49 / 10.62 / 13.74 and 7.20 / 10.24 / 13.27, above this bound at
+    # every d.
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n,layout", [(256, Seq1d()), (1024, Grid(32, 32))],
                              ids=["seq", "grid"])

@@ -132,6 +132,32 @@ class TestValidation:
         with pytest.raises(ShapeError, match="token side"):
             replace(mm, banks={**mm.banks, "b": (ch, tok)})
 
+    def test_missing_sequence_weights_rejected_at_construction(self):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        with pytest.raises(ShapeError, match="no combine weights for sequence 0"):
+            replace(mm, weights={})
+
+    @pytest.mark.parametrize("spec", [
+        dict(proj_left=np.ones((4, 6))),              # inner size 6, the mode has 5 tokens
+        dict(proj_left=np.ones((3, 5))),              # to 3 tokens, the block has 4
+        dict(proj_right=np.ones((3, 3))),
+        dict(proj_left=None),                         # 5 tokens, unprojected
+        dict(proj_right=np.ones(3)),
+    ], ids=["left-inner", "left-outer", "right-inner", "left-absent", "right-1d"])
+    def test_misshaped_projection_rejected_at_construction(self, spec):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        with pytest.raises(ShapeError, match="does not project"):
+            replace(mm, modes={**mm.modes, "b": replace(mm.modes["b"], **spec)})
+
+    @pytest.mark.parametrize("side", ["proj_left", "proj_right"])
+    def test_non_finite_projection_names_its_mode(self, side):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        bad = getattr(mm.modes["b"], side).copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(NumericError) as exc:
+            replace(mm, modes={**mm.modes, "b": replace(mm.modes["b"], **{side: bad})})
+        assert exc.value.stage == "proj[b]"
+
     def test_inter_mixers_checked(self):
         mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 3, ["aab"], seed=0)
         with pytest.raises(ShapeError, match="inter-degree"):
