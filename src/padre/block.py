@@ -181,15 +181,18 @@ def _require_finite(a: np.ndarray, stage: str) -> None:
         raise NumericError(stage)
 
 
+def _first_nonfinite(stages) -> str | None:
+    """The name of the first non-finite array of ``(name, array)`` pairs
+    (None entries are skipped), or None when all are finite."""
+    return next((name for name, a in stages if a is not None and not np.isfinite(a).all()), None)
+
+
 def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
-             ledger: FlopLedger | None = None, first: int = 1) -> list[np.ndarray]:
-    """The feature bank Y_i = A_i X B_i, channel map first, numbered from ``first``."""
-    ys = []
-    for i, (a, b) in enumerate(zip(token_mixers, channel_mixers), first):
-        y = apply_mixer(a, apply_mixer(b, x, ledger), ledger)
-        _require_finite(y, f"Y[{i}]")
-        ys.append(y)
-    return ys
+             ledger: FlopLedger | None = None) -> list[np.ndarray]:
+    """The feature bank Y_i = A_i X B_i, channel map first.  Unchecked: a
+    non-finite Y_i that reaches P leaves P non-finite (see ``forward``)."""
+    return [apply_mixer(a, apply_mixer(b, x, ledger), ledger)
+            for a, b in zip(token_mixers, channel_mixers)]
 
 
 def cascade(ys: list[np.ndarray | None], inter_token: list[Mixer], inter_channel: list[Mixer],
@@ -201,6 +204,7 @@ def cascade(ys: list[np.ndarray | None], inter_token: list[Mixer], inter_channel
     once ``Z_i D_i`` is made, and the cascade keeps no reference to it after,
     so the consumer may overwrite a Z_i that it owns (i > 1) and free it.
     Given ``v1 = Z_1 D_1`` (a composed chain; ``ys[0]`` is None), t_1 is ``C_1 v1``.
+    Unchecked, like ``features``.
     """
     z, zd = ys[0], v1
     for i, (c, dm) in enumerate(zip(inter_token, inter_channel)):
@@ -211,7 +215,6 @@ def cascade(ys: list[np.ndarray | None], inter_token: list[Mixer], inter_channel
         ts.append(apply_mixer(c, zd, ledger))
         zd = None
         z = hadamard(ts[-1], ys[i + 1], ledger)
-        _require_finite(z, f"Z[{i + 2}]")
     yield z
 
 
@@ -226,21 +229,18 @@ def _composes(block: PadreBlock) -> bool:
 
 def _composed_v1(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None) -> np.ndarray | None:
     """``V_1 = A_1 X (B_1 D_1)``, or None for the general route: when the block
-    does not compose, or ``B_1 D_1`` or V_1 is not finite.  The ledger counts
-    B_1, A_1 and D_1 as applied."""
+    does not compose or ``B_1 D_1`` is not finite (V_1 reaches P, which
+    ``forward`` checks).  The ledger counts B_1, A_1 and D_1 as applied."""
     if not _composes(block):
         return None
     a, b, dm = block.token_mixers[0], block.channel_mixers[0], block.inter_channel[0]
     e = b.matrix @ dm.matrix
     if not np.isfinite(e).all():
         return None
-    v1 = apply_mixer(a, x @ e)
-    if not np.isfinite(v1).all():
-        return None
     if ledger is not None:
         for m, cat in ((b, "channel_mix"), (a, "token_mix"), (dm, "channel_mix")):
             ledger.add(cat, m.macs_per_vector() * (x.size // m.dim))
-    return v1
+    return apply_mixer(a, x @ e)
 
 
 def _add_term(p: np.ndarray | None, w, z: np.ndarray, own: bool) -> np.ndarray:
@@ -256,6 +256,15 @@ def _add_term(p: np.ndarray | None, w, z: np.ndarray, own: bool) -> np.ndarray:
     return p
 
 
+def _raise_first(trace: PadreTrace):
+    """Raise ``NumericError`` at the first non-finite stage of a forward's
+    trace, in the order the forward made them: raw Y_1..Y_d, then Z_2..Z_d
+    through ``z_at``; at P when every one is finite."""
+    ys = [(f"Y[{i}]", y) for i, y in enumerate(trace.y_raw, 1)]
+    zs = [(f"Z[{i}]", trace.z_at(i)) for i in range(2, len(trace.y) + 1)]
+    raise NumericError(_first_nonfinite(ys + zs) or "P")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def forward(block: PadreBlock, x: np.ndarray,
             ledger: FlopLedger | None = None) -> tuple[np.ndarray, PadreTrace]:
@@ -266,42 +275,68 @@ def forward(block: PadreBlock, x: np.ndarray,
     Bool and integer inputs are cast to float64 first, and the output is
     float64 whatever the input's float dtype.  A trace tensor takes the dtype
     that its mixers give it: a float32 input through identity mixers keeps
-    ``Y_i``, ``t_i`` and ``Z_i`` float32.  A non-finite stage raises
-    ``NumericError`` with no numpy warning before it.
+    ``Y_i``, ``t_i`` and ``Z_i`` float32.
+
+    A non-finite stage raises ``NumericError`` naming it, with no numpy
+    warning before it.  Finiteness is checked once, at P (and at O after a
+    resize): under IEEE 754 an inf or NaN stays non-finite through a
+    product, a sum or a linear map with finite coefficients (``0 * inf`` is
+    NaN), and every Y_i and Z_i up to the top summed degree reaches P that
+    way.  Only when P fails does the forward walk its trace, raw Y_1..Y_d
+    then Z_2..Z_d, and name the first non-finite stage (P when there is
+    none).  Stages above the top summed degree cannot reach P, but every
+    stage reaches Z_d, so a block that does not sum degree d checks Z_d too.
 
     A block that does not sum degree 1 reads Y_1 only through ``t_1``, so when
     ``_composes(block)`` the forward runs ``t_1 = C_1 V_1``, ``V_1 = A_1 X
     (B_1 D_1)``: one N x D x D product for two, and the trace holds V_1.
     Each output entry is within ``1e-13 M`` of the general route's on the
-    tested blocks, M being that entry on the moduli of x and the parameters;
-    a non-finite ``B_1 D_1`` or V_1 reruns the general route.  The ledger
-    counts operators, not routes.
+    tested blocks, M being that entry on the moduli of x and the parameters.
+    A non-finite ``B_1 D_1``, or a composed forward that fails its check,
+    reruns the general route, which names the stage; so the routes differ in
+    one case only: a composed block whose Y_1 alone would overflow returns
+    its finite output.  The ledger counts operators, not routes.
     """
     if x.shape[-2:] != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "
                          f"{block.n_channels})")
     if x.dtype.kind in "biu":
         x = x.astype(np.float64)
+    counted = None if ledger is None else vars(ledger).copy()
     v1 = _composed_v1(block, x, ledger)
+    if v1 is not None:
+        try:
+            return _stages(block, x, ledger, v1)
+        except NumericError:
+            if ledger is not None:          # the rerun counts the block once
+                vars(ledger).update(counted)
+    return _stages(block, x, ledger, None)
+
+
+def _stages(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None,
+            v1: np.ndarray | None) -> tuple[np.ndarray, PadreTrace]:
+    """``forward``'s stages, on the composed route when given ``v1``."""
     k = 0 if v1 is None else 1                 # a composed chain forms no Y_1
-    y_raw = [None] * k + features(block.token_mixers[k:], block.channel_mixers[k:], x,
-                                  ledger, first=k + 1)
+    y_raw = [None] * k + features(block.token_mixers[k:], block.channel_mixers[k:], x, ledger)
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
+    trace = PadreTrace(x=x, y_raw=y_raw, y=y, t=[], pre_resize=None, output=None, v1=v1)
     # P = 0 + sum W_i * Z_i in ascending degree order, summed in place as the
     # cascade runs; the trace keeps t_i, so each Z_i past Y_1 is dropped once
     # summed (counted by hand: enumerate's reused tuple would keep it alive)
-    t: list[np.ndarray] = []
     p, i = None, 0
-    for z in cascade(y, block.inter_token, block.inter_channel, t, ledger, v1):
+    for z in cascade(y, block.inter_token, block.inter_channel, trace.t, ledger, v1):
         i += 1
         if i in block.degree_mask:
             p = _add_term(p, block.weights[..., i - 1], z, own=i > 1)
+        elif i == block.degree and not np.isfinite(z).all():
+            _raise_first(trace)                # an unsummed Z_d: what P may not see
         del z
     if block.bias is not None:
         p += block.bias
     if ledger is not None:
         ledger.add("combine", len(block.degree_mask) * x.size)
-    _require_finite(p, "P")
+    if not np.isfinite(p).all():
+        _raise_first(trace)
     out = p
     if block.resize_left is not None:
         out = block.resize_left @ p @ block.resize_right
@@ -309,7 +344,8 @@ def forward(block: PadreBlock, x: np.ndarray,
             f, g = block.resize_left.shape[0], block.resize_right.shape[1]
             ledger.add("resize", f * p.size + f * (p.size // block.n_tokens) * g)
         _require_finite(out, "O")
-    return out, PadreTrace(x=x, y_raw=y_raw, y=y, t=t, pre_resize=p, output=out, v1=v1)
+    trace.pre_resize, trace.output = p, out
+    return out, trace
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 when any verification fails, 2 on usage errors.
 Usage errors are found before any work is timed or printed: bad flag values,
-an unreadable or invalid ``expand --config`` document, a block beyond the
-oracle's caps, and ``bench`` schemes, N values, ``--fits-out`` requests or
-output paths that cannot all be met.
+an unreadable or invalid ``expand --config`` document, a ``normalize_y``
+block (not a polynomial), a block beyond the oracle's caps, and ``bench``
+schemes, N values, ``--fits-out`` requests or output paths that cannot all
+be met.
 ``PADRE_SEED`` in the environment overrides ``--seed`` everywhere; ``expand
 --config`` takes its seed from the config.
 """
@@ -155,6 +156,8 @@ def _cmd_expand(args) -> int:
             with open(args.config, encoding="utf-8") as f:
                 cfg = config_from_json(f.read())
             block = block_from_config(cfg)
+            if block.normalize_y:            # dividing by a row's RMS is not polynomial
+                raise ValueError("a normalize_y block is not a polynomial, so it has no expansion")
             args.n, args.channels = block.n_tokens, block.n_channels
             args.degree, args.seed = block.degree, cfg.get("seed", 0)   # as the block was built
         else:

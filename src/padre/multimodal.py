@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (PadreBlock, WMode, _add_term, _require_finite, _uniform, cascade, features,
+from .block import (PadreBlock, WMode, _add_term, _first_nonfinite, _uniform, cascade, features,
                     random_mixer)
 from .tensor import Mixer, NumericError, ShapeError, Side
 
@@ -96,7 +96,14 @@ class MultimodalTrace:
 def multimodal_forward(block: MultimodalBlock,
                        inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, MultimodalTrace]:
     """Combine every sequence's cascade; a non-finite stage raises ``NumericError``
-    with no numpy warning before it."""
+    with no numpy warning before it.
+
+    As in ``forward``, finiteness is checked once, at P: every chain sums all
+    its taps, so a non-finite bank level or tap that a sequence reads leaves
+    P non-finite.  Only then are the banks walked, mode by mode Y_1..Y_d, and
+    then each sequence's Z_2..Z_d, to name the first non-finite stage.  A
+    bank level that no sequence reads cannot reach P and is checked when made.
+    """
     missing = set(block.modes) - set(inputs)
     if missing:
         raise MissingModeError(f"missing inputs for modes {sorted(missing)}")
@@ -114,6 +121,11 @@ def multimodal_forward(block: MultimodalBlock,
 
     banks = {mode: features(tok, ch, projected[mode])
              for mode, (tok, ch) in block.banks.items()}
+    bank_stages = [(f"Y[{i}]", y) for bank in banks.values() for i, y in enumerate(bank, 1)]
+    read = {(label, i) for seq in block.sequences for i, label in enumerate(seq)}
+    if any(not np.isfinite(y).all() for mode, bank in banks.items()
+           for i, y in enumerate(bank) if (mode, i) not in read):
+        raise NumericError(_first_nonfinite(bank_stages))
     out = None
     taps: list[list[np.ndarray]] = []
     for s_idx, seq in enumerate(block.sequences):
@@ -123,7 +135,9 @@ def multimodal_forward(block: MultimodalBlock,
         w = block.weights[s_idx]
         for i, zi in enumerate(chain):
             out = _add_term(out, w[..., i], zi, own=False)   # the trace keeps each tap
-    _require_finite(out, "P")
+    if not np.isfinite(out).all():
+        chains = [(f"Z[{i}]", z) for chain in taps for i, z in enumerate(chain[1:], 2)]
+        raise NumericError(_first_nonfinite(bank_stages + chains) or "P")
     return out, MultimodalTrace(taps=taps)
 
 

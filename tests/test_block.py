@@ -305,6 +305,26 @@ class TestComposedRoute:
         assert got == want
         assert isinstance(got[0], bytes) == (scale < 1e-200)
 
+    def test_failed_check_reruns_and_counts_once(self, monkeypatch):
+        # rows (a, a) times B_1's rows (1, 1) and (-1, -1) cancel to 0 on the general
+        # route, but X (B_1 D_1) sums a * 2e300 - a * 2e300 = inf - inf: the composed
+        # P is NaN, so the forward reruns the general route, which is finite
+        conv = build_conv_instance(48, 2, 2, Seq1d(), seed=0)
+        block = replace(conv, channel_mixers=[Mixer.dense(Side.CHANNEL, np.array([[1.0, 1.0],
+                                                                                  [-1.0, -1.0]])),
+                                              conv.channel_mixers[1]],
+                        inter_channel=[Mixer.dense(Side.CHANNEL, np.full((2, 2), 1e300))])
+        x = np.full((48, 2), 1e10)
+        composed, general = FlopLedger(), FlopLedger()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, trace = forward(block, x, composed)
+        with monkeypatch.context() as patch:
+            patch.setattr(block_mod, "_composes", lambda b: False)
+            want, _ = forward(block, x, general)
+        assert trace.v1 is None and got.tobytes() == want.tobytes()
+        assert vars(composed) == vars(general)
+
 
 class TestConstructor:
     @pytest.mark.parametrize("change,error", [

@@ -111,8 +111,10 @@ class TestExpand:
         (None, "No such file or directory"),
         ('{"degree": 2, "N": 2,', "Expecting property name"),
         ("[2, 2, 1]", "a config is a JSON object, not list"),
+        ('{"degree": 2, "N": 2, "D": 2, "normalize_y": true, "degree_mask": [1, 2]}',
+         "a normalize_y block is not a polynomial"),
     ], ids=["shape-error", "layout-error", "size-cap-error", "beyond-oracle-caps",
-            "missing-file", "malformed-json", "not-an-object"])
+            "missing-file", "malformed-json", "not-an-object", "not-polynomial"])
     def test_bad_config_is_a_usage_error(self, document, message, capsys, tmp_path):
         cfg_path = tmp_path / "block.json"
         if document is not None:
