@@ -170,21 +170,34 @@ class PadreTrace:
         return [self.z_at(i) for i in range(1, len(self.y) + 1)]
 
 
+def _row_rms(y: np.ndarray, power: int = 1):
+    """``(u, s, c)`` per row of ``y``: ``u = y / c`` and ``s = sqrt(mean(u^2) +
+    RMS_EPS / c^2)``, so that ``u / s`` is the row over its RMS.
+
+    c is 1, and every bit is the plain formula's, unless ``D s^power`` would
+    overflow on a row of D values; then c is the row's largest modulus and the
+    ``RMS_EPS / c^2`` term, below 1e-200 for a finite row there, is dropped.
+    """
+    with np.errstate(over="ignore"):
+        s = np.sqrt(np.mean(y * y, axis=-1, keepdims=True) + RMS_EPS)
+        big = np.isinf(y.shape[-1] * s ** power)
+    if not big.any():
+        return y, s, 1.0
+    c = np.where(big, np.abs(y).max(axis=-1, keepdims=True), 1.0)
+    u = y / c
+    return u, np.where(big, np.sqrt(np.mean(u * u, axis=-1, keepdims=True)), s), c
+
+
 def rms_normalize_rows(y: np.ndarray) -> np.ndarray:
-    """Divide each row by sqrt(mean of squares + RMS_EPS); zero rows stay zero."""
-    scale = np.sqrt(np.mean(y * y, axis=-1, keepdims=True) + RMS_EPS)
-    return y / scale
+    """Divide each row by sqrt(mean of squares + RMS_EPS), squares that overflow
+    included (``_row_rms``); zero rows stay zero."""
+    u, s, _ = _row_rms(y)
+    return u / s
 
 
 def _require_finite(a: np.ndarray, stage: str) -> None:
     if not np.isfinite(a).all():
         raise NumericError(stage)
-
-
-def _first_nonfinite(stages) -> str | None:
-    """The name of the first non-finite array of ``(name, array)`` pairs
-    (None entries are skipped), or None when all are finite."""
-    return next((name for name, a in stages if a is not None and not np.isfinite(a).all()), None)
 
 
 def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
@@ -204,7 +217,7 @@ def cascade(ys: list[np.ndarray | None], inter_token: list[Mixer], inter_channel
     once ``Z_i D_i`` is made, and the cascade keeps no reference to it after,
     so the consumer may overwrite a Z_i that it owns (i > 1) and free it.
     Given ``v1 = Z_1 D_1`` (a composed chain; ``ys[0]`` is None), t_1 is ``C_1 v1``.
-    Unchecked, like ``features``.
+    Unchecked, like ``features``; its one caller is ``_stages``.
     """
     z, zd = ys[0], v1
     for i, (c, dm) in enumerate(zip(inter_token, inter_channel)):
@@ -243,32 +256,19 @@ def _composed_v1(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None) ->
     return apply_mixer(a, x @ e)
 
 
-def _add_term(p: np.ndarray | None, w, z: np.ndarray, own: bool) -> np.ndarray:
-    """``p + w * z`` in place, or ``0 + w * z`` when ``p`` is None; ``w * z``
-    goes into ``z`` when it is ``own``ed and no cast intervenes.  Adding 0.0
-    keeps the zero-started sum's bits, as ``0.0 + (-0.0)`` is ``+0.0``."""
-    fits = own and np.result_type(w, z) == z.dtype and (p is None or p.dtype == z.dtype)
-    if p is None:
-        p = np.multiply(w, z, out=z if fits else None)
-        p += 0.0
-    else:
-        p += np.multiply(w, z, out=z if fits else np.empty_like(p))
-    return p
-
-
 def _raise_first(trace: PadreTrace):
     """Raise ``NumericError`` at the first non-finite stage of a forward's
     trace, in the order the forward made them: raw Y_1..Y_d, then Z_2..Z_d
     through ``z_at``; at P when every one is finite."""
-    ys = [(f"Y[{i}]", y) for i, y in enumerate(trace.y_raw, 1)]
-    zs = [(f"Z[{i}]", trace.z_at(i)) for i in range(2, len(trace.y) + 1)]
-    raise NumericError(_first_nonfinite(ys + zs) or "P")
+    stages = [(f"Y[{i}]", y) for i, y in enumerate(trace.y_raw, 1) if y is not None]
+    stages += [(f"Z[{i}]", trace.z_at(i)) for i in range(2, len(trace.y) + 1)]
+    raise NumericError(next((name for name, a in stages if not np.isfinite(a).all()), "P"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def forward(block: PadreBlock, x: np.ndarray,
             ledger: FlopLedger | None = None) -> tuple[np.ndarray, PadreTrace]:
-    """Run the block; returns the output and the full stage trace.
+    """Run the block, ``features`` then ``_stages``; returns the output and the stage trace.
 
     ``x`` is ``(..., N, D)``: each sample along the leading batch axes gives
     bit for bit what it gives alone, and the ledger counts every sample.
@@ -305,36 +305,43 @@ def forward(block: PadreBlock, x: np.ndarray,
     counted = None if ledger is None else vars(ledger).copy()
     v1 = _composed_v1(block, x, ledger)
     if v1 is not None:
+        y_raw = [None] + features(block.token_mixers[1:], block.channel_mixers[1:], x, ledger)
         try:
-            return _stages(block, x, ledger, v1)
+            return _stages(block, x, y_raw, ledger, v1)
         except NumericError:
             if ledger is not None:          # the rerun counts the block once
                 vars(ledger).update(counted)
-    return _stages(block, x, ledger, None)
+    return _stages(block, x, features(block.token_mixers, block.channel_mixers, x, ledger), ledger)
 
 
-def _stages(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None,
-            v1: np.ndarray | None) -> tuple[np.ndarray, PadreTrace]:
-    """``forward``'s stages, on the composed route when given ``v1``."""
-    k = 0 if v1 is None else 1                 # a composed chain forms no Y_1
-    y_raw = [None] * k + features(block.token_mixers[k:], block.channel_mixers[k:], x, ledger)
+def _stages(block: PadreBlock, x: np.ndarray | None, y_raw: list[np.ndarray | None],
+            ledger: FlopLedger | None = None,
+            v1: np.ndarray | None = None) -> tuple[np.ndarray, PadreTrace]:
+    """``forward`` from the raw feature bank ``y_raw`` on (Y_1 None and ``v1``
+    given on the composed route): the cascade, the combine with its one check
+    of P, and the resize.  ``x`` only goes into the trace; a multimodal chain,
+    whose levels come from several inputs, passes None."""
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
     trace = PadreTrace(x=x, y_raw=y_raw, y=y, t=[], pre_resize=None, output=None, v1=v1)
-    # P = 0 + sum W_i * Z_i in ascending degree order, summed in place as the
-    # cascade runs; the trace keeps t_i, so each Z_i past Y_1 is dropped once
-    # summed (counted by hand: enumerate's reused tuple would keep it alive)
+    # P = 0 + sum W_i * Z_i in ascending degree order, summed in place as the cascade
+    # runs: the trace keeps t_i, so W_i * Z_i goes into Z_i past Y_1 unless a cast
+    # intervenes, and each step lets go of Z_i (i is counted by hand, as enumerate's
+    # reused tuple would hold it).  Adding 0.0 keeps a zero-started sum's bits (+0.0)
     p, i = None, 0
     for z in cascade(y, block.inter_token, block.inter_channel, trace.t, ledger, v1):
         i += 1
         if i in block.degree_mask:
-            p = _add_term(p, block.weights[..., i - 1], z, own=i > 1)
+            w = block.weights[..., i - 1]
+            own = i > 1 and np.result_type(w, z) == z.dtype and (p is None or p.dtype == z.dtype)
+            term = np.multiply(w, z, out=z if own else (None if p is None else np.empty_like(p)))
+            p = np.add(term, 0.0, out=term) if p is None else np.add(p, term, out=p)
         elif i == block.degree and not np.isfinite(z).all():
             _raise_first(trace)                # an unsummed Z_d: what P may not see
-        del z
+        z = term = None
     if block.bias is not None:
         p += block.bias
     if ledger is not None:
-        ledger.add("combine", len(block.degree_mask) * x.size)
+        ledger.add("combine", len(block.degree_mask) * p.size)
     if not np.isfinite(p).all():
         _raise_first(trace)
     out = p

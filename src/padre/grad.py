@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (
-    PadreBlock,
-    PadreTrace,
-    RMS_EPS,
-    _require_finite,
-    forward,
-    iter_parameters,
-)
+from .block import PadreBlock, PadreTrace, _require_finite, _row_rms, forward, iter_parameters
 from .tensor import (
     Mixer,
     MixerKind,
@@ -63,10 +56,12 @@ def mixer_param_grad(m: Mixer, x_in: np.ndarray, g_out: np.ndarray) -> dict[str,
 
 
 def _rms_backward(m_pre: np.ndarray, g: np.ndarray) -> np.ndarray:
-    dch = m_pre.shape[1]
-    s = np.sqrt(np.mean(m_pre * m_pre, axis=1, keepdims=True) + RMS_EPS)
-    dot = np.sum(g * m_pre, axis=1, keepdims=True)
-    return g / s - m_pre * dot / (dch * s ** 3)
+    """dL/dm of ``rms_normalize_rows(m)`` from ``g``: ``g / s - m <g, m> / (D s^3)``
+    per row.  A row whose ``D s^3`` would overflow takes it on ``m / c`` and
+    divides by c (``_row_rms``), which is the same value."""
+    m, s, c = _row_rms(m_pre, 3)
+    dot = np.sum(g * m, axis=1, keepdims=True)
+    return (g / s - m * dot / (m.shape[1] * s ** 3)) / c
 
 
 def _pair_backward(t: Mixer, m: Mixer, u: np.ndarray, grads: list, i: int,
@@ -95,25 +90,24 @@ def _chain_backward(block: PadreBlock, trace: PadreTrace, grads: list, out: dict
     """``dL/dx`` of a composed trace's chain ``t_1 = C_1 V_1``, ``V_1 = A_1 X E``,
     ``E = B_1 D_1``, from ``g = grads[1]``; dA_1, dB_1, dC_1 and dD_1 go into ``out``.
 
-    ``w = C_1^T g`` gives dC_1 from ``(V_1, g)`` and ``dE = X^T A_1^T w``, so
-    ``dB_1 = dE D_1^T`` and ``dD_1 = B_1^T dE``; ``h = w E^T`` gives dA_1 from
-    ``(X, h)`` and ``dL/dx = A_1^T h``: two N x D x D products, where two pair
-    backwards take four.  ``g`` and V_1 leave ``grads`` and the trace here.
+    ``w = C_1^T g`` gives dC_1 from ``(V_1, g)``; the pair ``A_1 X E``, E as a
+    dense channel mixer, takes ``w`` through ``_pair_backward`` to dA_1, dE and
+    ``dL/dx``; and dE splits into ``dB_1 = dE D_1^T`` and ``dD_1 = B_1^T dE``.
+    That is two N x D x D products, where two pair backwards take four.
+    ``g`` and V_1 leave ``grads`` and the trace here.
     """
     a, b, c, dm = (block.token_mixers[0], block.channel_mixers[0], block.inter_token[0],
                    block.inter_channel[0])
-    g, grads[1] = grads[1], None
+    g = grads[1]
     v1, trace.v1 = trace.v1, None
-    w = apply_mixer_transpose(c, g)
-    d_c = mixer_param_grad(c, v1, g)
+    grads[1] = apply_mixer_transpose(c, g)
+    out.update((f"C1.{pname}", arr) for pname, arr in mixer_param_grad(c, v1, g).items())
     del g, v1
-    d_e = trace.x.T @ apply_mixer_transpose(a, w)
-    h = w @ (b.matrix @ dm.matrix).T
-    del w
-    for tag, parts in (("A1", mixer_param_grad(a, trace.x, h)), ("B1", {"mat": d_e @ dm.matrix.T}),
-                       ("C1", d_c), ("D1", {"mat": b.matrix.T @ d_e})):
-        out.update((f"{tag}.{pname}", arr) for pname, arr in parts.items())
-    return apply_mixer_transpose(a, h)
+    e = Mixer.dense(Side.CHANNEL, b.matrix @ dm.matrix)
+    d_x = _pair_backward(a, e, trace.x, grads, 1, out, ("A1", "E"))
+    d_e = out.pop("E.mat")
+    out.update({"B1.mat": d_e @ dm.matrix.T, "D1.mat": b.matrix.T @ d_e})
+    return d_x
 
 
 def _upstream(upstream, output: np.ndarray) -> np.ndarray:

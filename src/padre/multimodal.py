@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (PadreBlock, WMode, _add_term, _first_nonfinite, _uniform, cascade, features,
-                    random_mixer)
+from .block import PadreBlock, WMode, _stages, _uniform, features, random_mixer
 from .tensor import Mixer, NumericError, ShapeError, Side
 
 
@@ -76,15 +75,21 @@ class MultimodalBlock:
                 raise TrivialSequenceError(f"sequence {seq} has no cross-terms")
             if s_idx not in self.weights:
                 raise ShapeError(f"no combine weights for sequence {s_idx} ({seq!r})")
-            # a sequence is a PadreBlock: level i's bank mixers from mode seq[i], the
-            # shared inter mixers and its CHANNEL_BROADCAST weights; building it checks them
-            PadreBlock(
-                degree=d, n_tokens=self.n_out, n_channels=self.d_out,
-                token_mixers=[self.banks[m][0][i] for i, m in enumerate(seq)],
-                channel_mixers=[self.banks[m][1][i] for i, m in enumerate(seq)],
-                inter_token=self.inter_token, inter_channel=self.inter_channel,
-                w_mode=WMode.CHANNEL_BROADCAST, weights=self.weights[s_idx],
-                degree_mask=frozenset(range(1, d + 1)))
+        chain_blocks(self)      # the chains check the banks, inter mixers and weights
+
+
+def chain_blocks(block: MultimodalBlock) -> list[PadreBlock]:
+    """Each sequence as a ``PadreBlock`` over the block's own arrays: level i's
+    bank mixers from mode ``seq[i]``, the shared inter-degree mixers, the
+    sequence's CHANNEL_BROADCAST weights, and every degree in the mask."""
+    return [PadreBlock(
+        degree=block.degree, n_tokens=block.n_out, n_channels=block.d_out,
+        token_mixers=[block.banks[m][0][i] for i, m in enumerate(seq)],
+        channel_mixers=[block.banks[m][1][i] for i, m in enumerate(seq)],
+        inter_token=block.inter_token, inter_channel=block.inter_channel,
+        w_mode=WMode.CHANNEL_BROADCAST, weights=block.weights[s_idx],
+        degree_mask=frozenset(range(1, block.degree + 1)))
+        for s_idx, seq in enumerate(block.sequences)]
 
 
 @dataclass
@@ -95,14 +100,17 @@ class MultimodalTrace:
 @np.errstate(over="ignore", invalid="ignore")
 def multimodal_forward(block: MultimodalBlock,
                        inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, MultimodalTrace]:
-    """Combine every sequence's cascade; a non-finite stage raises ``NumericError``
-    with no numpy warning before it.
+    """Sum every sequence's chain (``chain_blocks``), each run through
+    ``forward``'s stages; returns the sum and each chain's taps Z_1..Z_d.
 
-    As in ``forward``, finiteness is checked once, at P: every chain sums all
-    its taps, so a non-finite bank level or tap that a sequence reads leaves
-    P non-finite.  Only then are the banks walked, mode by mode Y_1..Y_d, and
-    then each sequence's Z_2..Z_d, to name the first non-finite stage.  A
-    bank level that no sequence reads cannot reach P and is checked when made.
+    Each bank level that a sequence reads is made once, through
+    ``block.features``; a level that no sequence reads is not made.  A
+    non-finite stage raises ``NumericError`` with no numpy warning before it:
+    sequence by sequence, the first non-finite raw Y_i it reads, Z_2..Z_d or
+    its P, as ``forward`` names them; then P, the sum.  Against one running
+    sum of all weighted taps only the order of the additions differs: each
+    entry is within ``2 n u S`` of it, for n taps, unit roundoff u and S the
+    sum of the weighted taps' moduli.
     """
     missing = set(block.modes) - set(inputs)
     if missing:
@@ -118,26 +126,16 @@ def multimodal_forward(block: MultimodalBlock,
         if spec.proj_right is not None:
             x = x @ spec.proj_right
         projected[mode] = x
-
-    banks = {mode: features(tok, ch, projected[mode])
-             for mode, (tok, ch) in block.banks.items()}
-    bank_stages = [(f"Y[{i}]", y) for bank in banks.values() for i, y in enumerate(bank, 1)]
-    read = {(label, i) for seq in block.sequences for i, label in enumerate(seq)}
-    if any(not np.isfinite(y).all() for mode, bank in banks.items()
-           for i, y in enumerate(bank) if (mode, i) not in read):
-        raise NumericError(_first_nonfinite(bank_stages))
-    out = None
-    taps: list[list[np.ndarray]] = []
-    for s_idx, seq in enumerate(block.sequences):
-        ys = [banks[label][i] for i, label in enumerate(seq)]
-        chain = list(cascade(ys, block.inter_token, block.inter_channel, []))
-        taps.append(chain)
-        w = block.weights[s_idx]
-        for i, zi in enumerate(chain):
-            out = _add_term(out, w[..., i], zi, own=False)   # the trace keeps each tap
+    # (m, i): the raw level Y_{i+1} of mode m's bank, made once if a sequence reads it
+    ys = {(m, i): features(block.banks[m][0][i:i + 1], block.banks[m][1][i:i + 1], projected[m])[0]
+          for m, i in dict.fromkeys((m, i) for seq in block.sequences for i, m in enumerate(seq))}
+    out, taps = None, []
+    for seq, chain in zip(block.sequences, chain_blocks(block)):
+        p, trace = _stages(chain, None, [ys[mode, i] for i, mode in enumerate(seq)])
+        taps.append(trace.z)
+        out = p if out is None else np.add(out, p, out=out)
     if not np.isfinite(out).all():
-        chains = [(f"Z[{i}]", z) for chain in taps for i, z in enumerate(chain[1:], 2)]
-        raise NumericError(_first_nonfinite(bank_stages + chains) or "P")
+        raise NumericError("P")
     return out, MultimodalTrace(taps=taps)
 
 

@@ -164,16 +164,20 @@ class TestForwardMemory:
     # the combine sums in place, the convolutions' padded pieces reuse one
     # per-thread buffer, and each Z_i past Y_1 is summed into its own buffer
     # and dropped as the cascade runs, since the trace keeps t_i.  Measured
-    # peaks over |x|: 0.13, 1.13, 1.34 and 2.03; keeping every Z_i alive until
-    # the combine, beside t_i, gives 2.13 and 2.16 on the d = 4 blocks
-    @pytest.mark.parametrize("n,dc,d,layout,bound", [
-        (32 * 32, 64, 2, Grid(32, 32), 0.25),
-        (4096, 192, 3, Seq1d(), 1.2),
-        (32 * 32, 24, 3, Grid(32, 32), 1.4),
-        (256, 24, 4, Seq1d(), 2.1),
-    ], ids=["grid-d2", "seq-train-d3", "grid-d3", "seq-d4"])
-    def test_peak_above_retained_trace(self, rng, n, dc, d, layout, bound):
+    # peaks over |x|: 0.13, 1.13, 1.34, 2.03 and, summing every degree on the
+    # general route, 2.03; keeping every Z_i alive until the combine, beside
+    # t_i, gives 2.13 and 2.16 on the d = 4 blocks, and keeping each Z_i
+    # alive one cascade step too long 3.04
+    @pytest.mark.parametrize("n,dc,d,layout,bound,mask", [
+        (32 * 32, 64, 2, Grid(32, 32), 0.25, None),
+        (4096, 192, 3, Seq1d(), 1.2, None),
+        (32 * 32, 24, 3, Grid(32, 32), 1.4, None),
+        (256, 24, 4, Seq1d(), 2.1, None),
+        (256, 24, 4, Seq1d(), 2.1, frozenset({1, 2, 3, 4})),
+    ], ids=["grid-d2", "seq-train-d3", "grid-d3", "seq-d4", "seq-d4-every-degree"])
+    def test_peak_above_retained_trace(self, rng, n, dc, d, layout, bound, mask):
         block = build_conv_instance(n, dc, d, layout, seed=0)
+        block = replace(block, degree_mask=mask or block.degree_mask)
         x = rng.uniform(-1, 1, (n, dc))
         forward(block, x)
         tracemalloc.start()
@@ -417,6 +421,23 @@ class TestNormalize:
         row = rng.uniform(-1, 1, (1, 8))
         row /= np.sqrt(np.mean(row ** 2))
         assert np.max(np.abs(rms_normalize_rows(row) - row)) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200, 1e300])
+    def test_rows_whose_squares_overflow(self, rng, scale):
+        # squaring first would give such a row an infinite RMS and a zero output;
+        # each row is its own, so the ordinary row in the same array keeps its bits
+        rows = rng.uniform(-1, 1, (3, 8))
+        got = rms_normalize_rows(np.vstack([scale * rows[:2], rows[2:]]))
+        assert rel_dev(got[:2], rms_normalize_rows(1e50 * rows[:2])) <= 1e-15
+        np.testing.assert_array_equal(got[2:], rms_normalize_rows(rows[2:]))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e300])
+    def test_normalized_forward_is_scale_invariant_past_the_squares(self, scale):
+        x = np.random.default_rng(0).uniform(-1, 1, (9, 4))
+        block = random_block(9, 4, 2, seed=0, normalize_y=True)
+        want, _ = forward(block, 1e50 * x)
+        assert np.max(np.abs(want)) > 1
+        assert rel_dev(forward(block, scale * x)[0], want) <= 1e-13
 
 
 class TestConvInstance:

@@ -90,7 +90,32 @@ class TestForward:
             w_mode=WMode.CHANNEL_BROADCAST, weights=mm.weights[0],
             degree_mask=frozenset({1, 2, 3}))
         ref, _ = forward(equivalent, x)
-        assert rel_dev(out, ref) <= 1e-12
+        np.testing.assert_array_equal(out, ref)     # the chain runs forward's own stages
+
+    @pytest.mark.parametrize("shapes,degree,sequences", [
+        ({"a": (6, 3), "b": (4, 5)}, 3, ["aab"]),
+        ({"a": (4, 3), "b": (6, 2)}, 3, ["aab", "bba"]),
+        ({"a": (4, 3), "b": (6, 2), "c": (4, 3)}, 3, ["abc", "cab", "bca"]),
+        ({"a": (9, 4), "b": (9, 4)}, 2, ["ab", "ba", "ab"]),
+    ], ids=["aab", "aab-bba", "abc-cab-bca", "ab-ba-ab"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_output_is_the_running_sum_of_taps_up_to_order(self, rng, shapes, degree,
+                                                           sequences, seed):
+        # the chains' Ps are summed after each is made; one running sum of every
+        # weighted tap differs only in the order of the additions, and not at all
+        # for one sequence
+        block = build_multimodal(shapes, *shapes["a"], degree, sequences, seed=seed)
+        out, trace = multimodal_forward(block, {m: rng.uniform(-1, 1, s)
+                                                for m, s in shapes.items()})
+        terms = [block.weights[s][..., i] * z for s, taps in enumerate(trace.taps)
+                 for i, z in enumerate(taps)]
+        running = terms[0] + 0.0
+        for term in terms[1:]:
+            running = running + term
+        if len(sequences) == 1:
+            np.testing.assert_array_equal(out, running)
+        bound = 2 * len(terms) * (np.finfo(float).eps / 2) * sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(out - running) <= bound)
 
 
 class TestValidation:

@@ -33,6 +33,14 @@ def first_bad(stages) -> str | None:
     return next((name for name, a in stages if not np.isfinite(a).all()), None)
 
 
+def normalized(r):
+    """Each row of ``r`` over its RMS, scaled by its largest modulus m first,
+    so that a finite row whose squares overflow is normalized too."""
+    m = np.abs(r).max(axis=-1, keepdims=True)
+    u = r / np.where(m > 0, m, 1.0)
+    return u / np.sqrt(np.mean(u * u, axis=-1, keepdims=True) + RMS_EPS / (m * m))
+
+
 def block_reference(block: PadreBlock):
     """``x -> [(stage, array), ...]``: every stage of ``block`` in the order
     the forward makes them, from the dense matrices of its mixers."""
@@ -42,8 +50,7 @@ def block_reference(block: PadreBlock):
     @np.errstate(all="ignore")
     def stages(x):
         y_raw = [ai @ (x @ bi) for ai, bi in zip(a, b)]
-        y = ([r / np.sqrt(np.mean(r * r, axis=-1, keepdims=True) + RMS_EPS) for r in y_raw]
-             if block.normalize_y else y_raw)
+        y = [normalized(r) for r in y_raw] if block.normalize_y else y_raw
         zs = [y[0]]
         for i in range(1, block.degree):
             zs.append((c[i - 1] @ (zs[-1] @ dm[i - 1])) * y[i])
@@ -62,30 +69,33 @@ def block_reference(block: PadreBlock):
 
 
 def multimodal_reference(block):
-    """``inputs -> [(stage, array), ...]``: each mode's bank, each chain, then P."""
+    """``inputs -> [(stage, array), ...]``: sequence by sequence, the raw bank
+    levels Y_1..Y_d that it reads, its Z_2..Z_d and its P; then P, their sum."""
     banks = {mode: [(dense_of(a), dense_of(b)) for a, b in zip(tok, ch)]
              for mode, (tok, ch) in block.banks.items()}
     inter = [(dense_of(c), dense_of(dm)) for c, dm in zip(block.inter_token, block.inter_channel)]
 
     @np.errstate(all="ignore")
     def stages(inputs):
-        ys = {}
-        for mode, bank in banks.items():
-            spec, x = block.modes[mode], inputs[mode]
+        xs = {}
+        for mode, spec in block.modes.items():
+            x = inputs[mode]
             x = x if spec.proj_left is None else spec.proj_left @ x
-            x = x if spec.proj_right is None else x @ spec.proj_right
-            ys[mode] = [a @ (x @ b) for a, b in bank]
-        out = [(f"Y[{i}]", y) for bank in ys.values() for i, y in enumerate(bank, 1)]
-        p = 0.0
+            xs[mode] = x if spec.proj_right is None else x @ spec.proj_right
+        out, total = [], 0.0
         for s_idx, seq in enumerate(block.sequences):
+            ys = [banks[mode][i][0] @ (xs[mode] @ banks[mode][i][1]) for i, mode in enumerate(seq)]
+            out += [(f"Y[{i}]", y) for i, y in enumerate(ys, 1)]
             w = block.weights[s_idx]
-            z = ys[seq[0]][0]
-            p = p + w[..., 0] * z
+            z = ys[0]
+            p = w[..., 0] * z
             for i, (c, dm) in enumerate(inter, 1):
-                z = (c @ (z @ dm)) * ys[seq[i]][i]
+                z = (c @ (z @ dm)) * ys[i]
                 out.append((f"Z[{i + 1}]", z))
                 p = p + w[..., i] * z
-        return out + [("P", p)]
+            out.append(("P", p))
+            total = total + p
+        return out + [("P", total)]
 
     return stages
 
@@ -182,10 +192,9 @@ class TestScaledUntilItRaises:
 
 
 class TestStagesThatCannotReachP:
-    """Y_3 and Z_3 of a block that sums degrees 1 and 2 cannot reach P, nor
-    can a bank level that no sequence reads: P is finite here, and the
-    forward still raises the stage, through its check of the unsummed Z_3
-    or of the unread level."""
+    """Y_3 and Z_3 of a block that sums degrees 1 and 2 cannot reach P: P is
+    finite here, and the forward still raises the stage, through its check
+    of the unsummed Z_3.  A bank level that no sequence reads is not made."""
 
     @pytest.mark.parametrize("slot,stage", [("channel_mixers", "Y[3]"),
                                             ("inter_channel", "Z[3]")])
@@ -208,11 +217,20 @@ class TestStagesThatCannotReachP:
         assert p[0] == "P" and np.isfinite(p[1]).all()        # Y_1 + Z_2 is finite
         assert raised(lambda v: forward(block, v), x) == stage
 
-    def test_unread_bank_level(self, rng):
-        # sequence "ab" reads mode a's Y_1 and mode b's Y_2: b's Y_1 is made, never read
+    def test_unread_bank_level_is_not_made(self, rng, monkeypatch):
+        # sequence "ab" reads mode a's Y_1 and mode b's Y_2: b's Y_1, whose
+        # channel map would overflow, is never made, nor is a's Y_2
         block = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=1)
-        block.banks["b"][1][0] = Mixer.dense(Side.CHANNEL, np.full((3, 3), 1e306))
+        bad = block.banks["b"][1][0] = Mixer.dense(Side.CHANNEL, np.full((3, 3), 1e306))
         inputs = {"a": rng.uniform(-1, 1, (4, 3)), "b": 1e3 * rng.uniform(0.5, 1, (5, 2))}
-        stages = multimodal_reference(block)(inputs)
-        assert [name for name, a in stages if not np.isfinite(a).all()] == ["Y[1]"]
-        assert raised(lambda v: multimodal_forward(block, v), inputs) == "Y[1]"
+        assert first_bad(multimodal_reference(block)(inputs)) is None
+        made = []
+        apply = block_mod.apply_mixer
+        monkeypatch.setattr(block_mod, "apply_mixer",
+                            lambda m, x, ledger=None: made.append(m) or apply(m, x, ledger))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = multimodal_forward(block, inputs)
+        assert np.isfinite(out).all()
+        assert not any(m is bad for m in made)
+        assert len(made) == 2 * 2 + 2            # two levels' two mixers, then C_1 and D_1

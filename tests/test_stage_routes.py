@@ -71,13 +71,16 @@ def test_rational_forward_and_backward(calls, d, e, rng):
     assert calls == backward_counts((d + e) + chains)
 
 
-def test_multimodal_forward(calls, rng):
-    blk = multimodal.build_multimodal({"a": (4, 3), "b": (6, 2)}, 4, 3, 3,
-                                      ["aab", "bba"], seed=0)
-    multimodal.multimodal_forward(blk, {"a": rng.uniform(-1, 1, (4, 3)),
-                                        "b": rng.uniform(-1, 1, (6, 2))})
-    # two modes' feature banks, then two sequences' cascades
-    assert calls == counts(apply_mixer=2 * 3 * 2 + 2 * 2 * 2, hadamard=2 * 2)
+@pytest.mark.parametrize("shapes,degree,sequences,levels", [
+    ({"a": (4, 3), "b": (6, 2)}, 3, ["aab", "bba"], 6),    # every level of both banks
+    ({"a": (4, 3), "b": (5, 2)}, 2, ["ab"], 2),            # a's Y_2 and b's Y_1 are unread
+], ids=["aab-bba", "ab"])
+def test_multimodal_forward(calls, rng, shapes, degree, sequences, levels):
+    blk = multimodal.build_multimodal(shapes, *shapes["a"], degree, sequences, seed=0)
+    multimodal.multimodal_forward(blk, {m: rng.uniform(-1, 1, s) for m, s in shapes.items()})
+    # each bank level a sequence reads, made once, then each sequence's cascade
+    chains = len(sequences) * (degree - 1)
+    assert calls == counts(apply_mixer=2 * levels + 2 * chains, hadamard=chains)
 
 
 def test_plan_evaluate(calls, rng):
