@@ -234,8 +234,7 @@ def conv2former_forward(p: Conv2FormerParams, x: np.ndarray,
     if ledger is not None:
         n, d = x.shape
         ledger.add("channel_mix", 2 * n * d * d)
-        ledger.add("token_mix", Mixer.conv2d(Side.TOKEN, p.kernel, p.grid_h,
-                                             p.grid_w).macs_per_vector() * d)
+        ledger.count(Mixer.conv2d(Side.TOKEN, p.kernel, p.grid_h, p.grid_w), x)
         ledger.add("hadamard", n * d)
     return a * v
 
@@ -405,6 +404,10 @@ def mamba_as_padre(p: MambaParams, a_bar: np.ndarray, gain) -> PadrePlan:
 # Castling-style linear attention with an auxiliary depthwise path
 # ---------------------------------------------------------------------------
 
+#: the weight of Castling's kernelized term ``Q (K^T V)``, which both routes read
+CASTLING_SCALE = 1.0 / math.pi
+
+
 @dataclass
 class CastlingParams:
     w_q: np.ndarray
@@ -421,7 +424,7 @@ def castling_forward(p: CastlingParams, x: np.ndarray,
                      ledger: FlopLedger | None = None) -> np.ndarray:
     """O = (1/pi) Q (K^T V) + (I/2 + M_DW) V, in factorized O(N D^2) order."""
     q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
-    out = (q @ (k.T @ v)) / math.pi + 0.5 * v + apply_mixer(p.dw, v, ledger)
+    out = (q @ (k.T @ v)) * CASTLING_SCALE + 0.5 * v + apply_mixer(p.dw, v, ledger)
     if ledger is not None:
         n, d = x.shape
         ledger.add("channel_mix", 3 * n * d * d)
@@ -434,7 +437,7 @@ def castling_as_padre(p: CastlingParams) -> PadrePlan:
     """Degree-3 cascades for the kernelized term plus two degree-1 branches."""
     n = p.dw.dim
     d_ch = p.w_q.shape[0]
-    cascades = _qkv_cascades(p.w_q, p.w_k, p.w_v, n, 1.0 / math.pi)
+    cascades = _qkv_cascades(p.w_q, p.w_k, p.w_v, n, CASTLING_SCALE)
     cascades += [plan_cascade(token=[token], channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
                               inter_token=[], inter_channel=[], weight=weight)
                  for token, weight in ((Mixer.identity(Side.TOKEN, n), 0.5), (p.dw, 1.0))]

@@ -39,6 +39,7 @@ from .tensor import (
     hadamard,
     pack_records,
     read_records,
+    require_finite,
     unpack_records,
     write_records,
 )
@@ -135,9 +136,9 @@ class PadreBlock:
             if self.resize_left.shape[1] != n or self.resize_right.shape[0] != dc:
                 raise ShapeError("resize operators must be F x N and D x G")
         for a in (self.weights, self.bias, self.resize_left, self.resize_right):
-            if a is not None and not np.isfinite(a).all():
-                raise NumericError("block-params", "combine weights, bias and resize "
-                                   "matrices must be finite")
+            if a is not None:
+                require_finite(a, "block-params", "combine weights, bias and resize "
+                               "matrices must be finite")
 
 
 @dataclass
@@ -195,40 +196,12 @@ def rms_normalize_rows(y: np.ndarray) -> np.ndarray:
     return u / s
 
 
-def _require_finite(a: np.ndarray, stage: str) -> None:
-    if not np.isfinite(a).all():
-        raise NumericError(stage)
-
-
 def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
              ledger: FlopLedger | None = None) -> list[np.ndarray]:
     """The feature bank Y_i = A_i X B_i, channel map first.  Unchecked: a
     non-finite Y_i that reaches P leaves P non-finite (see ``forward``)."""
     return [apply_mixer(a, apply_mixer(b, x, ledger), ledger)
             for a, b in zip(token_mixers, channel_mixers)]
-
-
-def cascade(ys: list[np.ndarray | None], inter_token: list[Mixer], inter_channel: list[Mixer],
-            ts: list[np.ndarray], ledger: FlopLedger | None = None,
-            v1: np.ndarray | None = None):
-    """The Hadamard cascade Z_1 = Y_1, Z_{i+1} = t_i * Y_{i+1}, t_i = C_i Z_i D_i.
-
-    Yields Z_1..Z_d in order and appends each t_i to ``ts``.  Z_i is yielded
-    once ``Z_i D_i`` is made, and the cascade keeps no reference to it after,
-    so the consumer may overwrite a Z_i that it owns (i > 1) and free it.
-    Given ``v1 = Z_1 D_1`` (a composed chain; ``ys[0]`` is None), t_1 is ``C_1 v1``.
-    Unchecked, like ``features``; its one caller is ``_stages``.
-    """
-    z, zd = ys[0], v1
-    for i, (c, dm) in enumerate(zip(inter_token, inter_channel)):
-        if zd is None:
-            zd = apply_mixer(dm, z, ledger)
-        yield z
-        del z
-        ts.append(apply_mixer(c, zd, ledger))
-        zd = None
-        z = hadamard(ts[-1], ys[i + 1], ledger)
-    yield z
 
 
 def _composes(block: PadreBlock) -> bool:
@@ -240,20 +213,28 @@ def _composes(block: PadreBlock) -> bool:
             and block.channel_mixers[0].kind == block.inter_channel[0].kind == MixerKind.DENSE)
 
 
+def _composed_e(block: PadreBlock) -> Mixer:
+    """``E = B_1 D_1`` as a dense channel mixer (``NumericError`` if not finite),
+    made by the forward and again by the backward: an E kept in the trace through
+    the forward fragmented the glibc heap (grid-infer: +5 MB peak RSS, 7-10% slower)."""
+    return Mixer.dense(Side.CHANNEL, block.channel_mixers[0].matrix @ block.inter_channel[0].matrix)
+
+
 def _composed_v1(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None) -> np.ndarray | None:
-    """``V_1 = A_1 X (B_1 D_1)``, or None for the general route: when the block
-    does not compose or ``B_1 D_1`` is not finite (V_1 reaches P, which
-    ``forward`` checks).  The ledger counts B_1, A_1 and D_1 as applied."""
+    """``V_1 = A_1 X E``, or None for the general route: when the block does
+    not compose or E is not finite (V_1 reaches P, which ``forward`` checks).
+    ``X E`` is a bare GEMM, off ``apply_mixer``; the ledger counts B_1, A_1
+    and D_1 as applied."""
     if not _composes(block):
         return None
-    a, b, dm = block.token_mixers[0], block.channel_mixers[0], block.inter_channel[0]
-    e = b.matrix @ dm.matrix
-    if not np.isfinite(e).all():
+    try:
+        e = _composed_e(block)
+    except NumericError:
         return None
     if ledger is not None:
-        for m, cat in ((b, "channel_mix"), (a, "token_mix"), (dm, "channel_mix")):
-            ledger.add(cat, m.macs_per_vector() * (x.size // m.dim))
-    return apply_mixer(a, x @ e)
+        for m in (block.channel_mixers[0], block.token_mixers[0], block.inter_channel[0]):
+            ledger.count(m, x)
+    return apply_mixer(block.token_mixers[0], x @ e.matrix)
 
 
 def _raise_first(trace: PadreTrace):
@@ -272,10 +253,10 @@ def forward(block: PadreBlock, x: np.ndarray,
 
     ``x`` is ``(..., N, D)``: each sample along the leading batch axes gives
     bit for bit what it gives alone, and the ledger counts every sample.
-    Bool and integer inputs are cast to float64 first, and the output is
-    float64 whatever the input's float dtype.  A trace tensor takes the dtype
-    that its mixers give it: a float32 input through identity mixers keeps
-    ``Y_i``, ``t_i`` and ``Z_i`` float32.
+    ``x`` is cast to ``np.result_type(x, np.float64)`` first, the one choice
+    of compute dtype: bool, integer and float32 inputs run as their float64
+    cast, bit for bit in the output and every trace tensor; float64, wider
+    and complex inputs are not copied or narrowed.
 
     A non-finite stage raises ``NumericError`` naming it, with no numpy
     warning before it.  Finiteness is checked once, at P (and at O after a
@@ -297,11 +278,10 @@ def forward(block: PadreBlock, x: np.ndarray,
     one case only: a composed block whose Y_1 alone would overflow returns
     its finite output.  The ledger counts operators, not routes.
     """
+    x = np.asarray(x, dtype=np.result_type(x, np.float64))
     if x.shape[-2:] != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "
                          f"{block.n_channels})")
-    if x.dtype.kind in "biu":
-        x = x.astype(np.float64)
     counted = None if ledger is None else vars(ledger).copy()
     v1 = _composed_v1(block, x, ledger)
     if v1 is not None:
@@ -318,26 +298,30 @@ def _stages(block: PadreBlock, x: np.ndarray | None, y_raw: list[np.ndarray | No
             ledger: FlopLedger | None = None,
             v1: np.ndarray | None = None) -> tuple[np.ndarray, PadreTrace]:
     """``forward`` from the raw feature bank ``y_raw`` on (Y_1 None and ``v1``
-    given on the composed route): the cascade, the combine with its one check
+    given on the composed route): the Hadamard cascade Z_1 = Y_1,
+    Z_{i+1} = t_i * Y_{i+1}, t_i = C_i Z_i D_i, the combine with its one check
     of P, and the resize.  ``x`` only goes into the trace; a multimodal chain,
     whose levels come from several inputs, passes None."""
     y = [rms_normalize_rows(t) for t in y_raw] if block.normalize_y else y_raw
     trace = PadreTrace(x=x, y_raw=y_raw, y=y, t=[], pre_resize=None, output=None, v1=v1)
     # P = 0 + sum W_i * Z_i in ascending degree order, summed in place as the cascade
-    # runs: the trace keeps t_i, so W_i * Z_i goes into Z_i past Y_1 unless a cast
-    # intervenes, and each step lets go of Z_i (i is counted by hand, as enumerate's
-    # reused tuple would hold it).  Adding 0.0 keeps a zero-started sum's bits (+0.0)
-    p, i = None, 0
-    for z in cascade(y, block.inter_token, block.inter_channel, trace.t, ledger, v1):
-        i += 1
+    # runs: Z_i D_i is made (V_1 for a composed chain, whose Z_1 is None), then W_i * Z_i
+    # goes into Z_i's own buffer past Y_1 (the trace keeps t_i) and Z_i is let go
+    # before C_i and the next product.  Adding 0.0 keeps a zero-started sum's bits (+0.0)
+    p, z = None, y[0]
+    for i in range(1, block.degree + 1):
+        if i < block.degree:
+            zd = v1 if z is None else apply_mixer(block.inter_channel[i - 1], z, ledger)
         if i in block.degree_mask:
-            w = block.weights[..., i - 1]
-            own = i > 1 and np.result_type(w, z) == z.dtype and (p is None or p.dtype == z.dtype)
-            term = np.multiply(w, z, out=z if own else (None if p is None else np.empty_like(p)))
+            term = np.multiply(block.weights[..., i - 1], z, out=z if i > 1 else None)
             p = np.add(term, 0.0, out=term) if p is None else np.add(p, term, out=p)
         elif i == block.degree and not np.isfinite(z).all():
             _raise_first(trace)                # an unsummed Z_d: what P may not see
         z = term = None
+        if i < block.degree:
+            trace.t.append(apply_mixer(block.inter_token[i - 1], zd, ledger))
+            zd = None
+            z = hadamard(trace.t[-1], y[i], ledger)
     if block.bias is not None:
         p += block.bias
     if ledger is not None:
@@ -350,7 +334,7 @@ def _stages(block: PadreBlock, x: np.ndarray | None, y_raw: list[np.ndarray | No
         if ledger is not None:
             f, g = block.resize_left.shape[0], block.resize_right.shape[1]
             ledger.add("resize", f * p.size + f * (p.size // block.n_tokens) * g)
-        _require_finite(out, "O")
+        require_finite(out, "O")
     trace.pre_resize, trace.output = p, out
     return out, trace
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import PadreBlock, PadreTrace, _require_finite, _row_rms, forward, iter_parameters
+from .block import PadreBlock, PadreTrace, _composed_e, _row_rms, forward, iter_parameters
 from .tensor import (
     Mixer,
     MixerKind,
@@ -21,6 +21,7 @@ from .tensor import (
     apply_mixer,  # noqa: F401 -- no caller here; perfbench's stage tracer rebinds grad.apply_mixer
     apply_mixer_transpose,
     conv_kernel_grad,
+    require_finite,
 )
 
 
@@ -90,11 +91,11 @@ def _chain_backward(block: PadreBlock, trace: PadreTrace, grads: list, out: dict
     """``dL/dx`` of a composed trace's chain ``t_1 = C_1 V_1``, ``V_1 = A_1 X E``,
     ``E = B_1 D_1``, from ``g = grads[1]``; dA_1, dB_1, dC_1 and dD_1 go into ``out``.
 
-    ``w = C_1^T g`` gives dC_1 from ``(V_1, g)``; the pair ``A_1 X E``, E as a
-    dense channel mixer, takes ``w`` through ``_pair_backward`` to dA_1, dE and
-    ``dL/dx``; and dE splits into ``dB_1 = dE D_1^T`` and ``dD_1 = B_1^T dE``.
-    That is two N x D x D products, where two pair backwards take four.
-    ``g`` and V_1 leave ``grads`` and the trace here.
+    ``w = C_1^T g`` gives dC_1 from ``(V_1, g)``; the pair ``A_1 X E``, E from
+    ``_composed_e`` as in the forward, takes ``w`` through ``_pair_backward``
+    to dA_1, dE and ``dL/dx``; and dE splits into ``dB_1 = dE D_1^T`` and
+    ``dD_1 = B_1^T dE``.  That is two N x D x D products, where two pair
+    backwards take four.  ``g`` and V_1 leave ``grads`` and the trace here.
     """
     a, b, c, dm = (block.token_mixers[0], block.channel_mixers[0], block.inter_token[0],
                    block.inter_channel[0])
@@ -103,8 +104,7 @@ def _chain_backward(block: PadreBlock, trace: PadreTrace, grads: list, out: dict
     grads[1] = apply_mixer_transpose(c, g)
     out.update((f"C1.{pname}", arr) for pname, arr in mixer_param_grad(c, v1, g).items())
     del g, v1
-    e = Mixer.dense(Side.CHANNEL, b.matrix @ dm.matrix)
-    d_x = _pair_backward(a, e, trace.x, grads, 1, out, ("A1", "E"))
+    d_x = _pair_backward(a, _composed_e(block), trace.x, grads, 1, out, ("A1", "E"))
     d_e = out.pop("E.mat")
     out.update({"B1.mat": d_e @ dm.matrix.T, "D1.mat": b.matrix.T @ d_e})
     return d_x
@@ -115,14 +115,8 @@ def _upstream(upstream, output: np.ndarray) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != output.shape:
         raise ShapeError(f"upstream shape {upstream.shape} != output {output.shape}")
-    _require_finite(upstream, "upstream")
+    require_finite(upstream, "upstream")
     return upstream
-
-
-def _own(a: np.ndarray) -> np.ndarray | None:
-    """``a`` as the ``out=`` buffer of a float64 result, or None where writing
-    into it would cast (a float32 input through identity mixers keeps float32)."""
-    return a if a.dtype == np.float64 else None
 
 
 def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> GradBundle:
@@ -180,14 +174,11 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
     z = trace.z_at(d) if d in block.degree_mask else None
     for i in range(d, 0, -1):
         if i in block.degree_mask:
-            prod = np.multiply(g_p, z, out=_own(z) if i > 1 else None)   # a recomputed Z_i is ours
-            del z
+            prod = np.multiply(g_p, z, out=z if i > 1 else None)   # a recomputed Z_i is ours
             d_w[..., i - 1] = prod.sum(axis=lead) if lead else prod   # sum(axis=()) drops -0.0
             prod = np.multiply(g_p, block.weights[..., i - 1], out=prod)
             d_z[i - 1] = prod if d_z[i - 1] is None else np.add(d_z[i - 1], prod, out=d_z[i - 1])
-            del prod
-        else:
-            del z
+        z = prod = None
         if i == 1:
             break
         # the stage Z_i = t_{i-1} * Y_i, where t_{i-1} = C_{i-1} Z_{i-1} D_{i-1};
@@ -195,7 +186,7 @@ def backward(block: PadreBlock, trace: PadreTrace, upstream: np.ndarray) -> Grad
         if d_z[i - 1] is None:                     # degree i and all above masked out
             d_z[i - 1] = np.zeros_like(g_p)
         t = trace.t.pop()
-        d_y[i - 1] = np.multiply(d_z[i - 1], t, out=_own(t))
+        d_y[i - 1] = np.multiply(d_z[i - 1], t, out=t)
         del t
         d_z[i - 1] *= trace.y.pop()
         if i == 2 and trace.v1 is not None:

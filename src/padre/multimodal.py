@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import PadreBlock, WMode, _stages, _uniform, features, random_mixer
-from .tensor import Mixer, NumericError, ShapeError, Side
+from .tensor import Mixer, ShapeError, Side, require_finite
 
 
 class TrivialSequenceError(ValueError):
@@ -63,8 +63,9 @@ class MultimodalBlock:
                 if not (rows == cols if proj is None else np.shape(proj) == (rows, cols)):
                     raise ShapeError(f"mode {mode!r} does not project ({spec.n_in}, {spec.d_in}) "
                                      f"to ({self.n_out}, {self.d_out})")
-                if proj is not None and not np.isfinite(proj).all():
-                    raise NumericError(f"proj[{mode}]", f"mode {mode!r}'s projection must be finite")
+                if proj is not None:
+                    require_finite(proj, f"proj[{mode}]",
+                                   f"mode {mode!r}'s projection must be finite")
         for s_idx, seq in enumerate(self.sequences):
             if len(seq) != d:
                 raise ShapeError(f"sequence {seq!r} length != degree {d}")
@@ -103,21 +104,22 @@ def multimodal_forward(block: MultimodalBlock,
     """Sum every sequence's chain (``chain_blocks``), each run through
     ``forward``'s stages; returns the sum and each chain's taps Z_1..Z_d.
 
-    Each bank level that a sequence reads is made once, through
-    ``block.features``; a level that no sequence reads is not made.  A
-    non-finite stage raises ``NumericError`` with no numpy warning before it:
-    sequence by sequence, the first non-finite raw Y_i it reads, Z_2..Z_d or
-    its P, as ``forward`` names them; then P, the sum.  Against one running
-    sum of all weighted taps only the order of the additions differs: each
-    entry is within ``2 n u S`` of it, for n taps, unit roundoff u and S the
-    sum of the weighted taps' moduli.
+    Each input is cast as ``forward`` casts x.  Each bank level that a
+    sequence reads is made once, through ``block.features``; a level that
+    no sequence reads is not made.  A non-finite stage raises
+    ``NumericError`` with no numpy warning before it: sequence by sequence,
+    the first non-finite raw Y_i it reads, Z_2..Z_d or its P, as ``forward``
+    names them; then P, the sum.  Against one running sum of all weighted
+    taps only the order of the additions differs: each entry is within
+    ``2 n u S`` of it, for n taps, unit roundoff u and S the sum of the
+    weighted taps' moduli.
     """
     missing = set(block.modes) - set(inputs)
     if missing:
         raise MissingModeError(f"missing inputs for modes {sorted(missing)}")
     projected: dict[str, np.ndarray] = {}
     for mode, spec in block.modes.items():
-        x = inputs[mode]
+        x = np.asarray(inputs[mode], dtype=np.result_type(inputs[mode], np.float64))
         if x.shape != (spec.n_in, spec.d_in):
             raise ShapeError(f"mode {mode!r} input shape {x.shape} != "
                              f"({spec.n_in}, {spec.d_in})")
@@ -134,8 +136,7 @@ def multimodal_forward(block: MultimodalBlock,
         p, trace = _stages(chain, None, [ys[mode, i] for i, mode in enumerate(seq)])
         taps.append(trace.z)
         out = p if out is None else np.add(out, p, out=out)
-    if not np.isfinite(out).all():
-        raise NumericError("P")
+    require_finite(out, "P")
     return out, MultimodalTrace(taps=taps)
 
 

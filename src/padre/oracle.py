@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, SizeCapError
+from .tensor import ShapeError, SizeCapError, require_finite
 
 MAX_VARS = 8
 MAX_DEGREE = 4
@@ -244,8 +244,7 @@ def extract_coeffs(f: Callable[[np.ndarray], np.ndarray], n_tokens: int,
     values = np.asarray(f(system.pts.reshape(stack).copy()))
     if values.shape != stack:
         raise ShapeError(f"probe map returned shape {values.shape}, not {stack}")
-    if not np.isfinite(values).all():
-        raise NumericError("probe-values", "probe map returned non-finite values")
+    require_finite(values, "probe-values", "probe map returned non-finite values")
     values = values.reshape(n_probes, n_vars)
     proj = system.u.T @ values
     residual = float(np.max(np.abs(values - system.u @ proj)))

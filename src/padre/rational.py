@@ -25,7 +25,7 @@ from .block import (PadreBlock, PadreTrace, WMode, _uniform, forward, iter_param
                     mixer_parameters, random_mixer)
 from .grad import GradBundle, GradReport, _upstream, backward, vjp_gradcheck
 from .tensor import (Mixer, NumericError, Record, ShapeError, Side, pack_records,
-                     read_records, unpack_records, write_records)
+                     read_records, require_finite, unpack_records, write_records)
 
 DEFAULT_EPS = 1e-6
 #: the least denominator bias of a seeded block (``random_rational_block``)
@@ -66,8 +66,8 @@ class RationalPadreBlock:
             if self.w_den.shape != (n, dc, 0) or self.bias_den.shape != (n, dc):
                 raise ShapeError("a degree-0 denominator needs N x D x 0 weights and an "
                                  "N x D bias")
-            if not np.isfinite(self.bias_den).all():
-                raise NumericError("block-params", "combine weights and biases must be finite")
+            require_finite(self.bias_den, "block-params",
+                           "combine weights and biases must be finite")
         if not self.epsilon >= 0:
             raise ShapeError(f"epsilon must be nonnegative, got {self.epsilon}")
         chain_blocks(self)     # the chains check the mixers, degrees, weights and biases
@@ -111,6 +111,16 @@ def _chain_forward(chain: str, blk: PadreBlock,
         raise NumericError(f"{chain}:{exc.stage}") from exc
 
 
+def _over_square(a: np.ndarray, r: np.ndarray, eps: float) -> np.ndarray:
+    """``a / (r * r + eps)`` for finite ``r``, with no numpy warning: ``a / r / r`` where
+    ``r * r`` overflows (eps is below its rounding there), the plain formula's bits elsewhere."""
+    with np.errstate(over="ignore"):
+        q = r * r + eps
+    out, big = a / q, np.isinf(q)
+    out[big] = a[big] / r[big] / r[big]
+    return out
+
+
 def rational_forward(block: RationalPadreBlock,
                      x: np.ndarray) -> tuple[np.ndarray, RationalTrace]:
     if x.shape != (block.n_tokens, block.n_channels):
@@ -121,16 +131,14 @@ def rational_forward(block: RationalPadreBlock,
     if den_block is not None:
         den, den_trace = _chain_forward("den", den_block, x)
     if block.square_denominator:
-        den_eff = den * den + block.epsilon
+        out = _over_square(num, den, block.epsilon)
     else:
         small = np.abs(den) <= block.epsilon
         if small.any():
             m, n = np.argwhere(small)[0]
             raise DenominatorError((int(m), int(n)), float(den[m, n]), block.epsilon)
-        den_eff = den
-    out = num / den_eff
-    if not np.isfinite(out).all():
-        raise NumericError("O", "rational output is not finite")
+        out = num / den
+    require_finite(out, "O", "rational output is not finite")
     return out, RationalTrace(num_trace=num_trace, den_trace=den_trace, den=den, output=out)
 
 
@@ -140,14 +148,17 @@ def rational_backward(block: RationalPadreBlock, trace: RationalTrace,
     ``iter_rational_parameters``, with the same upstream checks.  The chains
     hold the block's arrays, so a chain gradient takes its array's label."""
     upstream = _upstream(upstream, trace.output)
-    num = trace.num_trace.output
-    if block.square_denominator:
-        den_eff = trace.den * trace.den + block.epsilon
-        d_num = upstream / den_eff
-        d_den = -2.0 * trace.den * upstream * num / (den_eff * den_eff)
-    else:
-        d_num = upstream / trace.den
-        d_den = -upstream * num / (trace.den * trace.den)
+    num, den, square = trace.num_trace.output, trace.den, block.square_denominator
+    d_num = _over_square(upstream, den, block.epsilon) if square else upstream / den
+    # dL/d den is -2 den g num / den_eff^2 squared and -g num / den^2 plain; where
+    # den_eff^2 overflows, eps is below its rounding and it is -2 g out / den or -g out / den
+    with np.errstate(over="ignore"):
+        sq = (den * den + block.epsilon if square else den) ** 2
+    fit, big = np.isfinite(sq), np.isinf(sq)
+    g, n, q = upstream[fit], num[fit], sq[fit]
+    d_den = np.empty_like(den)
+    d_den[fit] = -2.0 * den[fit] * g * n / q if square else -g * n / q
+    d_den[big] = (-2.0 if square else -1.0) * upstream[big] * (trace.output[big] / den[big])
 
     labels: dict[int, list[str]] = {}      # by array; one array may sit at two places
     for label, arr in iter_rational_parameters(block):

@@ -94,6 +94,12 @@ class NumericError(ArithmeticError):
         super().__init__(message or f"non-finite values produced at stage {stage!r}")
 
 
+def require_finite(a, stage: str, message: str = "") -> None:
+    """Raise ``NumericError(stage, message)`` unless every entry of ``a`` is finite."""
+    if not np.isfinite(a).all():
+        raise NumericError(stage, message)
+
+
 class Side(enum.IntEnum):
     TOKEN = 0
     CHANNEL = 1
@@ -129,6 +135,11 @@ class FlopLedger:
 
     def add(self, category: str, macs: int) -> None:
         setattr(self, category, getattr(self, category) + int(macs))
+
+    def count(self, m: "Mixer", x: np.ndarray) -> None:
+        """Count ``m`` applied to every vector of ``x`` on its side."""
+        self.add("token_mix" if m.side == Side.TOKEN else "channel_mix",
+                 m.macs_per_vector() * (x.size // m.dim))
 
     @property
     def macs(self) -> int:
@@ -199,9 +210,8 @@ class Mixer:
                 raise ShapeError("conv2d kernel larger than the grid")
         elif k != MixerKind.IDENTITY:
             raise ShapeError(f"unknown mixer kind {k}")
-        for arr in (self.matrix, self.diag, self.left, self.right, self.kernel):
-            if arr is not None and not np.isfinite(arr).all():
-                raise NumericError("mixer-params", "mixer parameters must be finite")
+        for _, arr in self.param_arrays():
+            require_finite(arr, "mixer-params", "mixer parameters must be finite")
 
     # ---- factories -------------------------------------------------------
 
@@ -250,8 +260,7 @@ class Mixer:
             if self.padding == PadMode.CIRCULAR:
                 return self.dim * self.kernel.size
             axes = (self.dim,) if k == MixerKind.CONV1D else (self.grid_h, self.grid_w)
-            return math.prod(_conv_taps(n, kk, kk // 2)
-                             for n, kk in zip(axes, self.kernel.shape))
+            return math.prod(_conv_taps(n, kk) for n, kk in zip(axes, self.kernel.shape))
         return 0
 
     def param_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -268,12 +277,11 @@ class Mixer:
         return []
 
 
-def _conv_taps(n: int, k: int, anchor: int) -> int:
-    """Total non-padding taps of a same-size zero-padded correlation."""
-    i = np.arange(n)
-    lo = np.maximum(0, i - anchor)
-    hi = np.minimum(n - 1, i + (k - 1 - anchor))
-    return int(np.sum(hi - lo + 1))
+def _conv_taps(n: int, k: int) -> int:
+    """Non-padding taps of a same-size zero-padded correlation, ``k <= n``: n k less
+    a (a + 1) / 2 before the edges and b (b + 1) / 2 after, a = ``_anchor(k)``, b = k - 1 - a."""
+    a = _anchor(k)
+    return n * k - (a * (a + 1) + (k - 1 - a) * (k - a)) // 2
 
 
 def _conv_view(m: Mixer, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -292,7 +300,7 @@ def _conv_view(m: Mixer, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return x.reshape(*batch, n, m.grid_h, m.grid_w), (nb + 1, nb + 2)
 
 
-def _anchor(k: int, transpose: bool) -> int:
+def _anchor(k: int, transpose: bool = False) -> int:
     """Input offset of a ``k``-wide kernel's first tap; mirrored for the transpose."""
     return k - 1 - k // 2 if transpose else k // 2
 
@@ -508,13 +516,13 @@ def _conv_index(sizes: tuple[int, ...], kshape: tuple[int, ...], circular: bool,
     ``idx[i, j]`` is the row-major tap by which output ``i`` reads input
     ``j``, or the kernel's size where no tap links them; the channel side's
     matrix is the transpose.  On an ``n``-long axis output ``i`` reads input
-    ``j`` through tap ``j - i + k // 2``, taken modulo ``n`` under circular
+    ``j`` through tap ``j - i + _anchor(k)``, taken modulo ``n`` under circular
     padding, so as ``k <= n`` at most one tap links a pair.
     """
     idx, linked = np.zeros((1, 1), np.intp), np.ones((1, 1), bool)
     for n, k in zip(sizes, kshape):
         i = np.arange(n)
-        t = i - i[:, None] + k // 2
+        t = i - i[:, None] + _anchor(k)
         if circular:
             t %= n
         # row (a, i) and column (b, j) of the grid's matrix, from (a, b) and (i, j)
@@ -552,7 +560,8 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     matrices is ``dt = sum slab^T @ g_tile`` over the slabs that the forward
     multiplies by them, and ``dk[a, j] = sum_i dt[a, i + j, i]`` reads the
     diagonals that ``_toeplitz`` writes.  Products are summed in chunks of at most
-    ``max(x.size / TILE, kh * (w + kw - 1) * w)`` values, for tiles of ``w`` outputs.
+    ``max(x.size / TILE, kh * (w + kw - 1) * w)`` values, for tiles of ``w`` outputs,
+    and one chunk's are live at a time.
     Against each tap's whole-tensor ``sum(g * window)`` only rounding
     differs, within ``1e-13 * sum(|g * window|)`` per tap.
     """
@@ -566,8 +575,7 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         step = max(1, cap // count), min(count, cap)
         for r0, c0 in itertools.product(range(0, rows, step[0]), range(0, count, step[1])):
             part = (..., slice(r0, r0 + step[0]), slice(c0, c0 + step[1]), slice(None), slice(None))
-            prods = np.matmul(slab[part].swapaxes(-1, -2), tiles[part])
-            dt += prods.reshape(-1, *dt.shape).sum(axis=0)
+            dt += np.matmul(slab[part].swapaxes(-1, -2), tiles[part]).reshape(-1, *dt.shape).sum(0)
     return _diagonals(dt.reshape(kh, -1, w)).sum(axis=1).reshape(m.kernel.shape)
 
 
@@ -609,8 +617,7 @@ def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np
     """
     out = _apply(m, x, transpose=False)
     if ledger is not None:
-        cat = "token_mix" if m.side == Side.TOKEN else "channel_mix"
-        ledger.add(cat, m.macs_per_vector() * (x.size // m.dim))   # vectors mixed
+        ledger.count(m, x)
     return out
 
 

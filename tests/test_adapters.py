@@ -309,6 +309,19 @@ class TestCastling:
         ref = (x @ (x.T @ x)) / math.pi + 0.5 * x
         np.testing.assert_allclose(A.castling_forward(p, x), ref, atol=1e-14)
 
+    def test_both_routes_read_one_scale(self, params, rng):
+        # the plan weights each kernelized cascade by the constant the direct
+        # route multiplies Q (K^T V) by
+        assert A.CASTLING_SCALE == 1.0 / math.pi
+        kernelized = [c for c in A.castling_as_padre(params).cascades if c.degree == 3]
+        assert len(kernelized) == params.w_q.shape[0]
+        assert all(c.weights[-1] == A.CASTLING_SCALE for c in kernelized)
+        p = A.CastlingParams(np.eye(2), np.eye(2), np.eye(2),
+                             dw=Mixer.conv1d(Side.TOKEN, np.zeros(1), 3))
+        x = rng.uniform(-1, 1, (3, 2))
+        want = (x @ (x.T @ x)) * A.CASTLING_SCALE + 0.5 * x + 0.0
+        assert A.castling_forward(p, x).tobytes() == want.tobytes()
+
 
 class TestAttention:
     @pytest.fixture

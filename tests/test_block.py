@@ -30,6 +30,7 @@ from padre.block import (
     random_block,
     rms_normalize_rows,
 )
+from padre.grad import backward
 from padre.tensor import (
     FlopLedger, LayoutError, Mixer, MixerKind, NumericError, ShapeError, Side, SizeCapError,
     apply_mixer,
@@ -124,40 +125,43 @@ class TestForward:
         assert led.resize == 2 * 4 * 3 + 2 * 3 * 5
 
 
-class TestInputDtype:
-    """Bool and integer inputs run as their float64 cast; outputs are float64."""
+def trace_tensors(trace) -> list[np.ndarray]:
+    """Every tensor a forward's trace holds, Z_1..Z_d included."""
+    return [trace.x, trace.pre_resize, trace.output, *trace.y, *trace.y_raw, *trace.t, *trace.z]
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool])
+
+class TestInputDtype:
+    """x is cast to float64 once, at entry: bool, integer and float32 inputs run
+    as their float64 cast in the forward and the backward."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool, np.float32])
     @pytest.mark.parametrize("blocks", ["random", "identity"])
-    def test_same_bits_as_float64_cast(self, dtype, blocks):
-        # an identity chain would multiply in the integer dtype and wrap
-        # silently: 2**31 squared is 2**62, cubed 2**93
+    def test_same_bits_as_float64_cast(self, rng, dtype, blocks):
+        # an identity chain would otherwise multiply in the input's dtype:
+        # integers wrap silently (2**31 squared is 2**62, cubed 2**93) and
+        # float32 taps round
         if blocks == "random":
-            block, x = random_block(4, 3, 2, seed=0), np.arange(12).reshape(4, 3) % 3
+            block = random_block(4, 3, 2, seed=0, with_bias=True)
+            x = np.arange(12).reshape(4, 3) % 3
         else:
             block = identity_block(4, 3, 3, [1.0, 2.0, 3.0], {1, 2, 3})
             x = np.full((4, 3), 2**31 if dtype == np.int64 else 2)
-        x = x.astype(dtype)
+        x = (rng.uniform(-1, 1, x.shape) if dtype == np.float32 else x).astype(dtype)
+        g = rng.uniform(-1, 1, x.shape)
         out, trace = forward(block, x)
         want, want_trace = forward(block, x.astype(np.float64))
         assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
-        for got, ref in zip(trace.z, want_trace.z):
-            assert got.tobytes() == ref.tobytes()
+        for got, ref in zip(trace_tensors(trace), trace_tensors(want_trace), strict=True):
+            assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+        got, ref = backward(block, trace, g), backward(block, want_trace, g)
+        assert got.d_x.tobytes() == ref.d_x.tobytes()
+        for label, arr in ref.by_label().items():
+            assert got.by_label()[label].tobytes() == arr.tobytes(), label
 
     def test_float32_input_returns_float64(self, rng):
         x = rng.uniform(-1, 1, (4, 3)).astype(np.float32)
         out, trace = forward(random_block(4, 3, 2, seed=0), x)
         assert out.dtype == np.float64 and trace.pre_resize.dtype == np.float64
-
-    def test_float32_taps_are_summed_in_float64(self, rng):
-        # an identity chain keeps float32 taps, which the combine must not
-        # overwrite with their float64 weighted terms
-        x = rng.uniform(-1, 1, (4, 3)).astype(np.float32)
-        out, trace = forward(identity_block(4, 3, 3, [1.0, 2.0, 3.0], {1, 2, 3}), x)
-        w1, w2, w3 = np.array([1.0, 2.0, 3.0])
-        z1, z2, z3 = x, x * x, x * x * x
-        assert {a.dtype for a in trace.y + trace.t + trace.z} == {np.dtype(np.float32)}
-        assert out.tobytes() == (0.0 + w1 * z1 + w2 * z2 + w3 * z3).tobytes()
 
 
 class TestForwardMemory:
@@ -248,6 +252,8 @@ class TestComposedRoute:
         x = rng.uniform(-1, 1, (48, 12))
         _, trace = forward(block, x)
         assert trace.y[0] is None and trace.y_raw[0] is None and trace.z[0] is None
+        e = block.channel_mixers[0].matrix @ block.inter_channel[0].matrix
+        assert trace.v1.tobytes() == apply_mixer(block.token_mixers[0], x @ e).tobytes()
         assert trace.t[0].tobytes() == apply_mixer(block.inter_token[0], trace.v1).tobytes()
         with monkeypatch.context() as patch:
             patch.setattr(block_mod, "_composes", lambda b: False)

@@ -143,18 +143,6 @@ class TestTraceConsumed:
             backward(block, trace, np.full((5, 4), np.nan))
         assert [trace.y, trace.t] == held
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_float32_trace_keeps_float64_gradients(self, rng, d):
-        # identity mixers keep a float32 input's trace float32; writing dL/dY_i
-        # into a freed float32 buffer would round it, and carry it into d_x
-        block = identity_block(5, 4, d, rng.uniform(-1, 1, d), range(1, d + 1))
-        _, trace = forward(block, rng.uniform(-1, 1, (5, 4)).astype(np.float32))
-        assert trace.t[0].dtype == np.float32
-        got = backward(block, trace, rng.uniform(-1, 1, (5, 4)))
-        assert got.d_x.dtype == np.float64
-        for label, arr in got.by_label().items():
-            assert arr.dtype == np.float64, label
-
 
 class TestUpstream:
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
@@ -355,7 +343,7 @@ class TestBackwardMemory:
 
     #: Python objects (generator frames, array headers, slices) and numpy's
     #: small-buffer caches, which move a reading by up to ~1 KB from call to
-    #: call; measured at 0.1-3.3 KB above the arrays below
+    #: call; measured at 4.2-4.5 KB above the arrays below
     OBJECT_BYTES = 8192
 
     @pytest.mark.parametrize("kind", ["conv2d", "conv1d"])
@@ -371,14 +359,18 @@ class TestBackwardMemory:
         shape = (256, 24) if side == Side.TOKEN else (24, 256)
         x, g = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
         conv_kernel_grad(m, x, g)      # sizes the thread's strip buffer, kept across calls
-        # what the adjoint allocates: dt, one tile's kh (w + kw - 1) x w product,
-        # the sum of a chunk's products and, while a chunk's products are made,
-        # the last chunk's, each chunk being at most max(|x| / TILE, |dt|) values
+        # what the adjoint allocates: dt and a chunk's sum, kh (w + kw - 1) x w
+        # values each, and one chunk's products, at most max(|x| / TILE, |dt|)
+        # values, which go before the next chunk's are made.  Measured
+        # 12.7 KB against 16.6 KB (conv1d) and 20.5 KB against 24.2 KB (conv2d,
+        # one tile per chunk, whose peak is the sum of a chunk, not the next
+        # chunk); holding the last chunk's products while the next are made
+        # peaks at 17.1 KB on conv1d
         kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
         w = tensor_mod._width(kh)
         dt = kh * (w + kw - 1) * w
         chunk = max(x.size // tensor_mod.TILE, dt)
-        bound = 8 * (2 * dt + 2 * chunk) + self.OBJECT_BYTES
+        bound = 8 * (2 * dt + chunk) + self.OBJECT_BYTES
         assert bound < 8 * (m.dim // w) * dt       # every tile's product at once
         assert peak_bytes(conv_kernel_grad, m, x, g) <= bound
 

@@ -54,6 +54,21 @@ class TestForward:
             multimodal_forward(two_mode_block,
                                {"a": inputs["a"].T, "b": inputs["b"]})
 
+    @pytest.mark.parametrize("dtype", [np.int64, bool, np.float32])
+    def test_inputs_run_as_their_float64_cast(self, dtype):
+        # some of these seeds draw identity bank mixers, which keep their input's dtype
+        for seed in range(8):
+            block = build_multimodal({"a": (4, 3), "b": (4, 3)}, 4, 3, 3, ["aab", "bba"],
+                                     seed=seed)
+            rng = np.random.default_rng(seed)
+            xs = {m: (rng.uniform(-1, 1, (4, 3)) if dtype == np.float32
+                      else rng.integers(-3, 4, (4, 3))).astype(dtype) for m in "ab"}
+            got, trace = multimodal_forward(block, xs)
+            want, ref = multimodal_forward(block, {m: x.astype(np.float64) for m, x in xs.items()})
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), seed
+            for taps, ref_taps in zip(trace.taps, ref.taps, strict=True):
+                assert [t.tobytes() for t in taps] == [t.tobytes() for t in ref_taps], seed
+
     def test_overflow_raises_instead_of_returning_inf(self, two_mode_block):
         huge = {"a": np.full((6, 3), 1e120), "b": np.full((4, 5), 1e120)}
         with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:

@@ -5,11 +5,15 @@ after a resize), and walk their trace only when that check fails.  These
 tests scale seeded inputs by powers of ten until the forward raises, and
 compare the stage it names (or that it returned) with the first non-finite
 stage of an independent per-stage computation from dense matrices: raw
-Y_1..Y_d, Z_2..Z_d, P, then O.  Numpy warnings are errors.
+Y_1..Y_d, Z_2..Z_d, P, then O.  A rational block's division and its
+gradient are compared with exact rational arithmetic at the same scales.
+Numpy warnings are errors.
 """
 
+import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from padre import block as block_mod
 from padre.block import (RMS_EPS, Grid, PadreBlock, Seq1d, WMode, build_conv_instance, forward,
                          random_block)
 from padre.multimodal import build_multimodal, multimodal_forward
+from padre.rational import random_rational_block, rational_backward, rational_forward
 from padre.tensor import Mixer, NumericError, Side
 
 from conftest import dense_of
@@ -234,3 +239,44 @@ class TestStagesThatCannotReachP:
         assert np.isfinite(out).all()
         assert not any(m is bad for m in made)
         assert len(made) == 2 * 2 + 2            # two levels' two mixers, then C_1 and D_1
+
+
+class TestRationalDenominator:
+    """The division ``num / (den^2 + eps)`` (or ``num / den``) and its gradient
+    past the scale where ``den^2``, or the gradient's ``(den^2 + eps)^2``,
+    overflows: with no numpy warning, each entry is its exact value, from the
+    chains' outputs, to rounding."""
+
+    @staticmethod
+    def close(got: np.ndarray, want) -> bool:
+        return all(math.isclose(a, float(b), rel_tol=1e-14, abs_tol=1e-320)
+                   for a, b in zip(got.ravel().tolist(), want, strict=True))
+
+    @pytest.mark.parametrize("d,e,seed,square", [
+        (3, 2, 5, True), (2, 2, 4, True), (2, 1, 2, True), (3, 2, 5, False), (2, 2, 4, False),
+    ], ids=["d3e2-squared", "d2e2-squared", "d2e1-squared", "d3e2-plain", "d2e2-plain"])
+    def test_division_and_gradient_past_the_square(self, rng, d, e, seed, square):
+        block = random_rational_block(6, 3, d, e, seed=seed, square_denominator=square)
+        x = np.random.default_rng(0).uniform(-1, 1, (6, 3))
+        g = rng.uniform(-1, 1, (6, 3))
+        eps = Fraction(block.epsilon)
+        past = False
+        for k in range(0, 309, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out, trace = rational_forward(block, 10.0 ** k * x)
+                except NumericError:
+                    continue                # a chain overflowed; test_random_blocks covers that
+                num, den = trace.num_trace.output.ravel().tolist(), trace.den.ravel().tolist()
+                grads = rational_backward(block, trace, g).by_label()
+            past |= bool(np.abs(trace.den).max() > (1.2e77 if square else 1.4e154))
+            dens = [Fraction(q) ** 2 + eps if square else Fraction(q) for q in den]
+            ups = [Fraction(v) for v in g.ravel().tolist()]
+            assert self.close(out, [Fraction(n) / q for n, q in zip(num, dens)]), k
+            # the chains' biases take dL/dnum and dL/dden as they are
+            assert self.close(grads["Vn"], [u / q for u, q in zip(ups, dens)]), k
+            dq = [2 * Fraction(q) if square else 1 for q in den]
+            assert self.close(grads["Pd"], [-u * Fraction(n) * t / (q * q)
+                                            for u, n, t, q in zip(ups, num, dq, dens)]), k
+        assert past
