@@ -26,7 +26,7 @@ import numpy as np
 
 from .block import PadreBlock, WMode, forward
 from .oracle import rel_dev
-from .tensor import FlopLedger, LayoutError, Mixer, ShapeError, Side, apply_mixer
+from .tensor import LayoutError, Mixer, ShapeError, Side, apply_mixer
 
 L1_EPS = 1e-12
 
@@ -162,18 +162,11 @@ def _l1_cols(a: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
-def sima_forward(p: SimaParams, x: np.ndarray,
-                 ledger: FlopLedger | None = None) -> np.ndarray:
+def sima_forward(p: SimaParams, x: np.ndarray) -> np.ndarray:
     q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
     qh = q / _l1_cols(q, "Q")[None, :]
     kh = k / _l1_cols(k, "K")[None, :]
-    out = qh @ (kh.T @ v)
-    if ledger is not None:
-        n, d = x.shape
-        ledger.add("channel_mix", 3 * n * d * d)   # projections
-        ledger.add("combine", 2 * n * d)           # column normalizations
-        ledger.add("token_mix", 2 * n * d * d)     # K^T V then Q(K^T V)
-    return out
+    return qh @ (kh.T @ v)
 
 
 def sima_numerator(p: SimaParams, x: np.ndarray) -> np.ndarray:
@@ -227,16 +220,8 @@ def _dconv_grid(x: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray
     return out.reshape(n, d)
 
 
-def conv2former_forward(p: Conv2FormerParams, x: np.ndarray,
-                        ledger: FlopLedger | None = None) -> np.ndarray:
-    a = _dconv_grid(x @ p.w1, p.kernel, p.grid_h, p.grid_w)
-    v = x @ p.w2
-    if ledger is not None:
-        n, d = x.shape
-        ledger.add("channel_mix", 2 * n * d * d)
-        ledger.count(Mixer.conv2d(Side.TOKEN, p.kernel, p.grid_h, p.grid_w), x)
-        ledger.add("hadamard", n * d)
-    return a * v
+def conv2former_forward(p: Conv2FormerParams, x: np.ndarray) -> np.ndarray:
+    return _dconv_grid(x @ p.w1, p.kernel, p.grid_h, p.grid_w) * (x @ p.w2)
 
 
 def conv2former_as_padre(p: Conv2FormerParams) -> PadrePlan:
@@ -420,17 +405,10 @@ class CastlingParams:
             raise ShapeError("the depthwise operator must act on the token side")
 
 
-def castling_forward(p: CastlingParams, x: np.ndarray,
-                     ledger: FlopLedger | None = None) -> np.ndarray:
+def castling_forward(p: CastlingParams, x: np.ndarray) -> np.ndarray:
     """O = (1/pi) Q (K^T V) + (I/2 + M_DW) V, in factorized O(N D^2) order."""
     q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
-    out = (q @ (k.T @ v)) * CASTLING_SCALE + 0.5 * v + apply_mixer(p.dw, v, ledger)
-    if ledger is not None:
-        n, d = x.shape
-        ledger.add("channel_mix", 3 * n * d * d)
-        ledger.add("token_mix", 2 * n * d * d)
-        ledger.add("combine", 2 * n * d)
-    return out
+    return (q @ (k.T @ v)) * CASTLING_SCALE + 0.5 * v + apply_mixer(p.dw, v)
 
 
 def castling_as_padre(p: CastlingParams) -> PadrePlan:

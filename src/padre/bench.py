@@ -1,11 +1,12 @@
 """Scaling benchmarks: analytic MAC counts plus wall-time measurements.
 
-FLOP columns come from the deterministic ledger (1 MAC = 2 FLOPs), so they
-are identical run to run; wall time is measured single-threaded with a
-monotonic clock and reported as median/p10/p90 over repetitions.  The
-attention reference times the quadratic core (token-token logits, softmax,
-value aggregation) plus one output projection, i.e. 2 N^2 D + N D^2 MACs;
-the polynomial schemes time the full block, whose ledger is O(N D d).
+FLOP columns are closed-form MAC counts of each scheme's setup (1 MAC = 2
+FLOPs), so they are exact and identical run to run, and counting runs
+nothing; wall time is measured single-threaded with a monotonic clock and
+reported as median/p10/p90 over repetitions.  The attention reference times
+the quadratic core (token-token logits, softmax, value aggregation) plus one
+output projection, i.e. 2 N^2 D + N D^2 MACs; the polynomial schemes time
+the full block, whose ``count_forward`` is O(N D d).
 
 Timing is single-threaded only when the BLAS thread variables
 (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ...) are 1 before numpy is
@@ -30,7 +31,7 @@ from .adapters import (
     conv2former_forward,
     sima_forward,
 )
-from .block import Grid, Seq1d, _uniform, build_conv_instance, forward
+from .block import Grid, Seq1d, _uniform, build_conv_instance, count_forward, forward
 from .tensor import FlopLedger, LayoutError, Mixer, Side
 
 DEFAULT_N_LIST = [256, 1024, 2304, 4096]
@@ -84,17 +85,10 @@ def _input_for(n: int, d_ch: int, seed: int, scheme: str) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(n, d_ch))
 
 
-def _ledgered(fn, params, x: np.ndarray, degree: int):
-    """``(run, flops, degree)`` for ``fn(params, x[, ledger])``; one ledger
-    pass counts the FLOPs."""
-    ledger = FlopLedger()
-    fn(params, x, ledger)
-    return (lambda: fn(params, x)), ledger.flops, degree
-
-
 def _setup_padre(degree: int, n: int, d_ch: int, seed: int):
     block = build_conv_instance(n, d_ch, degree, _layout_for(n), seed=seed)
-    return _ledgered(forward, block, _input_for(n, d_ch, seed, f"padre-{degree}"), degree)
+    x = _input_for(n, d_ch, seed, f"padre-{degree}")
+    return (lambda: forward(block, x)), count_forward(block, x.shape, FlopLedger()).flops, degree
 
 
 def _setup_softmax_attn(n: int, d_ch: int, seed: int):
@@ -115,7 +109,9 @@ def _setup_softmax_attn(n: int, d_ch: int, seed: int):
 def _setup_sima(n: int, d_ch: int, seed: int):
     rng = np.random.default_rng([seed, n, 2])
     p = SimaParams(*(_uniform(rng, (d_ch, d_ch), d_ch) for _ in range(3)))
-    return _ledgered(sima_forward, p, _input_for(n, d_ch, seed, "sima"), 3)
+    x = _input_for(n, d_ch, seed, "sima")
+    # three projections, K^T V and Q (K^T V), and two column normalizations
+    return (lambda: sima_forward(p, x)), 2 * (5 * n * d_ch * d_ch + 2 * n * d_ch), 3
 
 
 def _setup_castling(n: int, d_ch: int, seed: int):
@@ -126,7 +122,10 @@ def _setup_castling(n: int, d_ch: int, seed: int):
     else:
         dw = Mixer.conv1d(Side.TOKEN, _uniform(rng, (3,), 3), n)
     p = CastlingParams(*(_uniform(rng, (d_ch, d_ch), d_ch) for _ in range(3)), dw=dw)
-    return _ledgered(castling_forward, p, _input_for(n, d_ch, seed, "castling"), 3)
+    x = _input_for(n, d_ch, seed, "castling")
+    # SimA's products without its normalizations, the depthwise map, and a two-term combine
+    macs = 5 * n * d_ch * d_ch + dw.macs_per_vector() * d_ch + 2 * n * d_ch
+    return (lambda: castling_forward(p, x)), 2 * macs, 3
 
 
 def _setup_conv2former(n: int, d_ch: int, seed: int):
@@ -137,7 +136,11 @@ def _setup_conv2former(n: int, d_ch: int, seed: int):
         w1=_uniform(rng, (d_ch, d_ch), d_ch), w2=_uniform(rng, (d_ch, d_ch), d_ch),
         kernel=_uniform(rng, (kh, kw), kh * kw), grid_h=layout.h, grid_w=layout.w,
     )
-    return _ledgered(conv2former_forward, p, _input_for(n, d_ch, seed, "conv2former"), 2)
+    x = _input_for(n, d_ch, seed, "conv2former")
+    # two projections, the depthwise convolution without its padding taps, one product
+    conv = Mixer.conv2d(Side.TOKEN, p.kernel, layout.h, layout.w)
+    macs = 2 * n * d_ch * d_ch + conv.macs_per_vector() * d_ch + n * d_ch
+    return (lambda: conv2former_forward(p, x)), 2 * macs, 2
 
 
 _SETUPS = {"padre-2": functools.partial(_setup_padre, 2),
@@ -165,7 +168,7 @@ def setup_scheme(scheme: str, n: int, d_ch: int, seed: int):
 def run_bench(schemes: list[str], n_list: list[int] | None = None,
               d_ch: int = DEFAULT_CHANNELS, reps: int = 20, warmup: int = 3,
               seed: int = 0) -> list[BenchRecord]:
-    """Time every (scheme, N) pair; FLOPs come from the ledger.
+    """Time every (scheme, N) pair; FLOPs come from each setup's closed form.
 
     Every pair is checked (``check_scheme``) before the first is timed.
     """

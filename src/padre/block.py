@@ -17,6 +17,7 @@ O(N * D * d) MACs.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
@@ -36,6 +37,7 @@ from .tensor import (
     Side,
     SizeCapError,
     apply_mixer,
+    as_compute,
     hadamard,
     pack_records,
     read_records,
@@ -196,12 +198,11 @@ def rms_normalize_rows(y: np.ndarray) -> np.ndarray:
     return u / s
 
 
-def features(token_mixers: list[Mixer], channel_mixers: list[Mixer], x: np.ndarray,
-             ledger: FlopLedger | None = None) -> list[np.ndarray]:
+def features(token_mixers: list[Mixer], channel_mixers: list[Mixer],
+             x: np.ndarray) -> list[np.ndarray]:
     """The feature bank Y_i = A_i X B_i, channel map first.  Unchecked: a
     non-finite Y_i that reaches P leaves P non-finite (see ``forward``)."""
-    return [apply_mixer(a, apply_mixer(b, x, ledger), ledger)
-            for a, b in zip(token_mixers, channel_mixers)]
+    return [apply_mixer(a, apply_mixer(b, x)) for a, b in zip(token_mixers, channel_mixers)]
 
 
 def _composes(block: PadreBlock) -> bool:
@@ -220,21 +221,32 @@ def _composed_e(block: PadreBlock) -> Mixer:
     return Mixer.dense(Side.CHANNEL, block.channel_mixers[0].matrix @ block.inter_channel[0].matrix)
 
 
-def _composed_v1(block: PadreBlock, x: np.ndarray, ledger: FlopLedger | None) -> np.ndarray | None:
+def _composed_v1(block: PadreBlock, x: np.ndarray) -> np.ndarray | None:
     """``V_1 = A_1 X E``, or None for the general route: when the block does
     not compose or E is not finite (V_1 reaches P, which ``forward`` checks).
-    ``X E`` is a bare GEMM, off ``apply_mixer``; the ledger counts B_1, A_1
-    and D_1 as applied."""
+    ``X E`` is a bare GEMM, off ``apply_mixer``."""
     if not _composes(block):
         return None
     try:
         e = _composed_e(block)
     except NumericError:
         return None
-    if ledger is not None:
-        for m in (block.channel_mixers[0], block.token_mixers[0], block.inter_channel[0]):
-            ledger.count(m, x)
     return apply_mixer(block.token_mixers[0], x @ e.matrix)
+
+
+def count_forward(block: PadreBlock, shape: tuple[int, ...], ledger: FlopLedger) -> FlopLedger:
+    """Add ``forward``'s MACs on a ``shape`` input to ``ledger`` and return it: a rule of
+    the block, not of a run.  Each mixer counts once, so the composed route counts as the
+    general one; then d - 1 Hadamard products, |mask| weighted taps, and U P then (U P) V."""
+    size = math.prod(shape)
+    for m in _all_mixers(block):
+        ledger.count(m, size)
+    ledger.add("hadamard", (block.degree - 1) * size)
+    ledger.add("combine", len(block.degree_mask) * size)
+    if block.resize_left is not None:
+        f, g = block.resize_left.shape[0], block.resize_right.shape[1]
+        ledger.add("resize", f * size + f * (size // block.n_tokens) * g)
+    return ledger
 
 
 def _raise_first(trace: PadreTrace):
@@ -252,11 +264,12 @@ def forward(block: PadreBlock, x: np.ndarray,
     """Run the block, ``features`` then ``_stages``; returns the output and the stage trace.
 
     ``x`` is ``(..., N, D)``: each sample along the leading batch axes gives
-    bit for bit what it gives alone, and the ledger counts every sample.
-    ``x`` is cast to ``np.result_type(x, np.float64)`` first, the one choice
-    of compute dtype: bool, integer and float32 inputs run as their float64
-    cast, bit for bit in the output and every trace tensor; float64, wider
-    and complex inputs are not copied or narrowed.
+    bit for bit what it gives alone.  ``x`` is cast by ``as_compute`` first,
+    the one choice of compute dtype: bool, integer and float32 inputs and
+    nested lists run as their float64 array, bit for bit in the output and
+    every trace tensor; float64, wider and complex inputs are not copied or
+    narrowed.  A ``ledger`` gets ``count_forward``'s MACs, every sample
+    counted, once the shape check passes, whichever route runs.
 
     A non-finite stage raises ``NumericError`` naming it, with no numpy
     warning before it.  Finiteness is checked once, at P (and at O after a
@@ -276,26 +289,23 @@ def forward(block: PadreBlock, x: np.ndarray,
     A non-finite ``B_1 D_1``, or a composed forward that fails its check,
     reruns the general route, which names the stage; so the routes differ in
     one case only: a composed block whose Y_1 alone would overflow returns
-    its finite output.  The ledger counts operators, not routes.
+    its finite output.
     """
-    x = np.asarray(x, dtype=np.result_type(x, np.float64))
+    x = as_compute(x)
     if x.shape[-2:] != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} is not (..., {block.n_tokens}, "
                          f"{block.n_channels})")
-    counted = None if ledger is None else vars(ledger).copy()
-    v1 = _composed_v1(block, x, ledger)
+    if ledger is not None:
+        count_forward(block, x.shape, ledger)
+    v1 = _composed_v1(block, x)
     if v1 is not None:
-        y_raw = [None] + features(block.token_mixers[1:], block.channel_mixers[1:], x, ledger)
-        try:
-            return _stages(block, x, y_raw, ledger, v1)
-        except NumericError:
-            if ledger is not None:          # the rerun counts the block once
-                vars(ledger).update(counted)
-    return _stages(block, x, features(block.token_mixers, block.channel_mixers, x, ledger), ledger)
+        y_raw = [None] + features(block.token_mixers[1:], block.channel_mixers[1:], x)
+        with contextlib.suppress(NumericError):
+            return _stages(block, x, y_raw, v1)
+    return _stages(block, x, features(block.token_mixers, block.channel_mixers, x))
 
 
 def _stages(block: PadreBlock, x: np.ndarray | None, y_raw: list[np.ndarray | None],
-            ledger: FlopLedger | None = None,
             v1: np.ndarray | None = None) -> tuple[np.ndarray, PadreTrace]:
     """``forward`` from the raw feature bank ``y_raw`` on (Y_1 None and ``v1``
     given on the composed route): the Hadamard cascade Z_1 = Y_1,
@@ -311,7 +321,7 @@ def _stages(block: PadreBlock, x: np.ndarray | None, y_raw: list[np.ndarray | No
     p, z = None, y[0]
     for i in range(1, block.degree + 1):
         if i < block.degree:
-            zd = v1 if z is None else apply_mixer(block.inter_channel[i - 1], z, ledger)
+            zd = v1 if z is None else apply_mixer(block.inter_channel[i - 1], z)
         if i in block.degree_mask:
             term = np.multiply(block.weights[..., i - 1], z, out=z if i > 1 else None)
             p = np.add(term, 0.0, out=term) if p is None else np.add(p, term, out=p)
@@ -319,21 +329,16 @@ def _stages(block: PadreBlock, x: np.ndarray | None, y_raw: list[np.ndarray | No
             _raise_first(trace)                # an unsummed Z_d: what P may not see
         z = term = None
         if i < block.degree:
-            trace.t.append(apply_mixer(block.inter_token[i - 1], zd, ledger))
+            trace.t.append(apply_mixer(block.inter_token[i - 1], zd))
             zd = None
-            z = hadamard(trace.t[-1], y[i], ledger)
+            z = hadamard(trace.t[-1], y[i])
     if block.bias is not None:
         p += block.bias
-    if ledger is not None:
-        ledger.add("combine", len(block.degree_mask) * p.size)
     if not np.isfinite(p).all():
         _raise_first(trace)
     out = p
     if block.resize_left is not None:
         out = block.resize_left @ p @ block.resize_right
-        if ledger is not None:
-            f, g = block.resize_left.shape[0], block.resize_right.shape[1]
-            ledger.add("resize", f * p.size + f * (p.size // block.n_tokens) * g)
         require_finite(out, "O")
     trace.pre_resize, trace.output = p, out
     return out, trace

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import PadreBlock, WMode, _stages, _uniform, features, random_mixer
-from .tensor import Mixer, ShapeError, Side, require_finite
+from .tensor import Mixer, ShapeError, Side, as_compute, require_finite
 
 
 class TrivialSequenceError(ValueError):
@@ -119,7 +119,7 @@ def multimodal_forward(block: MultimodalBlock,
         raise MissingModeError(f"missing inputs for modes {sorted(missing)}")
     projected: dict[str, np.ndarray] = {}
     for mode, spec in block.modes.items():
-        x = np.asarray(inputs[mode], dtype=np.result_type(inputs[mode], np.float64))
+        x = as_compute(inputs[mode])
         if x.shape != (spec.n_in, spec.d_in):
             raise ShapeError(f"mode {mode!r} input shape {x.shape} != "
                              f"({spec.n_in}, {spec.d_in})")

@@ -24,7 +24,7 @@ import numpy as np
 from .block import (PadreBlock, PadreTrace, WMode, _uniform, forward, iter_parameters,
                     mixer_parameters, random_mixer)
 from .grad import GradBundle, GradReport, _upstream, backward, vjp_gradcheck
-from .tensor import (Mixer, NumericError, Record, ShapeError, Side, pack_records,
+from .tensor import (Mixer, NumericError, Record, ShapeError, Side, as_compute, pack_records,
                      read_records, require_finite, unpack_records, write_records)
 
 DEFAULT_EPS = 1e-6
@@ -123,6 +123,7 @@ def _over_square(a: np.ndarray, r: np.ndarray, eps: float) -> np.ndarray:
 
 def rational_forward(block: RationalPadreBlock,
                      x: np.ndarray) -> tuple[np.ndarray, RationalTrace]:
+    x = as_compute(x)
     if x.shape != (block.n_tokens, block.n_channels):
         raise ShapeError(f"input shape {x.shape} != ({block.n_tokens}, {block.n_channels})")
     num_block, den_block = chain_blocks(block)

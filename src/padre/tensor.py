@@ -136,10 +136,10 @@ class FlopLedger:
     def add(self, category: str, macs: int) -> None:
         setattr(self, category, getattr(self, category) + int(macs))
 
-    def count(self, m: "Mixer", x: np.ndarray) -> None:
-        """Count ``m`` applied to every vector of ``x`` on its side."""
+    def count(self, m: "Mixer", size: int) -> None:
+        """Count ``m`` applied to every vector on its side of a ``size``-entry tensor."""
         self.add("token_mix" if m.side == Side.TOKEN else "channel_mix",
-                 m.macs_per_vector() * (x.size // m.dim))
+                 m.macs_per_vector() * (size // m.dim))
 
     @property
     def macs(self) -> int:
@@ -152,6 +152,13 @@ class FlopLedger:
 
 def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+
+
+def as_compute(x) -> np.ndarray:
+    """``x`` (nested lists too) as an array of the compute dtype ``np.result_type(x,
+    np.float64)``: float64, wider and complex arrays are not copied or narrowed."""
+    x = np.asarray(x)
+    return np.asarray(x, dtype=np.result_type(x, np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +183,10 @@ class Mixer:
     grid_w: int = 0
 
     def __post_init__(self):
+        if self.side not in (Side.TOKEN, Side.CHANNEL) or self.padding not in (
+                PadMode.ZERO, PadMode.CIRCULAR):      # no record could encode them
+            raise ShapeError(f"mixer side {self.side!r} or padding {self.padding!r} "
+                             "is not a member of its enum")
         if self.dim < 1:
             raise ShapeError(f"mixer dim must be positive, got {self.dim}")
         k = self.kind
@@ -186,28 +197,23 @@ class Mixer:
             if self.diag is None or self.diag.shape != (self.dim,):
                 raise ShapeError("diagonal mixer needs a length-dim diagonal")
         elif k == MixerKind.LOW_RANK:
-            if self.left is None or self.right is None:
-                raise ShapeError("low-rank mixer needs left/right factors")
+            if self.left is None or self.right is None or self.left.ndim != 2:
+                raise ShapeError("low-rank mixer needs 2-D left/right factors")
             r = self.left.shape[1]
             if self.left.shape != (self.dim, r) or self.right.shape != (r, self.dim):
                 raise ShapeError("low-rank factors must be dim x r and r x dim")
             if r > self.dim:
                 raise ShapeError(f"low-rank rank {r} exceeds dim {self.dim}")
-        elif k == MixerKind.CONV1D:
-            if self.kernel is None or self.kernel.ndim != 1 or self.kernel.shape[0] < 1:
-                raise ShapeError("conv1d mixer needs a 1-D kernel")
-            if self.kernel.shape[0] > self.dim:
-                raise ShapeError("conv1d kernel longer than the mixed dimension")
-        elif k == MixerKind.CONV2D:
-            if self.kernel is None or self.kernel.ndim != 2 or not self.kernel.size:
-                raise ShapeError("conv2d mixer needs a 2-D kernel with no empty axis")
-            if self.grid_h * self.grid_w != self.dim:
+        elif k in (MixerKind.CONV1D, MixerKind.CONV2D):
+            ndim, name = (1, "conv1d") if k == MixerKind.CONV1D else (2, "conv2d")
+            if self.kernel is None or self.kernel.ndim != ndim or not self.kernel.size:
+                raise ShapeError(f"{name} mixer needs a {ndim}-D kernel with no empty axis")
+            if k == MixerKind.CONV2D and self.grid_h * self.grid_w != self.dim:
                 raise LayoutError(
-                    f"conv2d grid {self.grid_h}x{self.grid_w} does not cover dim {self.dim}"
-                )
-            kh, kw = self.kernel.shape
-            if kh > self.grid_h or kw > self.grid_w:
-                raise ShapeError("conv2d kernel larger than the grid")
+                    f"conv2d grid {self.grid_h}x{self.grid_w} does not cover dim {self.dim}")
+            (kh, kw), (gh, gw) = _kernel2d(self).shape, _grid(self)
+            if kh > gh or kw > gw:
+                raise ShapeError(f"{name} kernel larger than the {gh}x{gw} grid")
         elif k != MixerKind.IDENTITY:
             raise ShapeError(f"unknown mixer kind {k}")
         for _, arr in self.param_arrays():
@@ -259,8 +265,7 @@ class Mixer:
         if k in (MixerKind.CONV1D, MixerKind.CONV2D):
             if self.padding == PadMode.CIRCULAR:
                 return self.dim * self.kernel.size
-            axes = (self.dim,) if k == MixerKind.CONV1D else (self.grid_h, self.grid_w)
-            return math.prod(_conv_taps(n, kk) for n, kk in zip(axes, self.kernel.shape))
+            return math.prod(map(_conv_taps, _grid(self), _kernel2d(self).shape))
         return 0
 
     def param_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -284,20 +289,14 @@ def _conv_taps(n: int, k: int) -> int:
     return n * k - (a * (a + 1) + (k - 1 - a) * (k - a)) // 2
 
 
-def _conv_view(m: Mixer, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``x`` with the convolution axes split out, and those axes.
+def _grid(m: Mixer) -> tuple[int, int]:
+    """A convolution's ``(rows, columns)``: a conv1d is a one-row conv2d."""
+    return (m.grid_h, m.grid_w) if m.kind == MixerKind.CONV2D else (1, m.dim)
 
-    The view is the token grid ``(..., H, W, D)``, the channel grid
-    ``(..., N, H, W)``, or ``x`` itself for conv1d; the convolution axes sit
-    behind any batch axes.
-    """
-    *batch, n, d = x.shape
-    nb = len(batch)
-    if m.kind == MixerKind.CONV1D:
-        return x, (nb if m.side == Side.TOKEN else nb + 1,)
-    if m.side == Side.TOKEN:
-        return x.reshape(*batch, m.grid_h, m.grid_w, d), (nb, nb + 1)
-    return x.reshape(*batch, n, m.grid_h, m.grid_w), (nb + 1, nb + 2)
+
+def _kernel2d(m: Mixer) -> np.ndarray:
+    """A convolution's kernel as ``(kh, kw)``: a conv1d's is one row, a view."""
+    return m.kernel.reshape(-1, m.kernel.shape[-1])
 
 
 def _anchor(k: int, transpose: bool = False) -> int:
@@ -370,8 +369,9 @@ def _width(kh: int) -> int:
 def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None):
     """The Toeplitz route's tiles and their windows: ``(view, slabs)``.
 
-    A grid holds ``_conv_view``'s view (conv1d gets a unit leading
-    convolution axis) with the last convolution axis cut into ``(n_tiles,
+    A grid holds ``x`` with its convolved side split into ``_grid(m)`` (the
+    token grid ``(..., H, W, D)`` or the channel grid ``(..., N, H, W)``; a
+    conv1d's has one row) and the last convolution axis cut into ``(n_tiles,
     w)``, ``w = _width(kh)``: empty, or ``g`` zero-extended to whole tiles.
     ``view`` is the grid cut back to the view's shape.  ``slabs`` yields
     ``(tiles, slab)`` for groups of tiles: ``tiles``, shaped ``(..., lanes,
@@ -380,16 +380,16 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
     axis that is not convolved: channels on the token side, tokens on the
     channel side.
 
-    No padded copy of the view is built.  With one kernel row (conv1d, or a
-    ``kh = 1`` conv2d) the slabs of the tiles whose windows stay inside the
-    view are one strided view of ``x``, and the tiles on either side read a
-    padded piece just wide enough for them.  With ``kh > 1`` each sample's
-    tile columns are cut into equal blocks, as few as keep a strip within
-    ``STRIP_BYTES``: blocks of rows on the token side, where the lanes are
-    the strip's inner axis, and of lanes on the channel side, where the
-    rows stay whole.  Each block, with its ``kh - 1`` halo rows of zeros or
-    wrapped values, is copied into one strip of ``(rows + kh - 1) x (w + kw
-    - 1)`` view entries, where a tile's window rows are one run.
+    No padded copy of the view is built.  With one kernel row the slabs of
+    the tiles whose windows stay inside the view are one strided view of
+    ``x``, and the tiles on either side read a padded piece just wide enough
+    for them.  With ``kh > 1`` each sample's tile columns are cut into equal
+    blocks, as few as keep a strip within ``STRIP_BYTES``: blocks of rows on
+    the token side, where the lanes are the strip's inner axis, and of lanes
+    on the channel side, where the rows stay whole.  Each block, with its
+    ``kh - 1`` halo rows of zeros or wrapped values, is copied into one strip
+    of ``(rows + kh - 1) x (w + kw - 1)`` view entries, where a tile's window
+    rows are one run.
 
     Every padded piece is a view of one float64 buffer per thread
     (``_strip``), kept across calls: it holds the largest piece asked for,
@@ -398,16 +398,15 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
     64x64x192 grid).  A slab read from a piece is valid only until the next
     slab is drawn or another convolution runs on the same thread.
     """
-    n = m.grid_w if m.kind == MixerKind.CONV2D else m.dim
-    xv, axes = _conv_view(m, x)
-    r = axes[0]
-    if m.kind == MixerKind.CONV1D:
-        xv = xv.reshape(xv.shape[:r] + (1,) + xv.shape[r:])
+    (rows, n), (*batch, tokens, d) = _grid(m), x.shape
+    token = m.side == Side.TOKEN
+    xv = x.reshape(*batch, rows, n, d) if token else x.reshape(*batch, tokens, rows, n)
+    r = len(batch) if token else len(batch) + 1
     ax, lead, circular = r + 1, (slice(None),) * r, m.padding == PadMode.CIRCULAR
-    kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
+    kh, kw = _kernel2d(m).shape
     ah, aw = _anchor(kh, transpose), _anchor(kw, transpose)
     w = _width(kh)
-    span, n_tiles, rows = w + kw - 1, -(-n // w), xv.shape[r]
+    span, n_tiles = w + kw - 1, -(-n // w)
     shape = xv.shape[:ax] + (n_tiles, w) + xv.shape[ax + 1:]
     extend = g is not None and n % w
     grid = np.zeros(shape) if extend else np.empty(shape) if g is None else g.reshape(shape)
@@ -415,7 +414,7 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
     view = view[lead + (slice(None), slice(n))]
     if extend:
         view[...] = g.reshape(view.shape)
-    lanes = grid.ndim - 1 if m.side == Side.TOKEN else r - 1
+    lanes = grid.ndim - 1 if token else r - 1
     perm = [i for i in range(grid.ndim) if i not in (lanes, ax + 1)] + [lanes, ax + 1]
 
     def group(tiles: np.ndarray, src: np.ndarray):
@@ -444,14 +443,13 @@ def _tiled(m: Mixer, x: np.ndarray, transpose: bool, g: np.ndarray | None = None
             # one sample, tile column and block at a time: a strip is cut along
             # its outer axis, into blocks of rows, each with its own halo rows,
             # on the token side and into blocks of lanes on the channel side
-            token, nb = m.side == Side.TOKEN, x.ndim - 2
             if token:
-                size, cap = rows, STRIP_BYTES // (8 * span * max(1, x.shape[-1])) - (kh - 1)
+                size, cap = rows, STRIP_BYTES // (8 * span * max(1, d)) - (kh - 1)
             else:
-                size, cap = x.shape[-2], STRIP_BYTES // (8 * span * (rows + kh - 1))
+                size, cap = tokens, STRIP_BYTES // (8 * span * (rows + kh - 1))
             blocks = max(1, -(-size // max(1, cap)))        # as few equal blocks as fit
             step = max(1, -(-size // blocks))
-            for sample in np.ndindex(x.shape[:nb]):
+            for sample in np.ndindex(*batch):
                 at = tuple(slice(i, i + 1) for i in sample)
                 for c, b0 in itertools.product(range(n_tiles), range(0, size, step)):
                     b1 = min(size, b0 + step)
@@ -488,13 +486,10 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     is ``window @ T``.  Against a tap-by-tap sum only rounding differs,
     within ``1e-13 * sum_tap |kernel[tap] * window|`` elementwise.  A
     non-finite input reaches every output of the tiles that read it
-    (``0 * inf`` is NaN).
-
-    ``apply_mixer``'s ledger counts the operator's MACs, not the zeros inside
-    the banded matrices.
+    (``0 * inf`` is NaN).  ``macs_per_vector`` counts the operator's MACs, not
+    the zeros inside the banded matrices.
     """
-    kern = np.flip(m.kernel) if transpose else m.kernel
-    kern = kern.reshape(-1, kern.shape[-1])
+    kern = np.flip(_kernel2d(m)) if transpose else _kernel2d(m)
     w = _width(len(kern))
     view, slabs = _tiled(m, x, transpose)
     t = _toeplitz(kern, w).reshape(-1, w)
@@ -546,8 +541,7 @@ def _matrix(m: Mixer) -> np.ndarray | None:
     if m.kind == MixerKind.DENSE:
         return m.matrix
     if m.kind in (MixerKind.CONV1D, MixerKind.CONV2D) and m.dim <= TILE:
-        sizes = (m.dim,) if m.kind == MixerKind.CONV1D else (m.grid_h, m.grid_w)
-        idx = _conv_index(sizes, m.kernel.shape, m.padding == PadMode.CIRCULAR, m.side)
+        idx = _conv_index(_grid(m), _kernel2d(m).shape, m.padding == PadMode.CIRCULAR, m.side)
         return np.append(m.kernel.ravel(), 0.0)[idx]
     return None
 
@@ -565,7 +559,7 @@ def conv_kernel_grad(m: Mixer, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     Against each tap's whole-tensor ``sum(g * window)`` only rounding
     differs, within ``1e-13 * sum(|g * window|)`` per tap.
     """
-    kh, kw = m.kernel.reshape(-1, m.kernel.shape[-1]).shape
+    kh, kw = _kernel2d(m).shape
     w = _width(kh)
     dt = np.zeros((kh * (w + kw - 1), w))
     _, slabs = _tiled(m, x, transpose=False, g=g)
@@ -610,15 +604,10 @@ def _apply(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     return _apply_conv(m, x, transpose)
 
 
-def apply_mixer(m: Mixer, x: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
+def apply_mixer(m: Mixer, x: np.ndarray) -> np.ndarray:
     """Apply ``m`` to ``x``: token side computes M @ x, channel side x @ M.
-
-    Leading batch axes of ``x`` broadcast; the ledger counts every sample.
-    """
-    out = _apply(m, x, transpose=False)
-    if ledger is not None:
-        ledger.count(m, x)
-    return out
+    Leading batch axes of ``x`` broadcast."""
+    return _apply(m, x, transpose=False)
 
 
 def apply_mixer_transpose(m: Mixer, g: np.ndarray) -> np.ndarray:
@@ -626,12 +615,10 @@ def apply_mixer_transpose(m: Mixer, g: np.ndarray) -> np.ndarray:
     return _apply(m, g, transpose=True)
 
 
-def hadamard(a: np.ndarray, b: np.ndarray, ledger: FlopLedger | None = None) -> np.ndarray:
-    """Elementwise product; counts one MAC per entry."""
+def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of equal shapes; one MAC per entry."""
     if a.shape != b.shape:
         raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    if ledger is not None:
-        ledger.add("hadamard", a.size)
     return a * b
 
 

@@ -1,6 +1,7 @@
 """Block forward semantics, the concrete instance builder, and homogeneity."""
 
 import copy
+import itertools
 import time
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from padre.block import (
     build_conv_instance,
     config_from_json,
     config_to_json,
+    count_forward,
     forward,
     iter_parameters,
     param_count,
@@ -31,6 +33,8 @@ from padre.block import (
     rms_normalize_rows,
 )
 from padre.grad import backward
+from padre.multimodal import build_multimodal, multimodal_forward
+from padre.rational import random_rational_block, rational_forward
 from padre.tensor import (
     FlopLedger, LayoutError, Mixer, MixerKind, NumericError, ShapeError, Side, SizeCapError,
     apply_mixer,
@@ -157,6 +161,29 @@ class TestInputDtype:
         assert got.d_x.tobytes() == ref.d_x.tobytes()
         for label, arr in ref.by_label().items():
             assert got.by_label()[label].tobytes() == arr.tobytes(), label
+
+    @pytest.mark.parametrize("entry", ["forward", "multimodal", "rational"])
+    @pytest.mark.parametrize("values", ["int", "float"])
+    def test_nested_lists_give_their_float64_arrays_bits(self, rng, entry, values):
+        # np.result_type read a nested list as a dtype spec; rational_forward read x.shape
+        def draw(shape):
+            a = rng.integers(-3, 4, shape) if values == "int" else rng.uniform(-1, 1, shape)
+            return a.tolist()
+
+        x = draw((4, 3))
+        if entry == "forward":
+            block = random_block(4, 3, 3, seed=1, with_bias=True)
+            run = lambda v: forward(block, v)[0]
+        elif entry == "rational":
+            block = random_rational_block(4, 3, 2, 1, seed=1)
+            run = lambda v: rational_forward(block, v)[0]
+        else:
+            block = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab", "ba"], seed=1)
+            x = {"a": x, "b": draw((5, 2))}
+            run = lambda v: multimodal_forward(block, v)[0]
+        arrays = ({k: np.array(v, dtype=np.float64) for k, v in x.items()}
+                  if isinstance(x, dict) else np.array(x, dtype=np.float64))
+        assert run(x).tobytes() == run(arrays).tobytes()
 
     def test_float32_input_returns_float64(self, rng):
         x = rng.uniform(-1, 1, (4, 3)).astype(np.float32)
@@ -334,6 +361,51 @@ class TestComposedRoute:
             want, _ = forward(block, x, general)
         assert trace.v1 is None and got.tobytes() == want.tobytes()
         assert vars(composed) == vars(general)
+
+
+class TestCountForward:
+    """``count_forward`` is a rule of the block; it must equal a tally of the
+    operators that the general route actually runs."""
+
+    @pytest.mark.parametrize("w_mode", list(WMode), ids=lambda m: m.name)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_closed_form_equals_operators_run(self, monkeypatch, d, w_mode):
+        tally = {}
+        apply, had = block_mod.apply_mixer, block_mod.hadamard
+
+        def add(field, macs):
+            tally[field] = tally.get(field, 0) + macs
+
+        def applied(m, x):
+            add("token_mix" if m.side == Side.TOKEN else "channel_mix",
+                m.macs_per_vector() * (x.size // m.dim))
+            return apply(m, x)
+
+        def multiplied(a, b):
+            add("hadamard", a.size)
+            return had(a, b)
+
+        monkeypatch.setattr(block_mod, "_composes", lambda b: False)
+        monkeypatch.setattr(block_mod, "apply_mixer", applied)
+        monkeypatch.setattr(block_mod, "hadamard", multiplied)
+        cases = itertools.product([(9, 4), (16, 9), (4, 16)],
+                                  [None, frozenset({d}), frozenset({1, d})],
+                                  [False, True], [False, True], [(), (3,), (2, 2)])
+        for k, ((n, dc), mask, bias, resize, batch) in enumerate(cases):
+            block = random_block(n, dc, d, seed=k, w_mode=w_mode, degree_mask=mask,
+                                 with_bias=bias)
+            rng = np.random.default_rng(k)
+            if resize:
+                block = replace(block, resize_left=rng.uniform(-1, 1, (5, n)),
+                                resize_right=rng.uniform(-1, 1, (dc, 2)))
+            tally.clear()
+            out, trace = forward(block, rng.uniform(-1, 1, batch + (n, dc)))
+            p = trace.pre_resize
+            add("combine", len(block.degree_mask) * p.size)
+            if resize:      # U P, then (U P) V
+                add("resize", block.resize_left.shape[0] * p.size + out.size * dc)
+            want = count_forward(block, batch + (n, dc), FlopLedger())
+            assert {f: tally.get(f, 0) for f in vars(want)} == vars(want), k
 
 
 class TestConstructor:

@@ -232,7 +232,7 @@ class TestStagesThatCannotReachP:
         made = []
         apply = block_mod.apply_mixer
         monkeypatch.setattr(block_mod, "apply_mixer",
-                            lambda m, x, ledger=None: made.append(m) or apply(m, x, ledger))
+                            lambda m, x: made.append(m) or apply(m, x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, _ = multimodal_forward(block, inputs)

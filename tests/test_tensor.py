@@ -91,8 +91,9 @@ def random_mixers(rng, dim, side):
 class TestApplyMixer:
     def test_identity_noop_and_free(self, rng):
         x = rng.uniform(-1, 1, (5, 3))
-        led = FlopLedger()
-        out = apply_mixer(Mixer.identity(Side.TOKEN, 5), x, led)
+        led, m = FlopLedger(), Mixer.identity(Side.TOKEN, 5)
+        out = apply_mixer(m, x)
+        led.count(m, x.size)
         np.testing.assert_array_equal(out, x)
         assert led.macs == 0
 
@@ -185,6 +186,21 @@ class TestApplyMixer:
     def test_constructor_rejects(self, build, error):
         # one case per check in Mixer.__post_init__
         with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Mixer.conv1d(Side.TOKEN, np.ones(3), 48, 7),
+        lambda: Mixer.conv2d(Side.CHANNEL, np.ones((2, 2)), 3, 3, -1),
+        lambda: Mixer.dense(-1, np.eye(2)),
+        lambda: Mixer.identity(2, 3),
+        lambda: Mixer.low_rank(Side.TOKEN, np.ones(3), np.ones(3)),
+        lambda: Mixer.low_rank(Side.TOKEN, np.ones(3), np.ones((1, 3))),
+    ], ids=["conv1d-padding-7", "conv2d-padding--1", "dense-side--1", "identity-side-2",
+            "low-rank-1d-factors", "low-rank-1d-left"])
+    def test_fields_outside_their_enums_rejected(self, build):
+        # a padding or side that no container can hold, and a factor that used
+        # to fail with IndexError, are shape errors when the mixer is built
+        with pytest.raises(ShapeError):
             build()
 
     def test_shape_and_layout_errors(self, rng):
@@ -501,12 +517,13 @@ class TestBatch:
         samples = x.reshape(6, *x.shape[-2:])
         for m in random_mixers(rng, 9, side):
             batched, one = FlopLedger(), FlopLedger()
-            got = apply_mixer(m, x, batched)
+            got = apply_mixer(m, x)
+            batched.count(m, x.size)
             want = np.stack([apply_mixer(m, s) for s in samples]).reshape(x.shape)
             assert np.array_equal(got, want)
             want_t = np.stack([apply_mixer_transpose(m, s) for s in samples]).reshape(x.shape)
             assert np.array_equal(apply_mixer_transpose(m, x), want_t)
-            apply_mixer(m, samples[0], one)
+            one.count(m, samples[0].size)
             assert batched.macs == 6 * one.macs
 
     def test_vectors_rejected(self):
@@ -635,7 +652,7 @@ class TestFlops:
         counts = []
         for dim in (8, 16, 32, 64):
             led = FlopLedger()
-            apply_mixer(Mixer.diagonal(Side.TOKEN, np.ones(dim)), np.ones((dim, 3)), led)
+            led.count(Mixer.diagonal(Side.TOKEN, np.ones(dim)), np.ones((dim, 3)).size)
             counts.append(led.macs)
         for a, b in zip(counts, counts[1:]):
             assert b == 2 * a
@@ -647,7 +664,7 @@ class TestFlops:
         for dim in (32, 64, 128, 256):
             led = FlopLedger()
             m = Mixer.conv1d(Side.TOKEN, np.ones(5), dim, pad)
-            apply_mixer(m, np.ones((dim, 2)), led)
+            led.count(m, np.ones((dim, 2)).size)
             counts.append(led.macs)
         for a, b in zip(counts, counts[1:]):
             ratio = b / a
@@ -657,16 +674,16 @@ class TestFlops:
 
     def test_conv_count_skips_zero_padding(self):
         led = FlopLedger()
-        apply_mixer(Mixer.conv1d(Side.TOKEN, np.ones(3), 4), np.ones((4, 1)), led)
+        led.count(Mixer.conv1d(Side.TOKEN, np.ones(3), 4), np.ones((4, 1)).size)
         # interior rows use 3 taps, the two boundary rows 2 taps
         assert led.macs == 3 * 4 - 2
 
     def test_ledger_breakdown_sums(self, rng):
         led = FlopLedger()
         x = rng.uniform(-1, 1, (6, 4))
-        apply_mixer(Mixer.dense(Side.TOKEN, np.eye(6)), x, led)
-        apply_mixer(Mixer.dense(Side.CHANNEL, np.eye(4)), x, led)
-        hadamard(x, x, led)
+        led.count(Mixer.dense(Side.TOKEN, np.eye(6)), x.size)
+        led.count(Mixer.dense(Side.CHANNEL, np.eye(4)), x.size)
+        led.add("hadamard", hadamard(x, x).size)
         assert led.macs == led.token_mix + led.channel_mix + led.hadamard
         assert led.flops == 2 * led.macs
 
