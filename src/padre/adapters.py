@@ -19,12 +19,12 @@ agreement on random inputs is the equivalence certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .block import PadreBlock, WMode, forward
+from .block import PadreBlock, forward
 from .oracle import rel_dev
 from .tensor import LayoutError, Mixer, ShapeError, Side, apply_mixer
 
@@ -57,13 +57,11 @@ def plan_cascade(token: list[Mixer], channel: list[Mixer], inter_token: list[Mix
                  inter_channel: list[Mixer], weight: float = 1.0) -> PadreBlock:
     """One Hadamard cascade Z_1 = Y_1, Z_{j+1} = (C_j Z_j D_j) * Y_{j+1} as a
     block whose combine keeps only the top tap, scaled by ``weight``."""
-    d = len(token)
-    weights = np.zeros(d)
+    weights = np.zeros(len(token))
     weights[-1] = weight
-    return PadreBlock(degree=d, n_tokens=token[0].dim, n_channels=channel[0].dim,
-                      token_mixers=token, channel_mixers=channel, inter_token=inter_token,
-                      inter_channel=inter_channel, w_mode=WMode.SCALAR_PER_DEGREE,
-                      weights=weights, degree_mask=frozenset({d}))
+    return PadreBlock(token_mixers=token, channel_mixers=channel, inter_token=inter_token,
+                      inter_channel=inter_channel, weights=weights,
+                      degree_mask=frozenset({len(token)}))
 
 
 @dataclass
@@ -72,13 +70,19 @@ class PadrePlan:
 
     ``normalizers`` (when set) computes one positive denominator per cascade
     from the input, which places the plan in the rational extension of the
-    polynomial form.
+    polynomial form.  N and D are the first cascade's; a plan with no cascade
+    raises ``ShapeError``.
     """
 
-    n_tokens: int
-    n_channels: int
     cascades: list[PadreBlock]
     normalizers: Callable[[np.ndarray], np.ndarray] | None = None
+    n_tokens: int = field(init=False)
+    n_channels: int = field(init=False)
+
+    def __post_init__(self):
+        if not self.cascades:
+            raise ShapeError("a plan needs at least one cascade")
+        self.n_tokens, self.n_channels = self.cascades[0].n_tokens, self.cascades[0].n_channels
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """The plan on one ``(N, D)`` input; any other shape raises ShapeError."""
@@ -181,11 +185,7 @@ def sima_as_padre(p: SimaParams, n_tokens: int) -> PadrePlan:
     def normalizers(x: np.ndarray) -> np.ndarray:
         return _l1_cols(x @ p.w_q, "Q") * _l1_cols(x @ p.w_k, "K")
 
-    return PadrePlan(
-        n_tokens=n_tokens, n_channels=p.w_q.shape[0],
-        cascades=_qkv_cascades(p.w_q, p.w_k, p.w_v, n_tokens, 1.0),
-        normalizers=normalizers,
-    )
+    return PadrePlan(_qkv_cascades(p.w_q, p.w_k, p.w_v, n_tokens, 1.0), normalizers)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def conv2former_as_padre(p: Conv2FormerParams) -> PadrePlan:
         inter_token=[Mixer.identity(Side.TOKEN, n)],
         inter_channel=[Mixer.identity(Side.CHANNEL, d_ch)],
     )
-    return PadrePlan(n_tokens=n, n_channels=d_ch, cascades=[cascade])
+    return PadrePlan([cascade])
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +243,13 @@ def conv2former_as_padre(p: Conv2FormerParams) -> PadrePlan:
 
 @dataclass
 class HyenaParams:
-    order: int
     projections: list[np.ndarray]   # order+1 maps, each L x M
     filters: list[np.ndarray]       # order causal kernels, each length L
+    order: int = field(init=False)  # the number of filters
 
     def __post_init__(self):
-        if len(self.projections) != self.order + 1 or len(self.filters) != self.order:
+        self.order = len(self.filters)
+        if len(self.projections) != self.order + 1:
             raise ShapeError("need order+1 projections and order filters")
         lengths = {p.shape[0] for p in self.projections} | {h.shape[0] for h in self.filters}
         if len(lengths) != 1:
@@ -300,7 +301,7 @@ def hyena_as_padre(p: HyenaParams) -> PadrePlan:
         inter_token=[Mixer.dense(Side.TOKEN, causal_toeplitz(h)) for h in p.filters],
         inter_channel=[ident_c] * p.order,
     )
-    return PadrePlan(n_tokens=seq_len, n_channels=1, cascades=[cascade])
+    return PadrePlan([cascade])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ def mamba_as_padre(p: MambaParams, a_bar: np.ndarray, gain) -> PadrePlan:
         inter_channel=[ident_c] * 2,
         weight=float(gains[k]),
     ) for k in range(a_bar.shape[0])]
-    return PadrePlan(n_tokens=seq_len, n_channels=1, cascades=cascades)
+    return PadrePlan(cascades)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +415,11 @@ def castling_forward(p: CastlingParams, x: np.ndarray) -> np.ndarray:
 def castling_as_padre(p: CastlingParams) -> PadrePlan:
     """Degree-3 cascades for the kernelized term plus two degree-1 branches."""
     n = p.dw.dim
-    d_ch = p.w_q.shape[0]
     cascades = _qkv_cascades(p.w_q, p.w_k, p.w_v, n, CASTLING_SCALE)
     cascades += [plan_cascade(token=[token], channel=[Mixer.dense(Side.CHANNEL, p.w_v)],
                               inter_token=[], inter_channel=[], weight=weight)
                  for token, weight in ((Mixer.identity(Side.TOKEN, n), 0.5), (p.dw, 1.0))]
-    return PadrePlan(n_tokens=n, n_channels=d_ch, cascades=cascades)
+    return PadrePlan(cascades)
 
 
 # ---------------------------------------------------------------------------

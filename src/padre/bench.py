@@ -19,7 +19,7 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -117,10 +117,12 @@ def _setup_sima(n: int, d_ch: int, seed: int):
 def _setup_castling(n: int, d_ch: int, seed: int):
     rng = np.random.default_rng([seed, n, 3])
     layout = _layout_for(n)
-    if isinstance(layout, Grid):
-        dw = Mixer.conv2d(Side.TOKEN, _uniform(rng, (3, 3), 9), layout.h, layout.w)
+    if isinstance(layout, Grid):     # a 3-tap kernel per axis, clipped to the grid
+        kh, kw = min(3, layout.h), min(3, layout.w)
+        dw = Mixer.conv2d(Side.TOKEN, _uniform(rng, (kh, kw), kh * kw), layout.h, layout.w)
     else:
-        dw = Mixer.conv1d(Side.TOKEN, _uniform(rng, (3,), 3), n)
+        k = min(3, n)
+        dw = Mixer.conv1d(Side.TOKEN, _uniform(rng, (k,), k), n)
     p = CastlingParams(*(_uniform(rng, (d_ch, d_ch), d_ch) for _ in range(3)), dw=dw)
     x = _input_for(n, d_ch, seed, "castling")
     # SimA's products without its normalizations, the depthwise map, and a two-term combine
@@ -232,20 +234,10 @@ def fit_scaling(records: list[BenchRecord]) -> list[ScalingFit]:
 # ---------------------------------------------------------------------------
 
 def emit_csv(items: list[BenchRecord] | list[ScalingFit], path: str) -> None:
-    """Header plus one line per item, full double precision, stable order."""
-    if items and isinstance(items[0], ScalingFit):
-        header, rows = FIT_COLUMNS, [
-            [f.scheme, str(f.points), repr(f.flop_exponent), repr(f.time_exponent),
-             repr(f.flop_residual), repr(f.time_residual)]
-            for f in sorted(items, key=lambda f: f.scheme)
-        ]
-    else:
-        header, rows = RECORD_COLUMNS, [
-            [r.scheme, str(r.n_tokens), str(r.n_channels), str(r.degree), str(r.flops),
-             repr(r.median_s), repr(r.p10_s), repr(r.p90_s), str(r.reps), str(r.seed)]
-            for r in sorted(items, key=lambda r: (r.scheme, r.n_tokens))
-        ]
+    """Header plus one line per item, sorted by its first two fields, each field
+    through ``str`` (a float's shortest round-trip ``repr``)."""
+    header = FIT_COLUMNS if items and isinstance(items[0], ScalingFit) else RECORD_COLUMNS
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+        for row in sorted(map(astuple, items), key=lambda row: row[:2]):
+            f.write(",".join(map(str, row)) + "\n")

@@ -21,7 +21,7 @@ import contextlib
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .tensor import (
     ShapeError,
     Side,
     SizeCapError,
+    _is_int,
     apply_mixer,
     as_compute,
     hadamard,
@@ -93,14 +94,10 @@ Layout = Seq1d | Grid
 
 @dataclass(eq=False)
 class PadreBlock:
-    degree: int
-    n_tokens: int
-    n_channels: int
     token_mixers: list[Mixer]          # A_1..A_d
     channel_mixers: list[Mixer]        # B_1..B_d
     inter_token: list[Mixer]           # C_1..C_{d-1}
     inter_channel: list[Mixer]         # D_1..D_{d-1}
-    w_mode: WMode
     weights: np.ndarray
     degree_mask: frozenset[int]
     bias: np.ndarray | None = None
@@ -108,15 +105,19 @@ class PadreBlock:
     resize_right: np.ndarray | None = None   # V, D x G
     normalize_y: bool = False
     layout: Layout = Seq1d()
+    degree: int = field(init=False)                 # read from the parts: len(token_mixers),
+    n_tokens: int = field(init=False)               # A_1's dim,
+    n_channels: int = field(init=False)             # B_1's dim
+    w_mode: WMode = field(init=False)               # and WMode(3 - weights.ndim)
 
     def __post_init__(self):
-        d, n, dc = self.degree, self.n_tokens, self.n_channels
-        if d < 1:
-            raise ShapeError(f"degree must be >= 1, got {d}")
+        d = self.degree = len(self.token_mixers)
+        if not 1 <= d == len(self.channel_mixers):
+            raise ShapeError("need d >= 1 and one token and one channel mixer per degree")
+        n = self.n_tokens = self.token_mixers[0].dim
+        dc = self.n_channels = self.channel_mixers[0].dim
         if isinstance(self.layout, Grid) and self.layout.h * self.layout.w != n:
             raise LayoutError(f"grid {self.layout.h}x{self.layout.w} does not cover N={n}")
-        if len(self.token_mixers) != d or len(self.channel_mixers) != d:
-            raise ShapeError("need one token and one channel mixer per degree")
         if len(self.inter_token) != d - 1 or len(self.inter_channel) != d - 1:
             raise ShapeError("need d-1 inter-degree mixer pairs")
         for m in self.token_mixers + self.inter_token:
@@ -125,11 +126,15 @@ class PadreBlock:
         for m in self.channel_mixers + self.inter_channel:
             if m.side != Side.CHANNEL or m.dim != dc:
                 raise ShapeError("channel mixers must act on the channel side with dim D")
-        expected = weight_shape(self.w_mode, n, dc, d)
-        if self.weights.shape != expected:
-            raise ShapeError(f"weights shape {self.weights.shape} != {expected} for {self.w_mode.name}")
-        if not self.degree_mask or not self.degree_mask <= set(range(1, d + 1)):
-            raise ShapeError(f"degree mask {sorted(self.degree_mask)} not a nonempty subset of 1..{d}")
+        # W, L, U and V as float64, not copied when they already are
+        self.weights, self.bias, self.resize_left, self.resize_right = (
+            None if a is None else np.asarray(a, dtype=np.float64)
+            for a in (self.weights, self.bias, self.resize_left, self.resize_right))
+        if self.weights.shape not in [weight_shape(m, n, dc, d) for m in WMode]:
+            raise ShapeError(f"weights shape {self.weights.shape} fits no WMode of {(n, dc, d)}")
+        self.w_mode = WMode(3 - self.weights.ndim)
+        if not self.degree_mask or not all(_is_int(i) and 1 <= i <= d for i in self.degree_mask):
+            raise ShapeError(f"degree mask {set(self.degree_mask)} is not integers in 1..{d}")
         if self.bias is not None and self.bias.shape != (n, dc):
             raise ShapeError("bias must be N x D")
         if (self.resize_left is None) != (self.resize_right is None):
@@ -362,8 +367,7 @@ def _drawn_block(rng: np.random.Generator, n: int, dc: int, d: int, draw, w_mode
                    ((Side.TOKEN, n, d), (Side.CHANNEL, dc, d),
                     (Side.TOKEN, n, d - 1), (Side.CHANNEL, dc, d - 1)))
     return PadreBlock(
-        degree=d, n_tokens=n, n_channels=dc, token_mixers=a, channel_mixers=b,
-        inter_token=c, inter_channel=dm, w_mode=w_mode,
+        token_mixers=a, channel_mixers=b, inter_token=c, inter_channel=dm,
         weights=_uniform(rng, weight_shape(w_mode, n, dc, d), 1),
         bias=_uniform(rng, (n, dc), 1) if with_bias else None, **fields)
 
@@ -380,6 +384,8 @@ def build_conv_instance(n_tokens: int, n_channels: int, degree: int, layout: Lay
     """
     if degree < 2:
         raise ShapeError(f"this instance needs degree >= 2 (mask 2..d), got {degree}")
+    if isinstance(layout, Grid) and layout.h * layout.w != n_tokens:   # kernels are drawn from it
+        raise LayoutError(f"grid {layout.h}x{layout.w} does not cover N={n_tokens}")
 
     def draw(rng: np.random.Generator, side: Side, dim: int) -> Mixer:
         if side == Side.CHANNEL:
@@ -510,11 +516,6 @@ MAX_CONFIG_DEGREE = 64
 MAX_CONFIG_VALUES = 2 ** 28
 
 
-def _is_int(v) -> bool:
-    """An exact integer; JSON's ``true``/``false`` are not integers here."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _config_int(cfg: dict, key: str, low: int, default: int | None = None) -> int:
     """``cfg[key]``, or ``default`` when absent: an exact integer >= ``low``."""
     v = cfg.get(key, default)
@@ -612,10 +613,9 @@ def _block_from_parts(f: dict, mixers: list[Mixer], tensors: list[np.ndarray]) -
     bias, *rest = rest if f["has_bias"] else [None, *rest]
     u, v = rest if f["has_resize"] else (None, None)
     return PadreBlock(
-        degree=d, n_tokens=n, n_channels=dc,
         token_mixers=mixers[:d], channel_mixers=mixers[d:2 * d],
         inter_token=mixers[2 * d:3 * d - 1], inter_channel=mixers[3 * d - 1:],
-        w_mode=w_mode, weights=w.reshape(weight_shape(w_mode, n, dc, d)),
+        weights=w.reshape(weight_shape(w_mode, n, dc, d)),
         degree_mask=frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1),
         bias=bias, resize_left=u, resize_right=v, normalize_y=f["normalize_y"],
         layout=Grid(f["grid_h"], f["grid_w"]) if f["grid"] else Seq1d(),

@@ -11,11 +11,11 @@ cross-terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import PadreBlock, WMode, _stages, _uniform, features, random_mixer
+from .block import PadreBlock, _stages, _uniform, features, random_mixer
 from .tensor import Mixer, ShapeError, Side, as_compute, require_finite
 
 
@@ -39,23 +39,38 @@ class ModeSpec:
 
 @dataclass(eq=False)
 class MultimodalBlock:
-    degree: int
-    n_out: int
-    d_out: int
     modes: dict[str, ModeSpec]
     banks: dict[str, tuple[list[Mixer], list[Mixer]]]   # per mode: token/channel per degree
     inter_token: list[Mixer]
     inter_channel: list[Mixer]
     sequences: list[str]              # one mode label per level, e.g. "aab"
     weights: dict[int, np.ndarray]    # per sequence index: D' x d combine weights
+    degree: int = field(init=False)   # the banks' length; N' x D', what the chains act on
+    n_out: int = field(init=False)
+    d_out: int = field(init=False)
 
     def __post_init__(self):
-        d = self.degree
         if not self.sequences:
             raise ShapeError("need at least one mode sequence")
+        d = self.degree = len(next(iter(self.banks.values()), ((),))[0])
         for mode, (tok, ch) in self.banks.items():
             if len(tok) != d or len(ch) != d:
                 raise ShapeError(f"mode {mode!r} needs {d} token and channel mixers")
+        self.weights = {k: np.asarray(w, dtype=np.float64) for k, w in self.weights.items()}
+        for s_idx, seq in enumerate(self.sequences):
+            if len(seq) != d:
+                raise ShapeError(f"sequence {seq!r} length != degree {d}")
+            unknown = set(seq) - (self.modes.keys() & self.banks.keys())
+            if unknown:
+                raise ShapeError(f"sequence reads modes with no spec or bank: {sorted(unknown)}")
+            if len(self.modes) > 1 and len(set(seq)) < 2:
+                raise TrivialSequenceError(f"sequence {seq} has no cross-terms")
+            if s_idx not in self.weights:
+                raise ShapeError(f"no combine weights for sequence {s_idx} ({seq!r})")
+            if self.weights[s_idx].ndim != 2:
+                raise ShapeError(f"combine weights for sequence {s_idx} are not D' x d")
+        chain = chain_blocks(self)[0]   # they check banks, inter mixers, W and share N' x D'
+        self.n_out, self.d_out = chain.n_tokens, chain.n_channels
         for mode, spec in self.modes.items():
             # an absent projection is the identity, so its sides must already agree
             for proj, (rows, cols) in ((spec.proj_left, (self.n_out, spec.n_in)),
@@ -66,17 +81,6 @@ class MultimodalBlock:
                 if proj is not None:
                     require_finite(proj, f"proj[{mode}]",
                                    f"mode {mode!r}'s projection must be finite")
-        for s_idx, seq in enumerate(self.sequences):
-            if len(seq) != d:
-                raise ShapeError(f"sequence {seq!r} length != degree {d}")
-            unknown = set(seq) - set(self.modes)
-            if unknown:
-                raise ShapeError(f"sequence uses unregistered modes {sorted(unknown)}")
-            if len(self.modes) > 1 and len(set(seq)) < 2:
-                raise TrivialSequenceError(f"sequence {seq} has no cross-terms")
-            if s_idx not in self.weights:
-                raise ShapeError(f"no combine weights for sequence {s_idx} ({seq!r})")
-        chain_blocks(self)      # the chains check the banks, inter mixers and weights
 
 
 def chain_blocks(block: MultimodalBlock) -> list[PadreBlock]:
@@ -84,12 +88,10 @@ def chain_blocks(block: MultimodalBlock) -> list[PadreBlock]:
     bank mixers from mode ``seq[i]``, the shared inter-degree mixers, the
     sequence's CHANNEL_BROADCAST weights, and every degree in the mask."""
     return [PadreBlock(
-        degree=block.degree, n_tokens=block.n_out, n_channels=block.d_out,
         token_mixers=[block.banks[m][0][i] for i, m in enumerate(seq)],
         channel_mixers=[block.banks[m][1][i] for i, m in enumerate(seq)],
         inter_token=block.inter_token, inter_channel=block.inter_channel,
-        w_mode=WMode.CHANNEL_BROADCAST, weights=block.weights[s_idx],
-        degree_mask=frozenset(range(1, block.degree + 1)))
+        weights=block.weights[s_idx], degree_mask=frozenset(range(1, block.degree + 1)))
         for s_idx, seq in enumerate(block.sequences)]
 
 
@@ -157,7 +159,7 @@ def build_multimodal(mode_shapes: dict[str, tuple[int, int]], n_out: int, d_out:
             [random_mixer(rng, Side.CHANNEL, d_out) for _ in range(degree)],
         )
     return MultimodalBlock(
-        degree=degree, n_out=n_out, d_out=d_out, modes=modes, banks=banks,
+        modes=modes, banks=banks,
         inter_token=[random_mixer(rng, Side.TOKEN, n_out) for _ in range(degree - 1)],
         inter_channel=[random_mixer(rng, Side.CHANNEL, d_out) for _ in range(degree - 1)],
         sequences=list(sequences),

@@ -17,11 +17,11 @@ polynomial form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import (PadreBlock, PadreTrace, WMode, _uniform, forward, iter_parameters,
+from .block import (PadreBlock, PadreTrace, _uniform, forward, iter_parameters,
                     mixer_parameters, random_mixer)
 from .grad import GradBundle, GradReport, _upstream, backward, vjp_gradcheck
 from .tensor import (Mixer, NumericError, Record, ShapeError, Side, as_compute, pack_records,
@@ -44,10 +44,6 @@ class DenominatorError(ArithmeticError):
 
 @dataclass(eq=False)
 class RationalPadreBlock:
-    num_degree: int
-    den_degree: int
-    n_tokens: int
-    n_channels: int
     token_mixers: list[Mixer]        # A_1..A_{d+e}
     channel_mixers: list[Mixer]      # B_1..B_{d+e}
     w_num: np.ndarray                # N x D x d
@@ -56,16 +52,25 @@ class RationalPadreBlock:
     bias_den: np.ndarray             # N x D
     epsilon: float = DEFAULT_EPS
     square_denominator: bool = False
+    num_degree: int = field(init=False)     # d, N and D: w_num's shape; e: w_den's last axis
+    den_degree: int = field(init=False)
+    n_tokens: int = field(init=False)
+    n_channels: int = field(init=False)
 
     def __post_init__(self):
-        d, e, n, dc = self.num_degree, self.den_degree, self.n_tokens, self.n_channels
-        if e < 0 or len(self.token_mixers) != d + e or len(self.channel_mixers) != d + e:
-            raise ShapeError(f"need den degree >= 0 and d+e token and channel mixers, "
-                             f"got {d}/{e}")
+        self.w_num, self.bias_num, self.w_den, self.bias_den = (   # float64; the chains share them
+            np.asarray(a, dtype=np.float64)
+            for a in (self.w_num, self.bias_num, self.w_den, self.bias_den))
+        w_num, w_den = self.w_num, self.w_den
+        if w_num.ndim != 3 or w_den.ndim != 3 or w_den.shape[:2] != w_num.shape[:2]:
+            raise ShapeError(f"weights {w_num.shape}, {w_den.shape} not N x D x d, N x D x e")
+        n, dc, d = self.n_tokens, self.n_channels, self.num_degree = w_num.shape
+        e = self.den_degree = w_den.shape[2]
+        if len(self.token_mixers) != d + e or len(self.channel_mixers) != d + e:
+            raise ShapeError(f"need d+e token and channel mixers, got d={d}, e={e}")
         if e == 0:    # no denominator chain checks the bare bias
-            if self.w_den.shape != (n, dc, 0) or self.bias_den.shape != (n, dc):
-                raise ShapeError("a degree-0 denominator needs N x D x 0 weights and an "
-                                 "N x D bias")
+            if self.bias_den.shape != (n, dc):
+                raise ShapeError("a degree-0 denominator needs an N x D bias")
             require_finite(self.bias_den, "block-params",
                            "combine weights and biases must be finite")
         if not self.epsilon >= 0:
@@ -82,13 +87,11 @@ def chain_blocks(block: RationalPadreBlock) -> tuple[PadreBlock, PadreBlock | No
 
     def chain(first: int, k: int, weights: np.ndarray, bias: np.ndarray) -> PadreBlock:
         return PadreBlock(
-            degree=k, n_tokens=n, n_channels=dc,
             token_mixers=block.token_mixers[first:first + k],
             channel_mixers=block.channel_mixers[first:first + k],
             inter_token=[Mixer.identity(Side.TOKEN, n)] * (k - 1),
             inter_channel=[Mixer.identity(Side.CHANNEL, dc)] * (k - 1),
-            w_mode=WMode.FULL, weights=weights, degree_mask=frozenset(range(1, k + 1)),
-            bias=bias)
+            weights=weights, degree_mask=frozenset(range(1, k + 1)), bias=bias)
 
     return (chain(0, d, block.w_num, block.bias_num),
             chain(d, e, block.w_den, block.bias_den) if e else None)
@@ -207,10 +210,10 @@ def _rational_from_parts(f: dict, mixers: list[Mixer],
     d, e, n, dc = f["num_degree"], f["den_degree"], f["n_tokens"], f["n_channels"]
     w_num, bias_num, w_den, bias_den = tensors
     return RationalPadreBlock(
-        **f, token_mixers=mixers[:d + e], channel_mixers=mixers[d + e:],
+        token_mixers=mixers[:d + e], channel_mixers=mixers[d + e:],
         w_num=w_num.reshape(n, dc, d), bias_num=bias_num,
         w_den=w_den.reshape(n, dc, e), bias_den=bias_den,
-    )
+        epsilon=f["epsilon"], square_denominator=f["square_denominator"])
 
 
 def rational_to_records(block: RationalPadreBlock) -> list[Record]:
@@ -236,7 +239,6 @@ def random_rational_block(n_tokens: int, n_channels: int, num_degree: int, den_d
     rng = np.random.default_rng(seed)
     d, e = num_degree, den_degree
     return RationalPadreBlock(
-        num_degree=d, den_degree=e, n_tokens=n_tokens, n_channels=n_channels,
         token_mixers=[random_mixer(rng, Side.TOKEN, n_tokens) for _ in range(d + e)],
         channel_mixers=[random_mixer(rng, Side.CHANNEL, n_channels) for _ in range(d + e)],
         w_num=_uniform(rng, (n_tokens, n_channels, d), 1),

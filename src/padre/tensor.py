@@ -150,6 +150,11 @@ class FlopLedger:
         return 2 * self.macs
 
 
+def _is_int(v) -> bool:
+    """An exact integer, NumPy's too; ``True`` and ``False`` are not integers here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
 
@@ -187,8 +192,9 @@ class Mixer:
                 PadMode.ZERO, PadMode.CIRCULAR):      # no record could encode them
             raise ShapeError(f"mixer side {self.side!r} or padding {self.padding!r} "
                              "is not a member of its enum")
-        if self.dim < 1:
-            raise ShapeError(f"mixer dim must be positive, got {self.dim}")
+        if not all(map(_is_int, (self.dim, self.grid_h, self.grid_w))) or self.dim < 1:
+            raise ShapeError(f"mixer dim {self.dim!r} and grid {self.grid_h!r}x{self.grid_w!r} "
+                             "must be integers, the dim positive")
         k = self.kind
         if k == MixerKind.DENSE:
             if self.matrix is None or self.matrix.shape != (self.dim, self.dim):
@@ -503,7 +509,7 @@ def _apply_conv(m: Mixer, x: np.ndarray, transpose: bool) -> np.ndarray:
     return view.reshape(x.shape)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)
 def _conv_index(sizes: tuple[int, ...], kshape: tuple[int, ...], circular: bool,
                 side: Side) -> np.ndarray:
     """Where a convolution's dense matrix reads its kernel: read-only ``idx``.
@@ -512,7 +518,9 @@ def _conv_index(sizes: tuple[int, ...], kshape: tuple[int, ...], circular: bool,
     ``j``, or the kernel's size where no tap links them; the channel side's
     matrix is the transpose.  On an ``n``-long axis output ``i`` reads input
     ``j`` through tap ``j - i + _anchor(k)``, taken modulo ``n`` under circular
-    padding, so as ``k <= n`` at most one tap links a pair.
+    padding, so as ``k <= n`` at most one tap links a pair.  The cache is unbounded:
+    ``_matrix`` asks only for grids of at most ``TILE`` = 8 cells, which allow 412 keys
+    (103 grid and kernel shapes, two paddings, two sides) of at most 8 x 8 indices.
     """
     idx, linked = np.zeros((1, 1), np.intp), np.ones((1, 1), bool)
     for n, k in zip(sizes, kshape):

@@ -204,7 +204,7 @@ def _scheme_params(seed: int):
                               dw=Mixer.conv1d(Side.TOKEN, u(3), 16))
     small_castle = A.CastlingParams(u(2, 2), u(2, 2), u(2, 2),
                                     dw=Mixer.conv1d(Side.TOKEN, u(3), 4))
-    hy = A.HyenaParams(order=2, projections=[u(256, 256) for _ in range(3)],
+    hy = A.HyenaParams(projections=[u(256, 256) for _ in range(3)],
                        filters=[u(256) for _ in range(2)])
     return sima, c2f, castle, small_castle, hy
 

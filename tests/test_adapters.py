@@ -114,12 +114,11 @@ class TestConv2Former:
 class TestHyena:
     @pytest.fixture
     def params(self, rng):
-        return A.HyenaParams(order=2,
-                             projections=[u(rng, 6, 5, scale=0.8) for _ in range(3)],
+        return A.HyenaParams(projections=[u(rng, 6, 5, scale=0.8) for _ in range(3)],
                              filters=[u(rng, 6, scale=0.8) for _ in range(2)])
 
     def test_delta_filter_reduces_to_gating(self, rng):
-        p = A.HyenaParams(order=1, projections=[u(rng, 6, 5), u(rng, 6, 5)],
+        p = A.HyenaParams(projections=[u(rng, 6, 5), u(rng, 6, 5)],
                           filters=[np.eye(6)[0]])
         chi = rng.uniform(-1, 1, 5)
         xs = A.hyena_project(p, chi)
@@ -128,8 +127,7 @@ class TestHyena:
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("length", [6, 64])
     def test_plan_matches_recurrence(self, order, length, rng):
-        p = A.HyenaParams(order=order,
-                          projections=[u(rng, length, length) for _ in range(order + 1)],
+        p = A.HyenaParams(projections=[u(rng, length, length) for _ in range(order + 1)],
                           filters=[u(rng, length) for _ in range(order)])
         plan = A.hyena_as_padre(p)
         assert plan.cascades[0].degree == order + 1
@@ -147,7 +145,7 @@ class TestHyena:
         np.testing.assert_allclose(t @ z, A.causal_conv(h, z), rtol=0, atol=1e-15)
 
     def test_zero_filter_zero_output(self, params, rng):
-        p = A.HyenaParams(order=2, projections=params.projections,
+        p = A.HyenaParams(projections=params.projections,
                           filters=[np.zeros(6), params.filters[1]])
         chi = rng.uniform(-1, 1, 5)
         np.testing.assert_array_equal(A.hyena_forward(p, chi), np.zeros(6))
@@ -158,7 +156,7 @@ class TestHyena:
         assert max_effective_degree(f, 4, (5, 1)) == 3
 
     def test_order_one_identity_projections_is_elementwise_gate(self, rng):
-        p = A.HyenaParams(order=1, projections=[np.eye(4), np.eye(4)],
+        p = A.HyenaParams(projections=[np.eye(4), np.eye(4)],
                           filters=[np.eye(4)[0]])
         chi = rng.uniform(-1, 1, 4)
         np.testing.assert_allclose(A.hyena_forward(p, chi), chi * chi)
@@ -249,13 +247,21 @@ def conv2former_plan(rng):
 
 
 def hyena_plan(rng):
-    return A.hyena_as_padre(A.HyenaParams(order=2, projections=[u(rng, 9, 9) for _ in range(3)],
+    return A.hyena_as_padre(A.HyenaParams(projections=[u(rng, 9, 9) for _ in range(3)],
                                           filters=[u(rng, 9) for _ in range(2)]))
 
 
 def mamba_plan(rng):
     p = mamba_params(2, state=3, length=9)
     return A.mamba_as_padre(p, *A.zoh_step(p, 0.05))
+
+
+def test_plan_and_hyena_shapes_are_read_from_their_parts(rng):
+    plan = conv2former_plan(rng)
+    assert (plan.n_tokens, plan.n_channels) == (9, 4)
+    with pytest.raises(ShapeError):
+        A.PadrePlan([])
+    assert A.HyenaParams([np.eye(3)] * 3, [np.ones(3)] * 2).order == 2
 
 
 @pytest.mark.parametrize("make_plan", [conv2former_plan, hyena_plan, mamba_plan],
@@ -267,7 +273,7 @@ def test_plan_cascades_round_trip_through_block_container(make_plan, rng, tmp_pa
         path = str(tmp_path / f"cascade{i}.bin")
         save_block(cascade, path)
         reloaded.append(load_block(path))
-    back = A.PadrePlan(plan.n_tokens, plan.n_channels, reloaded)
+    back = A.PadrePlan(reloaded)
     x = rng.uniform(-1, 1, (plan.n_tokens, plan.n_channels))
     assert np.array_equal(back.evaluate(x), plan.evaluate(x))
 

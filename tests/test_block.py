@@ -5,7 +5,7 @@ import itertools
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import timedelta
 
 import numpy as np
@@ -31,8 +31,9 @@ from padre.block import (
     param_count,
     random_block,
     rms_normalize_rows,
+    weight_shape,
 )
-from padre.grad import backward
+from padre.grad import backward, gradcheck
 from padre.multimodal import build_multimodal, multimodal_forward
 from padre.rational import random_rational_block, rational_forward
 from padre.tensor import (
@@ -43,16 +44,13 @@ from padre.tensor import (
 from conftest import rel_dev
 
 
-def identity_block(n, d_ch, degree, weights, mask, w_mode=WMode.SCALAR_PER_DEGREE,
-                   bias=None):
+def identity_block(n, d_ch, degree, weights, mask, bias=None):
     return PadreBlock(
-        degree=degree, n_tokens=n, n_channels=d_ch,
         token_mixers=[Mixer.identity(Side.TOKEN, n)] * degree,
         channel_mixers=[Mixer.identity(Side.CHANNEL, d_ch)] * degree,
         inter_token=[Mixer.identity(Side.TOKEN, n)] * (degree - 1),
         inter_channel=[Mixer.identity(Side.CHANNEL, d_ch)] * (degree - 1),
-        w_mode=w_mode, weights=np.asarray(weights, dtype=float),
-        degree_mask=frozenset(mask), bias=bias,
+        weights=np.asarray(weights, dtype=float), degree_mask=frozenset(mask), bias=bias,
     )
 
 
@@ -410,26 +408,46 @@ class TestCountForward:
 
 class TestConstructor:
     @pytest.mark.parametrize("change,error", [
-        (dict(degree=0), ShapeError),
+        (dict(token_mixers=[], channel_mixers=[], inter_token=[], inter_channel=[]), ShapeError),
         (dict(layout=Grid(3, 3)), LayoutError),
         (dict(token_mixers=[Mixer.identity(Side.TOKEN, 4)]), ShapeError),
         (dict(inter_token=[]), ShapeError),
         (dict(token_mixers=[Mixer.identity(Side.CHANNEL, 4)] * 2), ShapeError),
         (dict(channel_mixers=[Mixer.identity(Side.CHANNEL, 4)] * 2), ShapeError),
-        (dict(weights=np.ones(2)), ShapeError),
+        (dict(weights=np.ones((4, 3, 3))), ShapeError),
         (dict(degree_mask=frozenset({3})), ShapeError),
+        (dict(degree_mask=frozenset({2.0})), ShapeError),
         (dict(bias=np.ones((3, 4))), ShapeError),
         (dict(resize_left=np.ones((2, 4))), ShapeError),
         (dict(resize_left=np.ones((2, 3)), resize_right=np.ones((3, 2))), ShapeError),
         (dict(weights=np.full((4, 3, 2), np.inf)), NumericError),
     ], ids=["degree-0", "grid-not-n", "token-mixer-count", "inter-pair-count",
             "token-mixer-side", "channel-mixer-dim", "weights-shape", "degree-mask",
-            "bias-shape", "resize-alone", "resize-shapes", "non-finite-weights"])
+            "degree-mask-float", "bias-shape", "resize-alone", "resize-shapes",
+            "non-finite-weights"])
     def test_rejects(self, change, error):
         # one case per check in PadreBlock.__post_init__, each on a valid 4 x 3 block
         block = random_block(4, 3, 2, seed=0)
         with pytest.raises(error):
             replace(block, **change)
+
+    def test_shape_and_w_mode_are_read_from_the_parts(self):
+        block = random_block(4, 3, 2, seed=0)
+        for mode in WMode:
+            got = replace(block, weights=np.ones(weight_shape(mode, 4, 3, 2)))
+            assert (got.degree, got.n_tokens, got.n_channels, got.w_mode) == (2, 4, 3, mode)
+        init = {f.name for f in fields(PadreBlock) if f.init}
+        assert not init & {"degree", "n_tokens", "n_channels", "w_mode"}
+
+    def test_integer_weights_give_float64_gradients(self, rng):
+        block = random_block(4, 3, 2, seed=0)
+        w = np.ones((4, 3, 2))
+        assert replace(block, weights=w).weights is w          # float64 is not copied
+        block = replace(block, weights=np.arange(-12, 12).reshape(4, 3, 2))
+        x = rng.uniform(-1, 1, (4, 3))
+        grads = backward(block, forward(block, x)[1], np.ones((4, 3))).grads
+        assert block.weights.dtype == grads["W"].dtype == np.float64
+        assert gradcheck(block, x).passed
 
 
 class TestBatchedForward:
@@ -542,7 +560,7 @@ class TestConvInstance:
             build_conv_instance(6, 2, 1, Seq1d())
 
     def test_grid_layout_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(LayoutError):
             build_conv_instance(10, 2, 2, Grid(3, 3))
 
     def test_flops_grow_linearly(self):
@@ -559,19 +577,17 @@ class TestConvInstance:
 
 class TestParamCount:
     def test_full_w_only(self):
-        block = identity_block(4, 3, 2, np.zeros((4, 3, 2)), {1, 2}, w_mode=WMode.FULL)
+        block = identity_block(4, 3, 2, np.zeros((4, 3, 2)), {1, 2})
         assert param_count(block) == 24
 
     def test_structured_token_mixers_add_linearly(self, rng):
         def diag_block(n):
             return PadreBlock(
-                degree=2, n_tokens=n, n_channels=3,
                 token_mixers=[Mixer.diagonal(Side.TOKEN, np.ones(n))] * 2,
                 channel_mixers=[Mixer.identity(Side.CHANNEL, 3)] * 2,
                 inter_token=[Mixer.diagonal(Side.TOKEN, np.ones(n))],
                 inter_channel=[Mixer.identity(Side.CHANNEL, 3)],
-                w_mode=WMode.CHANNEL_BROADCAST, weights=np.zeros((3, 2)),
-                degree_mask=frozenset({1, 2}),
+                weights=np.zeros((3, 2)), degree_mask=frozenset({1, 2}),
             )
         base, doubled = param_count(diag_block(8)), param_count(diag_block(16))
         assert doubled - base == 3 * 8   # three diagonal token mixers
@@ -579,11 +595,9 @@ class TestParamCount:
     def test_dense_token_mixer_quadruples(self):
         def dense_block(n):
             return PadreBlock(
-                degree=1, n_tokens=n, n_channels=2,
                 token_mixers=[Mixer.dense(Side.TOKEN, np.eye(n))],
                 channel_mixers=[Mixer.identity(Side.CHANNEL, 2)],
-                inter_token=[], inter_channel=[],
-                w_mode=WMode.SCALAR_PER_DEGREE, weights=np.ones(1),
+                inter_token=[], inter_channel=[], weights=np.ones(1),
                 degree_mask=frozenset({1}),
             )
         a = param_count(dense_block(8)) - 1

@@ -223,6 +223,22 @@ class TestGradcheckCommand:
         assert rec.passed and f"{rec.worst:.3e}" == f"{worst:.3e}"
 
 
+class TestBench:
+    def test_castling_kernel_is_clipped_to_small_grids(self, capsys, tmp_path):
+        # N = 1 and 4 are 1x1 and 2x2 grids, N = 2 a 2-token sequence
+        out = str(tmp_path / "bench.csv")
+        assert main(["bench", "--schemes", "castling", "--n-list", "1", "2", "4",
+                     "--channels", "2", "--reps", "5", "--warmup", "0", "--out", out]) == 0
+
+    def test_castling_flops_on_a_sequence(self, capsys, tmp_path):
+        out = str(tmp_path / "bench.csv")
+        assert main(["bench", "--schemes", "castling", "--n-list", "10", "--channels", "8",
+                     "--reps", "5", "--warmup", "0", "--out", out]) == 0
+        with open(out, encoding="utf-8") as f:
+            row = dict(zip(*(line.strip().split(",") for line in f)))
+        assert int(row["flops"]) == 2 * (5 * 10 * 64 + (3 * 10 - 2) * 8 + 2 * 10 * 8) == 7168
+
+
 class TestApproxAttn:
     def test_error_column_decreases(self, capsys):
         assert main(["approx-attn", "--max-degree", "12"]) == 0

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from padre.block import PadreBlock, WMode, forward
+from padre.block import PadreBlock, forward
 from padre.multimodal import (
     MissingModeError,
     TrivialSequenceError,
@@ -99,10 +99,8 @@ class TestForward:
         out, _ = multimodal_forward(mm, {"a": x})
         tok, ch = mm.banks["a"]
         equivalent = PadreBlock(
-            degree=3, n_tokens=5, n_channels=3,
             token_mixers=tok, channel_mixers=ch,
-            inter_token=mm.inter_token, inter_channel=mm.inter_channel,
-            w_mode=WMode.CHANNEL_BROADCAST, weights=mm.weights[0],
+            inter_token=mm.inter_token, inter_channel=mm.inter_channel, weights=mm.weights[0],
             degree_mask=frozenset({1, 2, 3}))
         ref, _ = forward(equivalent, x)
         np.testing.assert_array_equal(out, ref)     # the chain runs forward's own stages
@@ -171,6 +169,19 @@ class TestValidation:
         tok, ch = mm.banks["b"]
         with pytest.raises(ShapeError, match="token side"):
             replace(mm, banks={**mm.banks, "b": (ch, tok)})
+
+    def test_a_mode_without_a_bank_rejected_at_construction(self):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        with pytest.raises(ShapeError, match="no spec or bank"):
+            replace(mm, banks={"a": mm.banks["a"]})
+
+    def test_shape_is_read_from_the_banks_and_weights_are_float64(self):
+        mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)
+        assert (mm.degree, mm.n_out, mm.d_out) == (2, 4, 3)
+        assert replace(mm, weights={0: np.ones((3, 2), dtype=int)}).weights[0].dtype == np.float64
+        for weights in (np.ones(2), np.ones((4, 3, 2))):       # W stays D' x d
+            with pytest.raises(ShapeError):
+                replace(mm, weights={0: weights})
 
     def test_missing_sequence_weights_rejected_at_construction(self):
         mm = build_multimodal({"a": (4, 3), "b": (5, 2)}, 4, 3, 2, ["ab"], seed=0)

@@ -213,8 +213,7 @@ class TestStagesThatCannotReachP:
             inter_channel=[Mixer.identity(Side.CHANNEL, dc)] * 2)
         # the last mixer of the slot sums a row and scales it by 1e306
         mixers[slot] = mixers[slot][:-1] + [Mixer.dense(Side.CHANNEL, np.full((dc, dc), 1e306))]
-        block = PadreBlock(degree=3, n_tokens=n, n_channels=dc, **mixers,
-                           w_mode=WMode.SCALAR_PER_DEGREE, weights=np.ones(3),
+        block = PadreBlock(**mixers, weights=np.ones(3),
                            degree_mask=frozenset(mask))
         x = np.full((n, dc), 1e3)
         assert first_bad(block_reference(block)(x)) == stage

@@ -2,11 +2,12 @@
 
 import copy
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from padre.block import PadreBlock, WMode, forward
+from padre.block import PadreBlock, forward
 from padre.grad import backward
 from padre.rational import (
     DenominatorError,
@@ -28,7 +29,6 @@ from conftest import rel_dev
 def identity_rational(n, d_ch, d, e, w_num, bias_num, w_den, bias_den, **kw):
     total = d + e
     return RationalPadreBlock(
-        num_degree=d, den_degree=e, n_tokens=n, n_channels=d_ch,
         token_mixers=[Mixer.identity(Side.TOKEN, n)] * total,
         channel_mixers=[Mixer.identity(Side.CHANNEL, d_ch)] * total,
         w_num=np.asarray(w_num, dtype=float).reshape(n, d_ch, d),
@@ -65,13 +65,11 @@ class TestForward:
 
         def chain(first, k, weights, bias):
             return PadreBlock(
-                degree=k, n_tokens=6, n_channels=3,
                 token_mixers=rb.token_mixers[first:first + k],
                 channel_mixers=rb.channel_mixers[first:first + k],
                 inter_token=[Mixer.identity(Side.TOKEN, 6)] * (k - 1),
                 inter_channel=[Mixer.identity(Side.CHANNEL, 3)] * (k - 1),
-                w_mode=WMode.FULL, weights=weights,
-                degree_mask=frozenset(range(1, k + 1)), bias=bias)
+                weights=weights, degree_mask=frozenset(range(1, k + 1)), bias=bias)
 
         x = rng.uniform(-1, 1, (6, 3))
         r_out, r_tr = rational_forward(rb, x)
@@ -193,6 +191,18 @@ class TestGradcheck:
         block.channel_mixers[1] = block.channel_mixers[0]
         rep = rational_gradcheck(block, rng.uniform(-1, 1, (5, 4)), probes=300)
         assert rep.passed, rep
+
+    def test_integer_weights_give_float64_gradients(self, rng):
+        rb = random_rational_block(4, 3, 2, 1, seed=0)
+        block = replace(rb, w_num=np.arange(-12, 12).reshape(4, 3, 2),
+                        w_den=np.ones((4, 3, 1), dtype=int))
+        shape = (block.num_degree, block.den_degree, block.n_tokens, block.n_channels)
+        assert shape == (2, 1, 4, 3)
+        assert block.w_num.dtype == block.w_den.dtype == np.float64
+        assert rational_gradcheck(block, rng.uniform(-1, 1, (4, 3)), probes=100).passed
+        for w_num in (rb.w_num[0], rb.w_num[0, 0]):     # W stays N x D x d
+            with pytest.raises(ShapeError):
+                replace(rb, w_num=w_num)
 
 
 class TestBackwardContract:

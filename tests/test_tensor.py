@@ -203,6 +203,20 @@ class TestApplyMixer:
         with pytest.raises(ShapeError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: Mixer.identity(Side.TOKEN, 2.5),
+        lambda: Mixer.conv1d(Side.TOKEN, [1.0, 2.0], 3.5),
+        lambda: Mixer.conv2d(Side.TOKEN, np.ones((1, 1)), 1.5, 2),
+        lambda: Mixer.conv2d(Side.TOKEN, np.ones((1, 1)), True, 4),
+        lambda: Mixer.identity(Side.TOKEN, True),
+    ], ids=["identity-dim-2.5", "conv1d-dim-3.5", "conv2d-grid-1.5x2", "conv2d-grid-Truex4",
+            "identity-dim-True"])
+    def test_non_integer_dims_rejected(self, build):
+        # no container could hold such a dim or grid extent; NumPy integers are integers
+        assert Mixer.conv2d(Side.TOKEN, np.ones((1, 1)), np.int64(2), np.int32(2)).dim == 4
+        with pytest.raises(ShapeError):
+            build()
+
     def test_shape_and_layout_errors(self, rng):
         x = rng.uniform(-1, 1, (5, 3))
         with pytest.raises(ShapeError):
